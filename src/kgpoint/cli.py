@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, help="override run.workers")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
+    def common(sp):
         # SUPPRESS keeps a sub-level flag from clobbering the global value
         sp.add_argument("--config", required=False, default=argparse.SUPPRESS,
                         help="config file path (alternative to the global flag)")
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("solitary", help="solitary-wave table")
-    common(sp, config_required=False)
+    common(sp)
     sp.add_argument("--C", type=float)
     sp.add_argument("--omega", type=float)
     sp.add_argument("--mass", type=float)

@@ -18,11 +18,10 @@ import configparser
 import io
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Grid
+from .fields import FieldState, Grid, zero_state
 from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
                       gaussian_state, seeded_gaussian_spec, solitary_state)
 from .model import ModelKind, OscillatorModel, alpha
-from .fields import FieldState, zero_state
 
 
 class ConfigError(Exception):
@@ -270,11 +269,6 @@ def _parse_windows(text: str) -> list[tuple[float, float]]:
         lo, hi = part.split(":")
         out.append((float(lo), float(hi)))
     return out
-
-
-def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def config_to_text(cfg: RunConfig) -> str:

@@ -5,6 +5,8 @@ from kgpoint import (FieldState, Grid, OscillatorModel, SolveStatus, check_bound
                      energy, norm_e, reconstruct_field, solve_full, solve_trace)
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.observables import charge
+from kgpoint.output import report_sections_from_solve
 from kgpoint.solitary import sample_profile
 
 SQ75 = float(np.sqrt(0.75))
@@ -124,6 +126,20 @@ class TestSolveFull:
         init = sample_profile(half_wave, run_grid, 0.0)
         rep, snaps = solve_full(cubic_model, init, 2.0, 2e-3, (0.0,))
         assert rep.energy_samples[0, 1] == energy(cubic_model, init)
+
+    def test_drift_measured_from_initial_data_without_t0_snapshot(
+            self, cubic_model, half_wave, run_grid):
+        init = sample_profile(half_wave, run_grid, 0.0)
+        rep, _ = solve_full(cubic_model, init, 2.0, 2e-3, (1.0, 2.0))
+        e0, q0 = energy(cubic_model, init), charge(init)
+        assert rep.energy_initial == e0 and rep.charge_initial == q0
+        e = rep.energy_samples[:, 1]
+        q = rep.charge_samples[:, 1]
+        sec = report_sections_from_solve(rep)["solve"]
+        assert sec["energy_initial"] == repr(float(e0))
+        assert sec["charge_initial"] == repr(float(q0))
+        assert float(sec["energy_drift_max_rel"]) == float(np.max(np.abs(e - e0)) / abs(e0))
+        assert float(sec["charge_drift_max_abs"]) == float(np.max(np.abs(q - q0)))
 
     def test_conservation_short_run(self, cubic_model, half_wave, run_grid):
         init = sample_profile(half_wave, run_grid, 0.0)
