@@ -48,15 +48,13 @@ def _fail(code: int, *messages: str) -> int:
 
 
 def _load_cfg(args) -> RunConfig:
-    """Config from --config plus --set/--seed/--workers overrides."""
+    """Config from --config plus --set/--seed overrides."""
     path = getattr(args, "config", None)
     if not path:
         raise ConfigError(["missing --config"])
     overrides = list(getattr(args, "set", []))
     if getattr(args, "seed", None) is not None:
         overrides.append(f"run.seed={args.seed}")
-    if getattr(args, "workers", None) is not None:
-        overrides.append(f"run.workers={args.workers}")
     return _load_with_overrides(path, overrides)
 
 
@@ -256,9 +254,8 @@ def cmd_sweep(args) -> int:
             return _fail(2, *exc.errors)
         payloads.append((idx, buf.getvalue()))
 
-    workers = getattr(args, "workers", None) or 1
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+    if args.workers > 1:
+        with multiprocessing.Pool(args.workers) as pool:
             results = pool.map(_sweep_one, payloads)
     else:
         results = [_sweep_one(p) for p in payloads]
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="kgpoint_out", help="output directory")
     p.add_argument("--config", default=None, help="config file path")
     p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    p.add_argument("--workers", type=int, default=None, help="override run.workers")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="parameter sweep over a config template")
     sp.add_argument("--config", required=False, default=argparse.SUPPRESS)
     sp.add_argument("--vary", action="append", default=[], metavar="SEC.KEY=V1,V2")
-    sp.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--workers", type=int, default=1, help="parallel sweep processes")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("compare", help="volterra vs finite-difference oracle")

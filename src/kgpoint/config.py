@@ -56,7 +56,6 @@ class RunConfig:
     dt: float
     initial: InitialSpec
     seed: int = 0
-    workers: int = 1
     energy_tol: float = 1e-4
     fd_delta_width: int = 1
     out_trace: bool = True
@@ -232,7 +231,6 @@ def parse_config_text(text: str) -> RunConfig:
         dt=dt or 0.1,
         initial=init,
         seed=get("run", "seed", int, 0),
-        workers=get("run", "workers", int, 1),
         energy_tol=get("run", "energy_tol", float, 1e-4),
         fd_delta_width=get("run", "fd_delta_width", int, 1),
         out_trace=get("outputs", "trace", as_bool, True),
@@ -296,8 +294,7 @@ def config_to_text(cfg: RunConfig) -> str:
     if init.kind == "from_file":
         sec["path"] = init.path
     cp["initial"] = sec
-    cp["run"] = {"seed": str(cfg.seed), "workers": str(cfg.workers),
-                 "energy_tol": repr(cfg.energy_tol),
+    cp["run"] = {"seed": str(cfg.seed), "energy_tol": repr(cfg.energy_tol),
                  "fd_delta_width": str(cfg.fd_delta_width)}
     cp["outputs"] = {
         "trace": "true" if cfg.out_trace else "false",

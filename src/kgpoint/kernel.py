@@ -14,7 +14,13 @@ omega(k) = sqrt(k^2 + m^2): each mode undergoes the rotation
 data supported away from the boundary; callers enforce the no-wrap horizon
 rule).  `free_trace` evaluates the center-node trace psi1(0, t) of the same
 discrete propagator for many times at once, with an analytic correction for
-the exponential-kink content that a finite Fourier grid aliases.
+the exponential-kink content that a finite Fourier grid aliases.  Because
+omega is even, the modes +-k fold into one cosine and one sine amplitude
+per wavenumber k >= 0, and the trace at N uniform times t = (s L + l) dt,
+L ~ sqrt(N), becomes by angle addition one real matrix product per chunk of
+modes: the phases of the L offsets l dt against the amplitudes rotated to
+the N/L starts s L dt.  That is O(sqrt(N)) trig calls per mode and the
+multiply-adds run in BLAS, with no per-step loop.
 """
 
 from __future__ import annotations
@@ -356,13 +362,82 @@ def mass_shell_trace(times: np.ndarray, m: float, kappa: float, omega: float) ->
     return osc - kappa * convolve_j0(times, osc, m)
 
 
+# entries per temporary of the free-trace mode sum, so that a chunk's phase
+# and amplitude arrays stay in cache next to the output they accumulate into
+_TRACE_ENTRIES = 1 << 13
+
+
+def _folded_modes(state: FieldState, m: float):
+    """Amplitudes (A, B) and frequencies w of the center-node trace
+    h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t) of the free evolution.
+
+    omega(k) is even and the grid wavenumbers satisfy k[n-i] == -k[i]
+    exactly, so the modes +-k share one frequency and fold into the n//2+1
+    wavenumbers k >= 0 (the Nyquist mode, for even n, has no partner).
+    """
+    psi_h, pi_h, k, n = _mode_data(state)
+    c = state.grid.center_index
+    w = np.sqrt(k * k + m * m)
+    phase = np.exp(2j * np.pi * np.arange(n) * c / n)  # e^{i k x_center}
+    a_k = psi_h * phase / n
+    b_k = pi_h * phase / (n * w)
+    n_fold = n // 2 + 1
+    pairs = (n - 1) // 2
+    amp_cos = a_k[:n_fold].copy()
+    amp_sin = b_k[:n_fold].copy()
+    amp_cos[1:1 + pairs] += a_k[:n // 2:-1]
+    amp_sin[1:1 + pairs] += b_k[:n // 2:-1]
+    return amp_cos, amp_sin, w[:n_fold]
+
+
+def _mode_sum(amp_cos: np.ndarray, amp_sin: np.ndarray, w: np.ndarray,
+              tau: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    """sum_k A_k cos(w_k t) + B_k sin(w_k t) at every t = t0_s + tau_l,
+    flattened with index s len(tau) + l.
+
+    By the angle-addition formulas the sum at (s, l) is
+    sum_k cos(w_k tau_l) U_ks + sin(w_k tau_l) V_ks, where
+    U = A cos(w t0_s) + B sin(w t0_s) and V = B cos(w t0_s) - A sin(w t0_s).
+    Per chunk of modes that is one real matrix product of the stacked
+    [Re; Im] rows of [U | V] with the stacked [cos; sin] phases of tau; the
+    chunks are sized so that each of their arrays holds at most
+    _TRACE_ENTRIES entries (unless a single mode's row is already longer).
+    """
+    n_in, n_out = len(tau), len(t0)
+    chunk = max(1, _TRACE_ENTRIES // (4 * max(n_in, n_out)))
+    acc = np.zeros((2 * n_out, n_in))
+    prod = np.empty_like(acc)
+    parts = ((slice(0, n_out), amp_cos.real, amp_sin.real),
+             (slice(n_out, None), amp_cos.imag, amp_sin.imag))
+    for lo in range(0, len(w), chunk):
+        hi = min(lo + chunk, len(w))
+        kc = hi - lo
+        rot = np.empty((2 * kc, n_in))
+        ph = np.multiply.outer(w[lo:hi], tau)
+        np.cos(ph, out=rot[:kc])
+        np.sin(ph, out=rot[kc:])
+        ph0 = np.multiply.outer(t0, w[lo:hi])
+        c0, s0 = np.cos(ph0), np.sin(ph0)
+        uv = np.empty((2 * n_out, 2 * kc))
+        for rows, a, b in parts:
+            uv[rows, :kc] = a[lo:hi] * c0 + b[lo:hi] * s0
+            uv[rows, kc:] = b[lo:hi] * c0 - a[lo:hi] * s0
+        np.matmul(uv, rot, out=prod)
+        acc += prod
+    return acc[:n_out].ravel() + 1j * acc[n_out:].ravel()
+
+
 def free_trace(initial: FieldState, times: np.ndarray, m: float,
                kink_correction: bool = True) -> np.ndarray:
     """Center-node trace psi1(0, t_j) of the free evolution of `initial`.
 
     Equals `free_evolve(initial, t).psi[center]` for every requested time
-    (same discrete propagator, evaluated at one node), vectorized over times
-    by per-mode phase rotation.
+    (same discrete propagator, evaluated at one node).  The modes +-k are
+    folded into h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t) over the
+    n//2+1 wavenumbers k >= 0 and summed as a blocked real matrix product
+    (`_mode_sum`).  N uniform times are split as t = (s L + l) dt with
+    L = ceil(sqrt(N)), so each mode needs the phases of L offsets and N/L
+    starts only; other times get their phases computed directly.
 
     Sampled data with a derivative kink at x = 0 (every solitary profile)
     put O(1/k^2) tails beyond the grid's Nyquist wavenumber; the aliased
@@ -370,15 +445,14 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float,
     early times.  With `kink_correction` the kink content is split off as
     a multiple of e^{-kappa1 |x|} pairs whose free traces are known in
     closed form (`mass_shell_trace` combinations), and only the kink-free
-    remainder goes through the grid propagator.  Requires uniform times
-    starting at 0; otherwise the plain mode sum is used.
+    remainder goes through the grid propagator.  The correction requires
+    uniform times starting at 0; otherwise the plain mode sum is used.
     """
     initial.require_finite()
     times = np.asarray(times, dtype=float)
     if len(times):
         check_horizon(initial, float(np.max(times)), "free_trace")
     grid = initial.grid
-    c = grid.center_index
 
     uniform = (len(times) >= 2 and abs(times[0]) < 1e-14
                and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10, atol=0))
@@ -398,34 +472,15 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float,
         correction = split.a * h_g0 + split.b * h_0g
 
     work = FieldState(grid, psi_work, pi_work, initial.time)
-    psi_h, pi_h, k, n = _mode_data(work)
-    w = np.sqrt(k * k + m * m)
-    phase = np.exp(2j * np.pi * np.arange(n) * c / n)  # e^{i k x_center}
-    a_k = psi_h * phase / n
-    b_k = pi_h * phase / (n * w)
-    cp = 0.5 * (a_k - 1j * b_k)
-    cm = 0.5 * (a_k + 1j * b_k)
-
-    out = np.empty(len(times), dtype=complex)
+    amp_cos, amp_sin, w = _folded_modes(work, m)
     if uniform:
-        dt = times[1] - times[0]
-        rot = np.exp(1j * w * dt)
-        vp = cp.copy()
-        vm = cm.copy()
-        block = 2048
-        for start in range(0, len(times), block):
-            stop = min(start + block, len(times))
-            for j in range(start, stop):
-                out[j] = vp.sum() + vm.sum()
-                vp *= rot
-                vm *= np.conj(rot)
-            # re-anchor the phases to curb rotation roundoff drift
-            if stop < len(times):
-                vp = cp * np.exp(1j * w * times[stop])
-                vm = cm * np.exp(-1j * w * times[stop])
+        # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
+        inner = int(np.ceil(np.sqrt(len(times))))
+        tau = np.arange(inner) * (times[1] - times[0])
+        t0 = times[::inner]
     else:
-        for j, t in enumerate(times):
-            out[j] = np.sum(cp * np.exp(1j * w * t) + cm * np.exp(-1j * w * t))
+        tau, t0 = times, np.zeros(1)
+    out = _mode_sum(amp_cos, amp_sin, w, tau, t0)[:len(times)]
 
     if correction is not None:
         out += correction

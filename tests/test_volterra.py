@@ -85,7 +85,7 @@ class TestSolveTrace:
         g = np.exp(-np.abs(run_grid.x))
         init = FieldState(run_grid, g.astype(complex), g.astype(complex))
         rep = solve_trace(model, init, 50.0, 0.01)
-        assert rep.status is SolveStatus.ENERGY_DRIFT_EXCEEDED
+        assert rep.status is SolveStatus.TRACE_BOUND_EXCEEDED
         assert len(rep.trace.z) < 5001
 
 
