@@ -11,9 +11,10 @@ Subcommands:
                report row per run, optionally in parallel
 * compare   -- volterra vs finite-difference oracle on identical data
 
-Exit codes: 0 ok, 1 run failure, 2 config failure.  All outputs are
-deterministic functions of (config, seed); errors are printed to stderr as
-`error: ...` lines.
+Exit codes: 0 ok, 1 run failure, 2 config failure (including a dt too large
+for the trace solver's implicit node).  All outputs are deterministic
+functions of (config, seed); errors are printed to stderr as `error: ...`
+lines.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
 from .spectral import (Window, dominant_frequency, gap_mass_fraction, late_window,
                        modulus_variation, omega_limit_report, windowed_spectrum)
-from .volterra import (SolveStatus, TraceSeries, reconstruct_field,
+from .volterra import (SolveStatus, StepTooLargeError, TraceSeries, reconstruct_field,
                        solve_full, solve_trace)
 
 
@@ -285,7 +286,7 @@ def cmd_compare(args) -> int:
     report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"volterra status {report.status.value}")
-    run = fd_evolve(cfg.model, initial, cfg.T, cfg.dt, delta_width=cfg.fd_delta_width)
+    run = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)
     diff = np.abs(report.trace.z - run.trace)
     lines = ["t,abs_z_volterra,abs_z_fd,abs_diff"]
     for tv, zv, zf, d in zip(report.trace.times, np.abs(report.trace.z),
@@ -361,6 +362,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(2, *exc.errors)
+    except StepTooLargeError as exc:
+        return _fail(2, str(exc))
     except FileNotFoundError as exc:
         return _fail(2, str(exc))
 

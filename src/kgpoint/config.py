@@ -57,7 +57,6 @@ class RunConfig:
     initial: InitialSpec
     seed: int = 0
     energy_tol: float = 1e-4
-    fd_delta_width: int = 1
     out_trace: bool = True
     snapshots: list[float] = dc_field(default_factory=list)
     spectrum_windows: list[tuple[float, float]] = dc_field(default_factory=list)
@@ -232,7 +231,6 @@ def parse_config_text(text: str) -> RunConfig:
         initial=init,
         seed=get("run", "seed", int, 0),
         energy_tol=get("run", "energy_tol", float, 1e-4),
-        fd_delta_width=get("run", "fd_delta_width", int, 1),
         out_trace=get("outputs", "trace", as_bool, True),
         snapshots=get("outputs", "snapshots", _parse_floats, []),
         spectrum_windows=_parse_windows(get("outputs", "spectrum_windows", str, "")),
@@ -294,8 +292,7 @@ def config_to_text(cfg: RunConfig) -> str:
     if init.kind == "from_file":
         sec["path"] = init.path
     cp["initial"] = sec
-    cp["run"] = {"seed": str(cfg.seed), "energy_tol": repr(cfg.energy_tol),
-                 "fd_delta_width": str(cfg.fd_delta_width)}
+    cp["run"] = {"seed": str(cfg.seed), "energy_tol": repr(cfg.energy_tol)}
     cp["outputs"] = {
         "trace": "true" if cfg.out_trace else "false",
         "snapshots": ", ".join(repr(t) for t in cfg.snapshots),

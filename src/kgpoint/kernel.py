@@ -465,10 +465,13 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float,
         psi_work = initial.psi - split.a * split.g
         pi_work = initial.pi - split.b * split.g
         k1, w1 = split.kappa1, split.omega1
-        ccos = convolve_j0(times, np.cos(w1 * times), m)
-        csin = convolve_j0(times, np.sin(w1 * times), m)
-        h_g0 = np.cos(w1 * times) - k1 * ccos
-        h_0g = np.sin(w1 * times) / w1 - (k1 / w1) * csin
+        # the convolution is linear with a real kernel: one call on
+        # e^{i w1 t} gives the cos and sin corrections as its real and
+        # imaginary parts
+        osc = np.exp(1j * w1 * times)
+        conv = convolve_j0(times, osc, m)
+        h_g0 = osc.real - k1 * conv.real
+        h_0g = (osc.imag - k1 * conv.imag) / w1
         correction = split.a * h_g0 + split.b * h_0g
 
     work = FieldState(grid, psi_work, pi_work, initial.time)

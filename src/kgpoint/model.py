@@ -111,24 +111,21 @@ def force(model: OscillatorModel, psi) -> complex | np.ndarray:
     return complex(out) if out.ndim == 0 else out
 
 
-def force_jacobian(model: OscillatorModel, psi: complex) -> np.ndarray:
-    """Exact 2x2 real Jacobian of F as a map of (Re psi, Im psi).
+def force_lipschitz(model: OscillatorModel, r: float) -> float:
+    """Lipschitz bound of F on the disc |psi| <= r.
 
-    d F / d(x, y) = alpha(s) I + 2 alpha'(s) [[x^2, x y], [x y, y^2]],
-    with s = x^2 + y^2.  Used by the implicit Newton step in the trace solver.
+    The real Jacobian of F is the symmetric alpha(s) I + 2 alpha'(s) psi psi^T
+    (s = |psi|^2), with eigenvalues alpha(s) and alpha(s) + 2 s alpha'(s).  For
+    alpha(s) = sum_k c_k s^k both are bounded by sum_k |c_k| (2k+1) r^(2k),
+    which grows with r, so no maximisation over the disc is needed.  |a| for
+    the linear kind.
     """
-    x, y = float(np.real(psi)), float(np.imag(psi))
-    s = x * x + y * y
-    a = float(alpha(model, s))
     if model.kind is ModelKind.LINEAR:
-        ap = 0.0
-    else:
-        u = model.coefficients
-        ap = 0.0
-        for n in range(len(u) - 1, 1, -1):
-            ap = ap * s - 2.0 * n * (n - 1) * u[n]
-    return np.array([[a + 2 * ap * x * x, 2 * ap * x * y],
-                     [2 * ap * x * y, a + 2 * ap * y * y]])
+        return abs(model.linear_a)
+    s = r * r
+    # c_k = -2 (k+1) u_(k+1)
+    return float(sum(2.0 * (k + 1) * abs(u) * (2 * k + 1) * s ** k
+                     for k, u in enumerate(model.coefficients[1:])))
 
 
 def _poly_min_nonneg(coeffs: tuple[float, ...]) -> float:

@@ -8,8 +8,11 @@ the trace z(t) = psi(0, t):
 with h the free-field trace of the initial data.  Product integration with
 trapezoid weights discretizes the memory integral (the kernel is entire, so
 no singularity treatment is needed); the s = t node makes each step weakly
-implicit with weight dt/4, solved by warm-started fixed-point iteration with
-a damped-Newton fallback on the exact 2x2 real Jacobian.
+implicit with weight dt/4, solved by warm-started fixed-point iteration.
+The a priori bound |z| <= cap (`_trace_cap`) makes that iteration a
+contraction once dt L / 4 <= 1/2, L the Lipschitz bound of F on |z| <= cap
+(`force_lipschitz`); `solve_trace` checks this up front and rejects larger
+steps.
 
 The full field is recovered from the trace by the Duhamel representation
 
@@ -41,9 +44,19 @@ import numpy as np
 from .fields import FieldState
 from .kernel import (KernelTables, bessel_j0, check_horizon, free_evolve,
                      free_trace, kink_split)
-from .model import ModelKind, OscillatorModel, check_bound_below, force, force_jacobian
+from .model import ModelKind, OscillatorModel, check_bound_below, force, force_lipschitz
 from .observables import charge as charge_of
 from .observables import energy as energy_of
+
+
+# fixed-point stopping rule of the implicit node, relative to max(1, |z|)
+_RESIDUAL_TOL = 1e-12
+# largest dt L / 4 accepted: the implicit node's map then contracts by 1/2
+_MAX_CONTRACTION = 0.5
+
+
+class StepTooLargeError(ValueError):
+    """dt is too large for the implicit node to contract on |z| <= cap."""
 
 
 class SolveStatus(enum.Enum):
@@ -131,21 +144,30 @@ def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
     return 1.5 * float(np.sqrt(lam_sq)) + 1e-9
 
 
-def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float,
-                residual_tol: float = 1e-12) -> SolveReport:
+def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
+                ) -> SolveReport:
     """Integrate the trace equation on [0, T] with step dt.
 
     Preconditions: T/dt integral, initial data finite, and the grid large
     enough that nothing reaches the boundary within T (horizon rule, caller's
-    responsibility).  Returns a report whose status is COMPLETED, NON_FINITE
-    (iteration diverged), or TRACE_BOUND_EXCEEDED (|z| broke the a priori
-    cap of `_trace_cap`, signalling dt too large or an ill-posed model).
+    responsibility).  Raises StepTooLargeError when dt L / 4 > 1/2, L the
+    Lipschitz bound of F on |z| <= cap.  Returns a report whose status is
+    COMPLETED, NON_FINITE (iteration diverged), or TRACE_BOUND_EXCEEDED (|z|
+    broke the a priori cap of `_trace_cap`, signalling an ill-posed model).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = int(round(T / dt))
     if abs(T - n_steps * dt) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer multiple of dt")
+    cap = _trace_cap(model, initial)
+    lip = force_lipschitz(model, cap)
+    if 0.25 * dt * lip > _MAX_CONTRACTION:
+        raise StepTooLargeError(
+            f"dt = {dt:.6g} too large for the implicit node: dt L/4 = {0.25 * dt * lip:.6g} "
+            f"> {_MAX_CONTRACTION} with L = {lip:.6g} the Lipschitz bound of F on "
+            f"|z| <= cap = {cap:.6g}; the largest admissible dt is "
+            f"{4.0 * _MAX_CONTRACTION / lip:.6g}")
     n = n_steps + 1
     m = model.mass
     times = np.arange(n) * dt
@@ -155,7 +177,6 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     kern_rev = kern[::-1].copy()
 
     F = _scalar_force(model)
-    cap = _trace_cap(model, initial)
 
     z = np.empty(n, dtype=complex)
     # f with the j=0 trapezoid half-weight folded in, split into real and
@@ -179,13 +200,11 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
         converged = False
         for _ in range(30):
             znew = b + quarter_dt * F(zj)
-            if abs(znew - zj) <= residual_tol * max(1.0, abs(znew)):
+            if abs(znew - zj) <= _RESIDUAL_TOL * max(1.0, abs(znew)):
                 zj = znew
                 converged = True
                 break
             zj = znew
-        if not converged:
-            zj, converged = _newton_node(model, b, quarter_dt, zj, residual_tol)
         if not converged or zj != zj:  # NaN check
             status = SolveStatus.NON_FINITE
             message = f"implicit node failed to converge at t={times[j]:.6g}"
@@ -205,38 +224,6 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     # bitwise (the in-loop scalar Horner may differ in the last ulp)
     trace = TraceSeries.from_z(model, dt, z[:last])
     return SolveReport(trace=trace, status=status, message=message)
-
-
-def _newton_node(model: OscillatorModel, b: complex, w: float, z0: complex,
-                 tol: float) -> tuple[complex, bool]:
-    """Damped Newton for z = b + w F(z) as a 2x2 real system."""
-    z = z0
-    if z != z:
-        z = b
-
-    def residual(zz: complex) -> complex:
-        return zz - b - w * force(model, zz)
-
-    r = residual(z)
-    for _ in range(60):
-        if abs(r) <= tol * max(1.0, abs(z)):
-            return z, True
-        jac = np.eye(2) - w * force_jacobian(model, z)
-        try:
-            step = np.linalg.solve(jac, -np.array([r.real, r.imag]))
-        except np.linalg.LinAlgError:
-            return z, False
-        scale = 1.0
-        for _ in range(10):
-            zn = z + complex(step[0], step[1]) * scale
-            rn = residual(zn)
-            if abs(rn) < abs(r):
-                z, r = zn, rn
-                break
-            scale *= 0.5
-        else:
-            return z, False
-    return z, abs(r) <= tol * max(1.0, abs(z))
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
@@ -480,11 +467,13 @@ def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
                ) -> tuple[SolveReport, list[FieldState]]:
     """Trace solve plus reconstructed snapshots with energy/charge sampling.
 
-    Status degrades to ENERGY_DRIFT_EXCEEDED when the sampled Hamiltonian
-    drifts relative to H(initial) by more than energy_tol.
+    Snapshots are reconstructed only from a COMPLETED trace; a trace the
+    solver stopped early comes back with none.  Status degrades to
+    ENERGY_DRIFT_EXCEEDED when the sampled Hamiltonian drifts relative to
+    H(initial) by more than energy_tol.
     """
     report = solve_trace(model, initial, T, dt)
-    if report.status is not SolveStatus.NON_FINITE and snapshot_times is not None:
+    if report.status is SolveStatus.COMPLETED and snapshot_times is not None:
         snapshot_times = list(snapshot_times)
     else:
         snapshot_times = []
@@ -508,7 +497,7 @@ def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
         worst = max(worst, abs(e_t - e0) / max(abs(e0), 1e-30))
     report.energy_samples = np.array(e_rows)
     report.charge_samples = np.array(q_rows)
-    if report.status is SolveStatus.COMPLETED and worst > energy_tol:
+    if worst > energy_tol:
         report.status = SolveStatus.ENERGY_DRIFT_EXCEEDED
         report.message = f"relative energy drift {worst:.3g} exceeded tol {energy_tol:.3g}"
     return report, snapshots

@@ -14,19 +14,21 @@ import numpy as np
 from kgpoint.fields import FieldState
 from kgpoint.kernel import bessel_j0, free_trace
 from kgpoint.model import OscillatorModel
-from kgpoint.volterra import (SolveReport, SolveStatus, TraceSeries, _newton_node,
+from kgpoint.volterra import (_RESIDUAL_TOL, SolveReport, SolveStatus, TraceSeries,
                               _scalar_force, _trace_cap)
 
 
-def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt: float,
-                       residual_tol: float = 1e-12) -> SolveReport:
+def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt: float
+                       ) -> SolveReport:
     """Integrate the trace equation on [0, T] with step dt.
 
     Preconditions: T/dt integral, initial data finite, and the grid large
     enough that nothing reaches the boundary within T (horizon rule, caller's
     responsibility).  Returns a report whose status is COMPLETED, NON_FINITE
-    (iteration diverged), or ENERGY_DRIFT_EXCEEDED (the a-priori |z| bound
-    was violated, signalling dt too large or an ill-posed model).
+    (iteration diverged), or TRACE_BOUND_EXCEEDED (the a-priori |z| bound
+    was violated, signalling an ill-posed model).  The step-size check of
+    `solve_trace` is not repeated here: the oracle only isolates the history
+    dot.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -62,13 +64,11 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
         converged = False
         for _ in range(30):
             znew = b + quarter_dt * F(zj)
-            if abs(znew - zj) <= residual_tol * max(1.0, abs(znew)):
+            if abs(znew - zj) <= _RESIDUAL_TOL * max(1.0, abs(znew)):
                 zj = znew
                 converged = True
                 break
             zj = znew
-        if not converged:
-            zj, converged = _newton_node(model, b, quarter_dt, zj, residual_tol)
         if not converged or zj != zj:  # NaN check
             status = SolveStatus.NON_FINITE
             message = f"implicit node failed to converge at t={times[j]:.6g}"
@@ -78,7 +78,7 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
         f_arr[j] = F(zj)
         g[j] = f_arr[j]
         if abs(zj) > cap:
-            status = SolveStatus.ENERGY_DRIFT_EXCEEDED
+            status = SolveStatus.TRACE_BOUND_EXCEEDED
             message = (f"|z|={abs(zj):.3g} exceeded the a priori bound cap {cap:.3g} "
                        f"at t={times[j]:.6g}")
             last = j + 1

@@ -87,6 +87,11 @@ class TestConfig:
             parse_config_text(bad)
         assert any("well-posedness" in m for m in err.value.errors)
 
+    def test_removed_run_keys_still_load(self):
+        old = BASE_CFG.replace("seed = 7", "seed = 7\nfd_delta_width = 3\nworkers = 2")
+        assert config_to_text(parse_config_text(old)) == config_to_text(
+            parse_config_text(BASE_CFG))
+
     def test_bad_initial_kind(self):
         bad = BASE_CFG.replace("kind = gaussian", "kind = sine")
         with pytest.raises(ConfigError):
@@ -175,6 +180,16 @@ class TestCommands:
         code = run_cli(tmp_path, "simulate", "--config", str(cfg))
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_step_too_large_for_implicit_node(self, tmp_path, capsys):
+        # the a priori cap of this data gives L ~ 15, so dt may be ~0.14 at most
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text(BASE_CFG)
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg), "--set", "time.dt=0.5")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "largest admissible dt" in err[0]
 
     def test_solitary_table(self, capsys):
         code = main(["solitary", "--u", "0,-1,1", "--mass", "1", "--C", "0.5"])

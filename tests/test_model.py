@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kgpoint import OscillatorModel, alpha, check_bound_below, force, potential
 from kgpoint.initial import uniform_stream
-from kgpoint.model import force_jacobian
+from kgpoint.model import force_lipschitz
 
 
 def poly_potential_oracle(coeffs, psi):
@@ -81,16 +81,6 @@ class TestForce:
         gap = np.abs(force(cubic_model, psi) - alpha(cubic_model, np.abs(psi) ** 2) * psi)
         assert gap.max() < 1e-13
 
-    def test_jacobian_matches_finite_differences(self, cubic_model):
-        psi = 0.4 - 0.3j
-        step = 1e-6
-        jac = force_jacobian(cubic_model, psi)
-        for col, dz in enumerate((step, 1j * step)):
-            fd = (np.asarray(force(cubic_model, psi + dz))
-                  - np.asarray(force(cubic_model, psi - dz))) / (2 * step)
-            assert jac[0, col] == pytest.approx(fd.real, rel=1e-6, abs=1e-8)
-            assert jac[1, col] == pytest.approx(fd.imag, rel=1e-6, abs=1e-8)
-
 
 class TestAlpha:
     def test_values(self, cubic_model):
@@ -105,6 +95,25 @@ class TestAlpha:
             warnings.simplefilter("ignore")
             m = OscillatorModel.linear(1.0, 3.0)
         assert alpha(m, 0.0) == 3.0
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("model", [
+        OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0)),
+        OscillatorModel.polynomial(1.0, (0.0, -1.0, 0.5, 0.25)),
+        OscillatorModel.linear(1.0, 1.0),
+    ], ids=["cubic", "quintic", "linear"])
+    def test_bound_holds_in_disc(self, model):
+        r = 1.5
+        u = uniform_stream(17, 0, 2000)
+        z1 = r * np.sqrt(u[0::4]) * np.exp(2j * np.pi * u[1::4])
+        z2 = r * np.sqrt(u[2::4]) * np.exp(2j * np.pi * u[3::4])
+        # far pairs, and radial and tangential near pairs, where |F(a) - F(b)|
+        # / |a - b| approaches the two eigenvalues of the Jacobian
+        a = np.concatenate([z1, z1, z1])
+        b = np.concatenate([z2, z1 * (1.0 - 1e-7), z1 * np.exp(1e-7j)])
+        ratio = np.abs(force(model, a) - force(model, b)) / np.abs(a - b)
+        assert np.max(ratio) <= force_lipschitz(model, r) * (1.0 + 1e-6)
 
 
 class TestBoundBelow:

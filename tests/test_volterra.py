@@ -5,9 +5,11 @@ from kgpoint import (FieldState, Grid, OscillatorModel, SolveStatus, check_bound
                      energy, norm_e, reconstruct_field, solve_full, solve_trace)
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.model import force_lipschitz
 from kgpoint.observables import charge
 from kgpoint.output import report_sections_from_solve
 from kgpoint.solitary import sample_profile
+from kgpoint.volterra import StepTooLargeError, _trace_cap
 
 SQ75 = float(np.sqrt(0.75))
 
@@ -89,6 +91,16 @@ class TestSolveTrace:
         assert len(rep.trace.z) < 5001
 
 
+    def test_step_size_checked_up_front(self, cubic_model):
+        init = gaussian_state(Grid(40.0, 1025), GaussianSpec(amplitude=0.5, width=1.5))
+        dt_max = 2.0 / force_lipschitz(cubic_model, _trace_cap(cubic_model, init))
+        dt = 1.001 * dt_max
+        with pytest.raises(StepTooLargeError, match="largest admissible dt"):
+            solve_trace(cubic_model, init, 20 * dt, dt)
+        dt = 0.999 * dt_max
+        assert solve_trace(cubic_model, init, 20 * dt, dt).status is SolveStatus.COMPLETED
+
+
 class TestReconstruct:
     def test_at_zero_returns_initial(self, cubic_model, solitary_run):
         init, rep = solitary_run
@@ -140,6 +152,17 @@ class TestSolveFull:
         assert sec["charge_initial"] == repr(float(q0))
         assert float(sec["energy_drift_max_rel"]) == float(np.max(np.abs(e - e0)) / abs(e0))
         assert float(sec["charge_drift_max_abs"]) == float(np.max(np.abs(q - q0)))
+
+    def test_trace_bound_breach_skips_snapshots(self, run_grid):
+        # the trace stops before T = 50, so the t = 50 snapshot has no trace
+        # to be built from; the status comes back instead of an exception
+        with pytest.warns(UserWarning):
+            model = OscillatorModel.linear(1.0, 2.5)
+        g = np.exp(-np.abs(run_grid.x))
+        init = FieldState(run_grid, g.astype(complex), g.astype(complex))
+        rep, snaps = solve_full(model, init, 50.0, 0.01, (0.0, 50.0))
+        assert rep.status is SolveStatus.TRACE_BOUND_EXCEEDED
+        assert snaps == []
 
     def test_conservation_short_run(self, cubic_model, half_wave, run_grid):
         init = sample_profile(half_wave, run_grid, 0.0)
