@@ -9,7 +9,7 @@ from .fields import FieldState, Grid, zero_state
 from .kernel import bessel_j0, free_evolve, free_trace, green_g, spectral_energy_norm
 from .model import ModelKind, OscillatorModel, alpha, check_bound_below, force, potential
 from .observables import ac_weight, charge, energy, k_of_omega, kappa_of_omega, norm_e
-from .solitary import (Branch, LinearSpanFit, LinearWaveFamily, ManifoldDistance,
+from .solitary import (LinearSpanFit, LinearWaveFamily, ManifoldDistance,
                        SolitaryWave, ZeroWave, distance_to_manifold, sample_profile,
                        waves_at_omega, waves_from_amplitude)
 from .spectral import (OmegaLimitReport, SpectrumEstimate, TitchmarshResult, Window,
@@ -17,10 +17,10 @@ from .spectral import (OmegaLimitReport, SpectrumEstimate, TitchmarshResult, Win
                        modulus_variation, omega_limit_report, titchmarsh_check,
                        windowed_spectrum)
 from .volterra import (SolveReport, SolveStatus, TraceSeries, reconstruct_field,
-                       solve_full, solve_trace)
+                       reconstruct_fields, solve_full, solve_trace)
 
 __all__ = [
-    "Branch", "FieldState", "Grid", "LinearSpanFit", "LinearWaveFamily",
+    "FieldState", "Grid", "LinearSpanFit", "LinearWaveFamily",
     "ManifoldDistance", "ModelKind", "OmegaLimitReport", "OscillatorModel",
     "SolitaryWave", "SolveReport", "SolveStatus", "SpectrumEstimate",
     "TitchmarshResult", "TraceSeries", "Window", "ZeroWave", "ac_weight",
@@ -28,7 +28,7 @@ __all__ = [
     "dominant_frequency", "energy", "force", "free_evolve", "free_trace",
     "gap_mass_fraction", "green_g", "k_of_omega", "kappa_of_omega",
     "late_window", "modulus_variation", "norm_e", "omega_limit_report",
-    "potential", "reconstruct_field", "sample_profile", "solve_full",
+    "potential", "reconstruct_field", "reconstruct_fields", "sample_profile", "solve_full",
     "solve_trace", "spectral_energy_norm", "titchmarsh_check",
     "waves_at_omega", "waves_from_amplitude", "windowed_spectrum", "zero_state",
 ]

@@ -32,13 +32,12 @@ import numpy as np
 from . import output as out
 from .config import ConfigError, RunConfig, build_initial_state, parse_config_text
 from .fd import check_cfl, fd_evolve
-from .kernel import KernelTables
 from .model import OscillatorModel
 from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
 from .spectral import (Window, dominant_frequency, gap_mass_fraction, late_window,
                        modulus_variation, omega_limit_report, windowed_spectrum)
-from .volterra import (SolveStatus, StepTooLargeError, TraceSeries, reconstruct_field,
+from .volterra import (SolveStatus, StepTooLargeError, TraceSeries, reconstruct_fields,
                        solve_full, solve_trace)
 
 
@@ -62,21 +61,25 @@ def _load_cfg(args) -> RunConfig:
 def _load_with_overrides(path: str, overrides: list[str]) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if overrides:
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read_string(text)
-        for item in overrides:
-            key, _, value = item.partition("=")
-            section, _, option = key.strip().partition(".")
-            if not section or not option or not _:
-                raise ConfigError([f"override {item!r} is not section.key=value"])
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, option, value.strip())
-        buf = io.StringIO()
-        cp.write(buf)
-        text = buf.getvalue()
-    return parse_config_text(text)
+    return parse_config_text(_override_text(text, overrides))
+
+
+def _override_text(text: str, overrides: list[str]) -> str:
+    """Config text with each section.key=value override set (sections added
+    as needed)."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    for item in overrides:
+        key, eq, value = item.partition("=")
+        section, _, option = key.strip().partition(".")
+        if not section or not option or not eq:
+            raise ConfigError([f"override {item!r} is not section.key=value"])
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, option, value.strip())
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def _outdir(args) -> str:
@@ -164,27 +167,25 @@ def cmd_attract(args) -> int:
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     trace = report.trace
-    tables = KernelTables(cfg.model.mass * (cfg.T + 2 * cfg.dt) + 1.0)
-
-    def reconstructor(t: float):
-        return reconstruct_field(cfg.model, initial, trace, t, tables)
-
     n_windows = max(args.windows, 2)
     width = max(cfg.T / (2 * n_windows), 64 * cfg.dt)
     centers = np.linspace(width / 2, cfg.T - width / 2, n_windows)
+    late = late_window(cfg.T, cfg.dt)
+    # window centers, then the late window's, each at its nearest trace node
+    states = reconstruct_fields(cfg.model, initial, trace,
+                                [trace.dt * round(tc / trace.dt)
+                                 for tc in (*centers, 0.5 * (late[0] + late[1]))])
     lines = ["t_center,rho,in_gap_fraction,omega_plus,modulus_variation"]
-    for tc in centers:
+    for tc, state in zip(centers, states):
         spec = windowed_spectrum(trace, tc, width, Window.HANN)
-        t_grid = trace.dt * round(tc / trace.dt)
-        dist = distance_to_manifold(cfg.model, reconstructor(t_grid), args.radius)
+        dist = distance_to_manifold(cfg.model, state, args.radius)
         mv = modulus_variation(trace, tc - width / 2, tc + width / 2)
         lines.append(f"{float(tc)!r},{dist.rho!r},{gap_mass_fraction(spec, cfg.model.mass)!r},"
                      f"{dominant_frequency(spec)!r},{mv!r}")
     with open(os.path.join(outdir, "attract_windows.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    rep = omega_limit_report(cfg.model, trace, reconstructor,
-                             late_window(cfg.T, cfg.dt), R=args.radius)
+    rep = omega_limit_report(cfg.model, trace, states[-1], late, R=args.radius)
     matched = rep.matched_wave
     if isinstance(matched, SolitaryWave):
         desc = {"kind": "solitary", "C": repr(matched.amplitude),
@@ -240,20 +241,10 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*[vals for _, vals in axes])) or [()]
     payloads = []
     for idx, combo in enumerate(combos):
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read_string(base_text)
-        for (key, _), value in zip(axes, combo):
-            section, _, option = key.partition(".")
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, option, value)
-        buf = io.StringIO()
-        cp.write(buf)
-        try:
-            parse_config_text(buf.getvalue())
-        except ConfigError as exc:
-            return _fail(2, *exc.errors)
-        payloads.append((idx, buf.getvalue()))
+        text = _override_text(base_text, [f"{key}={value}"
+                                          for (key, _), value in zip(axes, combo)])
+        parse_config_text(text)  # a ConfigError exits 2 through main
+        payloads.append((idx, text))
 
     if args.workers > 1:
         with multiprocessing.Pool(args.workers) as pool:

@@ -27,35 +27,26 @@ def check_cfl(grid_spacing: float, dt: float) -> None:
         raise ValueError(f"CFL violation: dt={dt} > 0.9 h = {0.9 * grid_spacing}")
 
 
-def _accel(model: OscillatorModel, psi: np.ndarray, h: float, c: int,
-           delta_width: int) -> np.ndarray:
+def _accel(model: OscillatorModel, psi: np.ndarray, h: float, c: int) -> np.ndarray:
     m = model.mass
     acc = np.empty_like(psi)
     acc[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h)
     acc[0] = 2.0 * (psi[1] - psi[0]) / (h * h)      # even closure; the horizon rule
     acc[-1] = 2.0 * (psi[-2] - psi[-1]) / (h * h)   # keeps the boundary dark anyway
     acc -= m * m * psi
-    fval = force(model, complex(psi[c]))
-    if delta_width == 1:
-        acc[c] += fval / h
-    else:
-        # smoothed 3-node delta (1/4, 1/2, 1/4)/h for sensitivity checks
-        acc[c] += 0.5 * fval / h
-        acc[c - 1] += 0.25 * fval / h
-        acc[c + 1] += 0.25 * fval / h
+    acc[c] += force(model, complex(psi[c])) / h
     return acc
 
 
-def fd_step(model: OscillatorModel, state: FieldState, dt: float,
-            delta_width: int = 1) -> FieldState:
+def fd_step(model: OscillatorModel, state: FieldState, dt: float) -> FieldState:
     """One explicit step (velocity-Verlet form of the leapfrog recursion)."""
     grid = state.grid
     h = grid.spacing
     check_cfl(h, dt)
     c = grid.center_index
-    a0 = _accel(model, state.psi, h, c, delta_width)
+    a0 = _accel(model, state.psi, h, c)
     psi1 = state.psi + dt * state.pi + 0.5 * dt * dt * a0
-    a1 = _accel(model, psi1, h, c, delta_width)
+    a1 = _accel(model, psi1, h, c)
     pi1 = state.pi + 0.5 * dt * (a0 + a1)
     return FieldState(grid, psi1, pi1, state.time + dt)
 
@@ -69,7 +60,7 @@ class LeapfrogRun:
 
 
 def fd_evolve(model: OscillatorModel, initial: FieldState, T: float, dt: float,
-              delta_width: int = 1, record_energy: bool = False) -> LeapfrogRun:
+              record_energy: bool = False) -> LeapfrogRun:
     """Run to time T, recording the center-node trace at every step."""
     initial.require_finite()
     grid = initial.grid
@@ -84,7 +75,7 @@ def fd_evolve(model: OscillatorModel, initial: FieldState, T: float, dt: float,
     trace[0] = state.psi[c]
     energies = np.empty(n_steps if record_energy else 0)
     for j in range(1, n_steps + 1):
-        new = fd_step(model, state, dt, delta_width)
+        new = fd_step(model, state, dt)
         if record_energy:
             energies[j - 1] = _staggered_energy(model, state.psi, new.psi, dt,
                                                 grid.spacing, c)

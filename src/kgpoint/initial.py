@@ -8,8 +8,6 @@ RNG state:
     x      = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9   mod 2^64
     x      = (x ^ (x >> 27)) * 0x94D049BB133111EB   mod 2^64
     value  = (x ^ (x >> 31)) >> 11, scaled by 2^-53 into [0, 1)
-
-Gaussian deviates come from the Box-Muller transform of consecutive pairs.
 """
 
 from __future__ import annotations
@@ -36,14 +34,6 @@ def uniform_stream(seed: int, counter0: int, n: int) -> np.ndarray:
         x = (x ^ (x >> np.uint64(27))) * _MIX2
         x = x ^ (x >> np.uint64(31))
     return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def normal_stream(seed: int, counter0: int, n: int) -> np.ndarray:
-    """n standard normals (Box-Muller on consecutive uniform pairs)."""
-    u = uniform_stream(seed, counter0, 2 * n)
-    u1 = np.maximum(u[0::2], 2.0 ** -53)
-    u2 = u[1::2]
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,7 @@ def bessel_j1(x) -> float | np.ndarray:
 
 
 _BUILD_CHUNK = 1 << 15  # table points per fn call, so fn's temporaries stay in cache
+_TABLE_SPACING = 2.5e-4
 
 
 class BesselTable:
@@ -148,9 +149,9 @@ class BesselTable:
     fn(np.arange(n) * spacing) bit for bit.
     """
 
-    def __init__(self, fn, a_max: float, spacing: float = 2.5e-4):
+    def __init__(self, fn, a_max: float):
         self.a_max = float(a_max)
-        self.spacing = float(spacing)
+        self.spacing = _TABLE_SPACING
         n = int(np.ceil(self.a_max / self.spacing)) + 4
         self.values = np.empty(n)
         for lo in range(0, n, _BUILD_CHUNK):
@@ -162,17 +163,17 @@ class KernelTables:
     """Shared J0 and J1/x tables covering kernel arguments up to a_max.
 
     A call interpolates both with 4-point Lagrange (cubic) weights.  The
-    interpolation error ~ h^4 |f''''|/24 ~ 1e-16 at the default spacing, so
+    interpolation error ~ h^4 |f''''|/24 ~ 1e-16 at the table spacing, so
     table lookups inside the cone sums agree with direct evaluation to
     roundoff; the x = 0 reconstruction column then matches the trace
     solver's exact kernel values.
     """
 
-    def __init__(self, a_max: float, spacing: float = 2.5e-4):
+    def __init__(self, a_max: float):
         self.a_max = float(a_max)
-        self.spacing = float(spacing)
-        self.j0 = BesselTable(bessel_j0, a_max, spacing)
-        self.j1x = BesselTable(bessel_j1_over_x, a_max, spacing)
+        self.spacing = _TABLE_SPACING
+        self.j0 = BesselTable(bessel_j0, a_max)
+        self.j1x = BesselTable(bessel_j1_over_x, a_max)
 
     def __call__(self, a, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(J0(a), J1(a)/a) for a >= 0.
@@ -325,28 +326,30 @@ class KinkSplit:
         self.g = g
 
 
-def kink_split(initial: FieldState, m: float) -> KinkSplit | None:
-    """Detect and split the x = 0 derivative kink; None for smooth data.
+def kink_split(initial: FieldState, m: float) -> KinkSplit:
+    """Split the x = 0 derivative kink off the initial data.
 
     The detection threshold sits well above the O(h^4) stencil noise of
     smooth fields and well below any dynamically generated jump (whose size
-    is the point force, order of the field scale).
+    is the point force, order of the field scale).  Below it, and on grids
+    too small for the stencil, the amplitudes are zero.
     """
     grid = initial.grid
     c = grid.center_index
+    kappa1 = 0.75 * m
+    omega1 = float(np.sqrt(m * m - kappa1 * kappa1))
+    g = np.exp(-kappa1 * np.abs(grid.x))
+    split = KinkSplit(a=0j, b=0j, kappa1=kappa1, omega1=omega1, g=g)
     if c < 4 or grid.n_points - c <= 4:
-        return None
+        return split
     h = grid.spacing
     jump_psi = _edge_derivative_jump(initial.psi, c, h)
     jump_pi = _edge_derivative_jump(initial.pi, c, h)
     scale = max(np.max(np.abs(initial.psi)), np.max(np.abs(initial.pi)), 1e-30)
-    if max(abs(jump_psi), abs(jump_pi)) <= 1e-5 * scale:
-        return None
-    kappa1 = 0.75 * m
-    omega1 = float(np.sqrt(m * m - kappa1 * kappa1))
-    g = np.exp(-kappa1 * np.abs(grid.x))
-    return KinkSplit(a=jump_psi / (-2.0 * kappa1), b=jump_pi / (-2.0 * kappa1),
-                     kappa1=kappa1, omega1=omega1, g=g)
+    if max(abs(jump_psi), abs(jump_pi)) > 1e-5 * scale:
+        split.a = jump_psi / (-2.0 * kappa1)
+        split.b = jump_pi / (-2.0 * kappa1)
+    return split
 
 
 def mass_shell_trace(times: np.ndarray, m: float, kappa: float, omega: float) -> np.ndarray:
@@ -427,64 +430,43 @@ def _mode_sum(amp_cos: np.ndarray, amp_sin: np.ndarray, w: np.ndarray,
     return acc[:n_out].ravel() + 1j * acc[n_out:].ravel()
 
 
-def free_trace(initial: FieldState, times: np.ndarray, m: float,
-               kink_correction: bool = True) -> np.ndarray:
+def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
     """Center-node trace psi1(0, t_j) of the free evolution of `initial`.
 
-    Equals `free_evolve(initial, t).psi[center]` for every requested time
-    (same discrete propagator, evaluated at one node).  The modes +-k are
-    folded into h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t) over the
-    n//2+1 wavenumbers k >= 0 and summed as a blocked real matrix product
-    (`_mode_sum`).  N uniform times are split as t = (s L + l) dt with
+    `times` must be uniform and start at 0.  For data without an x = 0
+    kink the result equals `free_evolve(initial, t).psi[center]` at every
+    requested time (same discrete propagator, evaluated at one node).  The
+    modes +-k are folded into h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t)
+    over the n//2+1 wavenumbers k >= 0 and summed as a blocked real matrix
+    product (`_mode_sum`).  N times are split as t = (s L + l) dt with
     L = ceil(sqrt(N)), so each mode needs the phases of L offsets and N/L
-    starts only; other times get their phases computed directly.
+    starts only.
 
     Sampled data with a derivative kink at x = 0 (every solitary profile)
     put O(1/k^2) tails beyond the grid's Nyquist wavenumber; the aliased
     part re-enters the trace at wrong frequencies with O(h) amplitude at
-    early times.  With `kink_correction` the kink content is split off as
+    early times.  The kink content is therefore split off (`kink_split`) as
     a multiple of e^{-kappa1 |x|} pairs whose free traces are known in
-    closed form (`mass_shell_trace` combinations), and only the kink-free
-    remainder goes through the grid propagator.  The correction requires
-    uniform times starting at 0; otherwise the plain mode sum is used.
+    closed form (`mass_shell_trace`), and only the kink-free remainder goes
+    through the grid propagator.
     """
     initial.require_finite()
     times = np.asarray(times, dtype=float)
-    if len(times):
-        check_horizon(initial, float(np.max(times)), "free_trace")
-    grid = initial.grid
+    if not (len(times) >= 2 and abs(times[0]) < 1e-14
+            and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10, atol=0)):
+        raise ValueError("free_trace needs at least two uniform times starting at 0")
+    check_horizon(initial, float(np.max(times)), "free_trace")
+    split = kink_split(initial, m)
+    work = FieldState(initial.grid, initial.psi - split.a * split.g,
+                      initial.pi - split.b * split.g, initial.time)
+    # the trace of the real-coefficient pair (g, i omega1 g): its real part
+    # is the trace of (g, 0) and its imaginary part omega1 times that of (0, g)
+    h_g = mass_shell_trace(times, m, split.kappa1, -split.omega1)
 
-    uniform = (len(times) >= 2 and abs(times[0]) < 1e-14
-               and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10, atol=0))
-
-    psi_work = initial.psi
-    pi_work = initial.pi
-    correction = None
-    split = kink_split(initial, m) if (kink_correction and uniform) else None
-    if split is not None:
-        psi_work = initial.psi - split.a * split.g
-        pi_work = initial.pi - split.b * split.g
-        k1, w1 = split.kappa1, split.omega1
-        # the convolution is linear with a real kernel: one call on
-        # e^{i w1 t} gives the cos and sin corrections as its real and
-        # imaginary parts
-        osc = np.exp(1j * w1 * times)
-        conv = convolve_j0(times, osc, m)
-        h_g0 = osc.real - k1 * conv.real
-        h_0g = (osc.imag - k1 * conv.imag) / w1
-        correction = split.a * h_g0 + split.b * h_0g
-
-    work = FieldState(grid, psi_work, pi_work, initial.time)
     amp_cos, amp_sin, w = _folded_modes(work, m)
-    if uniform:
-        # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
-        inner = int(np.ceil(np.sqrt(len(times))))
-        tau = np.arange(inner) * (times[1] - times[0])
-        t0 = times[::inner]
-    else:
-        tau, t0 = times, np.zeros(1)
-    out = _mode_sum(amp_cos, amp_sin, w, tau, t0)[:len(times)]
-
-    if correction is not None:
-        out += correction
+    # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
+    inner = int(np.ceil(np.sqrt(len(times))))
+    tau = np.arange(inner) * (times[1] - times[0])
+    out = _mode_sum(amp_cos, amp_sin, w, tau, times[::inner])[:len(times)]
+    out += split.a * h_g.real + split.b * (h_g.imag / split.omega1)
     return out

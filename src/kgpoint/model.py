@@ -72,10 +72,6 @@ class OscillatorModel:
     def linear(cls, mass: float, a: float) -> "OscillatorModel":
         return cls(mass=float(mass), kind=ModelKind.LINEAR, linear_a=float(a))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 def potential(model: OscillatorModel, psi: complex) -> float:
     """U(psi); for the linear kind -a |psi|^2 / 2."""

@@ -15,7 +15,6 @@ two-complex-dimensional span of those modes rather than a finite set.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,6 @@ import numpy as np
 from .fields import FieldState, Grid
 from .model import ModelKind, OscillatorModel, alpha
 from .observables import _dx_with_center_kink
-
-
-class Branch(enum.Enum):
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 @dataclass(frozen=True)
@@ -42,10 +36,6 @@ class SolitaryWave:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.amplitude < 0 or self.kappa <= 0:
             raise ValueError("solitary wave needs amplitude >= 0 and kappa > 0")
-
-    @property
-    def branch(self) -> Branch:
-        return Branch.MINUS if self.omega < 0 else Branch.PLUS
 
 
 @dataclass(frozen=True)

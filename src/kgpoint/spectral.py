@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import FieldState
 from .model import OscillatorModel
 from .solitary import (LinearSpanFit, ManifoldDistance, SolitaryWave, ZeroWave,
                        distance_to_manifold)
@@ -138,23 +139,26 @@ def late_window(T: float, dt: float, min_samples: int = 1024) -> tuple[float, fl
     return (T - width, T)
 
 
-def omega_limit_report(model: OscillatorModel, trace: TraceSeries, reconstructor,
+def omega_limit_report(model: OscillatorModel, trace: TraceSeries, state: FieldState,
                        window: tuple[float, float], R: float = 5.0) -> OmegaLimitReport:
     """Bundle the late-window diagnostics of a run.
 
-    `reconstructor` maps a grid time to the FieldState there (typically a
-    closure over `reconstruct_field`); the manifold distance is measured at
-    the window center.
+    `state` is the field at the window center (within dt/2 of it, as a
+    reconstruction at the nearest trace node is); the manifold distance is
+    measured there.
     """
     t0, t1 = window
     if (t1 - t0) / trace.dt < 64:
         raise ValueError("report window shorter than 64 samples")
-    spec = windowed_spectrum(trace, 0.5 * (t0 + t1), t1 - t0, Window.HANN)
+    t_mid = 0.5 * (t0 + t1)
+    # a center halfway between nodes is dt/2 from either, up to rounding
+    if abs(state.time - t_mid) > 0.5 * trace.dt + 1e-9 * max(1.0, abs(t_mid)):
+        raise ValueError(f"state at t = {state.time:.6g} is not at the window center "
+                         f"{t_mid:.6g} (within dt/2)")
+    spec = windowed_spectrum(trace, t_mid, t1 - t0, Window.HANN)
     gap = gap_mass_fraction(spec, model.mass)
     omega_plus = dominant_frequency(spec)
     mvar = modulus_variation(trace, t0, t1)
-    j_mid = min(max(int(round(0.5 * (t0 + t1) / trace.dt)), 0), len(trace.z) - 1)
-    state = reconstructor(j_mid * trace.dt)
     dist: ManifoldDistance = distance_to_manifold(model, state, R)
     return OmegaLimitReport(omega_plus=omega_plus, in_gap_fraction=gap,
                             modulus_variation=mvar, matched_wave=dist.best,

@@ -378,20 +378,26 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     return tuple(np.concatenate([half[:0:-1], half], axis=0) for half in halves)
 
 
+def _tables_for(m: float, t: float, dt: float) -> KernelTables:
+    """Kernel tables covering every argument of the cone sums up to time t."""
+    return KernelTables(m * (t + dt) + 1.0)
+
+
 def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceSeries,
                       t: float, tables: KernelTables | None = None) -> FieldState:
     """Field state at time t: free propagator plus Duhamel cone sums.
 
-    t must lie on the trace grid.  The Duhamel time derivative uses the
-    Leibniz form
+    t must lie on the trace grid, and `tables` (built for t when omitted)
+    must cover kernel arguments up to m t.  The Duhamel time derivative uses
+    the Leibniz form
 
         d/dt int_0^{t-|x|} G f ds = f(t-|x|)/2
             - (m^2/2) int_0^{t-|x|} (t-s) [J1(u)/u] f(s) ds,
 
     so the delta ridge of dG/dt becomes a sharp analytic boundary term and
     the light-cone front of pi is exact rather than smeared by differencing.
-    Initial data with an x = 0 kink get the same split as `free_trace`: the
-    kink pair's free field is produced by the identical cone machinery (its
+    The initial data get the same kink split as `free_trace`: the kink
+    pair's free field is produced by the identical cone machinery (its
     source is the mass-shell harmonic), keeping the center column consistent
     with the trace to roundoff and the pi front consistent with the smooth
     spectral remainder.
@@ -407,49 +413,56 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
     t = j * dt  # exact grid time, so cone-edge snapping at x = 0 is reliable
     check_horizon(initial, t, "reconstruct_field")
     if tables is None:
-        tables = KernelTables(m * (t + dt) + 1.0)
+        tables = _tables_for(m, t, dt)
+    elif tables.a_max < m * t:
+        raise ValueError(f"kernel tables cover arguments up to {tables.a_max:.6g}, "
+                         f"reconstruction at t = {t:.6g} needs m t = {m * t:.6g}")
     grid = initial.grid
     x = grid.x
-    xa = np.abs(x)
-    reach = t - xa
+    reach = t - np.abs(x)
     inside = reach >= 0.0
 
     split = kink_split(initial, m)
-    n_times = len(trace.f)
-    times = np.arange(n_times) * dt
-    if split is None:
-        free = free_evolve(initial, t, m)
-        f_cols = trace.f[:, None]
-        coef_psi = np.array([1.0 + 0.0j])
-        coef_pi = coef_psi
-        bdry = 0.5 * _interp_history(trace.f, reach, dt, inside)
-        psi_stand = pi_stand = 0.0
-    else:
-        work = FieldState(grid, initial.psi - split.a * split.g,
-                          initial.pi - split.b * split.g, initial.time)
-        free = free_evolve(work, t, m)
-        k1, w1 = split.kappa1, split.omega1
-        f_cols = np.column_stack([trace.f,
-                                  np.cos(w1 * times).astype(complex),
-                                  np.sin(w1 * times).astype(complex)])
-        ca = -2.0 * k1 * split.a
-        cb = -2.0 * k1 * split.b / w1
-        coef_psi = np.array([1.0, ca, cb])
-        coef_pi = coef_psi
-        # standing kink parts of the closed-form free field
-        osc_c, osc_s = np.cos(w1 * t), np.sin(w1 * t)
-        psi_stand = split.g * (split.a * osc_c + split.b * osc_s / w1)
-        pi_stand = split.g * (-split.a * w1 * osc_s + split.b * osc_c)
-        # boundary terms: interpolated for the trace source, exact for the
-        # mass-shell harmonics
-        bdry = (0.5 * _interp_history(trace.f, reach, dt, inside)
-                + np.where(inside, 0.5 * (ca * np.cos(w1 * reach)
-                                          + cb * np.sin(w1 * reach)), 0.0))
+    work = FieldState(grid, initial.psi - split.a * split.g,
+                      initial.pi - split.b * split.g, initial.time)
+    free = free_evolve(work, t, m)
+    k1, w1 = split.kappa1, split.omega1
+    times = np.arange(len(trace.f)) * dt
+    f_cols = np.column_stack([trace.f,
+                              np.cos(w1 * times).astype(complex),
+                              np.sin(w1 * times).astype(complex)])
+    ca = -2.0 * k1 * split.a
+    cb = -2.0 * k1 * split.b / w1
+    coef = np.array([1.0, ca, cb])
+    # standing kink parts of the closed-form free field
+    osc_c, osc_s = np.cos(w1 * t), np.sin(w1 * t)
+    psi_stand = split.g * (split.a * osc_c + split.b * osc_s / w1)
+    pi_stand = split.g * (-split.a * w1 * osc_s + split.b * osc_c)
+    # boundary terms: interpolated for the trace source, exact for the
+    # mass-shell harmonics
+    bdry = (0.5 * _interp_history(trace.f, reach, dt, inside)
+            + np.where(inside, 0.5 * (ca * np.cos(w1 * reach)
+                                      + cb * np.sin(w1 * reach)), 0.0))
 
     d_psi_cols, d_pi_cols = _cone_quadrature(dt, f_cols, x, t, tables, m)
-    psi = free.psi + psi_stand + d_psi_cols @ coef_psi
-    pi = free.pi + pi_stand + d_pi_cols @ coef_pi + bdry
+    psi = free.psi + psi_stand + d_psi_cols @ coef
+    pi = free.pi + pi_stand + d_pi_cols @ coef + bdry
     return FieldState(grid, psi, pi, t)
+
+
+def reconstruct_fields(model: OscillatorModel, initial: FieldState, trace: TraceSeries,
+                       times) -> list[FieldState]:
+    """Field states at each of `times` (on the trace grid), in order.
+
+    One set of kernel tables, built for the latest time, serves every
+    reconstruction; the states equal separate `reconstruct_field` calls
+    bit for bit.
+    """
+    times = list(times)
+    if not times:
+        return []
+    tables = _tables_for(model.mass, max(times), trace.dt)
+    return [reconstruct_field(model, initial, trace, t, tables) for t in times]
 
 
 def _interp_history(f: np.ndarray, reach: np.ndarray, dt: float,
@@ -473,23 +486,19 @@ def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
     H(initial) by more than energy_tol.
     """
     report = solve_trace(model, initial, T, dt)
-    if report.status is SolveStatus.COMPLETED and snapshot_times is not None:
-        snapshot_times = list(snapshot_times)
-    else:
-        snapshot_times = []
-    snapshots: list[FieldState] = []
-    if not snapshot_times:
+    if report.status is not SolveStatus.COMPLETED or snapshot_times is None:
+        return report, []
+    snapshot_times = list(snapshot_times)
+    snapshots = reconstruct_fields(model, initial, report.trace, snapshot_times)
+    if not snapshots:
         return report, snapshots
 
-    tables = KernelTables(model.mass * (T + 2 * dt) + 1.0)
     e0 = energy_of(model, initial)
     report.energy_initial = e0
     report.charge_initial = charge_of(initial)
     e_rows, q_rows = [], []
     worst = 0.0
-    for t in snapshot_times:
-        state = reconstruct_field(model, initial, report.trace, t, tables)
-        snapshots.append(state)
+    for t, state in zip(snapshot_times, snapshots):
         e_t = energy_of(model, state)
         q_t = charge_of(state)
         e_rows.append((t, e_t))

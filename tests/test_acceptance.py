@@ -20,7 +20,7 @@ from kgpoint.observables import charge
 from kgpoint.solitary import SolitaryWave, sample_profile
 from kgpoint.spectral import (Window, gap_mass_fraction, modulus_variation,
                               windowed_spectrum)
-from kgpoint.volterra import SolveStatus, reconstruct_field, solve_trace
+from kgpoint.volterra import SolveStatus, reconstruct_field, reconstruct_fields, solve_trace
 
 SQ75 = float(np.sqrt(0.75))
 CUBIC = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0))
@@ -43,9 +43,8 @@ def solitary_run():
     report = solve_trace(CUBIC, init, 50.0, 1e-3)
     solve_seconds = time.perf_counter() - t0
     assert report.status is SolveStatus.COMPLETED
-    tables = KernelTables(51.5)
     snap_times = (0.0, 10.0, 25.0, 50.0)
-    snaps = [reconstruct_field(CUBIC, init, report.trace, t, tables) for t in snap_times]
+    snaps = reconstruct_fields(CUBIC, init, report.trace, snap_times)
     e_rows = np.array([(t, energy(CUBIC, s)) for t, s in zip(snap_times, snaps)])
     q_rows = np.array([(t, charge(s)) for t, s in zip(snap_times, snaps)])
     report.energy_samples = e_rows
@@ -61,9 +60,8 @@ def gaussian_run():
                                              center=6.0, omega_bar=0.3))
     report = solve_trace(CUBIC, init, 50.0, 1e-3)
     assert report.status is SolveStatus.COMPLETED
-    tables = KernelTables(51.5)
     snap_times = (0.0, 10.0, 25.0, 50.0)
-    snaps = [reconstruct_field(CUBIC, init, report.trace, t, tables) for t in snap_times]
+    snaps = reconstruct_fields(CUBIC, init, report.trace, snap_times)
     e_rows = np.array([(t, energy(CUBIC, s)) for t, s in zip(snap_times, snaps)])
     q_rows = np.array([(t, charge(s)) for t, s in zip(snap_times, snaps)])
     report.energy_samples = e_rows
@@ -175,12 +173,9 @@ def test_criterion_4_linear_case():
     near = np.abs(np.abs(spec.freqs) - omega_a) <= 2.0 * bin_nat
     line_mass = float(power[near].sum() / power.sum())
 
-    tables = KernelTables(201.0)
-    rho = {}
-    for t in (20.0, 180.0):
-        st = reconstruct_field(model, init, trace, t, tables)
-        rho[t] = distance_to_manifold(model, st, 5.0).rho
-    factor = rho[20.0] / rho[180.0]
+    st20, st180 = reconstruct_fields(model, init, trace, (20.0, 180.0))
+    rho20 = distance_to_manifold(model, st20, 5.0).rho
+    factor = rho20 / distance_to_manifold(model, st180, 5.0).rho
     print(f"\nACCEPTANCE 4: spectral mass within 2 bins of +/-omega_a: {line_mass:.4f} "
           f"(>= 0.95); span-residual decay 20->180: {factor:.1f}x (>= 10)")
     assert line_mass >= 0.95

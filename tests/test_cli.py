@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kgpoint.cli import main
-from kgpoint.config import ConfigError, config_to_text, parse_config_text
+from kgpoint.config import ConfigError, build_initial_state, config_to_text, parse_config_text
 from kgpoint.fields import Grid
-from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
 from kgpoint.output import (read_report, read_snapshot_csv, read_spectrum_csv,
                             read_trace_csv, write_report, write_snapshot_csv,
                             write_spectrum_csv, write_trace_csv)
@@ -97,6 +97,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text(bad)
 
+    def test_solitary_plus_bump(self):
+        text = SOLITARY_CFG.replace("kind = solitary", "kind = solitary_plus_bump").replace(
+            "branch = plus", "branch = plus\nbump_amplitude_re = 0.05\nbump_width = 1.2\n"
+            "bump_center = 4.0")
+        cfg = parse_config_text(text)
+        state = build_initial_state(cfg)
+        wave = solitary_state(cfg.model, cfg.grid, 0.5)
+        bump = gaussian_state(cfg.grid, GaussianSpec(amplitude=0.05, width=1.2, center=4.0))
+        assert np.array_equal(state.psi, wave.psi + bump.psi)
+        assert np.array_equal(state.pi, wave.pi + bump.pi)
+
 
 class TestRoundTrips:
     def test_trace_csv(self, tmp_path):
@@ -173,6 +184,36 @@ class TestCommands:
             b1 = (tmp_path / "o1" / name).read_bytes()
             b2 = (tmp_path / "o2" / name).read_bytes()
             assert b1 == b2
+
+    def test_energy_drift_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(BASE_CFG)
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg),
+                       "--set", "run.energy_tol=1e-14")
+        assert code == 1
+        assert "run status energy_drift_exceeded" in capsys.readouterr().err
+        rep = read_report(str(tmp_path / "out" / "report.txt"))
+        assert rep["solve"]["status"] == "energy_drift_exceeded"
+
+    def test_from_file_initial_data(self, tmp_path, capsys):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(BASE_CFG)
+        assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 0
+        snap_path = tmp_path / "out" / "snapshot_t4.000000.csv"
+        snap = read_snapshot_csv(str(snap_path))
+        cfg.write_text(BASE_CFG.replace("kind = gaussian\namplitude_re = 0.5\nwidth = 1.5",
+                                        f"kind = from_file\npath = {snap_path}"))
+        out = tmp_path / "resumed"
+        assert main(["--out", str(out), "simulate", "--config", str(cfg)]) == 0
+        _, z, _, _ = read_trace_csv(str(out / "trace.csv"))
+        assert z[0] == snap.psi[snap.grid.center_index]
+        state = read_snapshot_csv(str(out / "snapshot_t0.000000.csv"))
+        assert np.array_equal(state.psi, snap.psi) and np.array_equal(state.pi, snap.pi)
+        # a snapshot from another grid is a config failure
+        code = main(["--out", str(out), "simulate", "--config", str(cfg),
+                     "--set", "grid.n_points=4097"])
+        assert code == 2
+        assert "does not match the [grid] section" in capsys.readouterr().err
 
     def test_config_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -42,7 +42,7 @@ def _cone_rectangle(init, trace, t):
 
 def test_kinked_solitary(cubic_model, solitary_run, monkeypatch):
     init, trace = solitary_run
-    assert kink_split(init, cubic_model.mass) is not None  # three source columns
+    assert kink_split(init, cubic_model.mass).a != 0  # the kink columns carry weight
     _assert_matches_oracle(cubic_model, init, trace, 6.0, monkeypatch)
 
 

@@ -31,7 +31,7 @@ class TestStep:
         st1 = fd_step(cubic_model, st0, dt)
         st2 = fd_step(cubic_model, st1, dt)
         lhs = st2.psi - 2.0 * st1.psi + st0.psi
-        rhs = dt * dt * _accel(cubic_model, st1.psi, grid.spacing, grid.center_index, 1)
+        rhs = dt * dt * _accel(cubic_model, st1.psi, grid.spacing, grid.center_index)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -87,14 +87,6 @@ class TestSolitaryOracle:
         assert drift.max() < 1e-5
         half = len(drift) // 2
         assert drift[half:].max() < 3.0 * max(drift[:half].max(), 1e-14)
-
-    def test_smoothed_delta_variant(self, cubic_model, half_wave):
-        grid = Grid(30.0, 3001)
-        init = sample_profile(half_wave, grid, 0.0)
-        sharp = fd_evolve(cubic_model, init, 5.0, 0.01, delta_width=1)
-        wide = fd_evolve(cubic_model, init, 5.0, 0.01, delta_width=3)
-        gap = np.max(np.abs(sharp.trace - wide.trace))
-        assert 0 < gap < 5e-3  # both consistent discretizations of the delta
 
 
 class TestAgainstVolterra:

@@ -10,9 +10,9 @@ from kgpoint.initial import gaussian_state, seeded_gaussian_spec
 from kgpoint.solitary import sample_profile
 
 
-def _assert_matches_oracle(state, times, m=1.0, **kwargs):
-    h = free_trace(state, times, m, **kwargs)
-    want = free_trace_oracle(state, times, m, **kwargs)
+def _assert_matches_oracle(state, times, m=1.0):
+    h = free_trace(state, times, m)
+    want = free_trace_oracle(state, times, m)
     assert h.shape == want.shape
     assert np.max(np.abs(h - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
@@ -40,15 +40,13 @@ def test_time_counts_not_square(n_times):
     _assert_matches_oracle(_bump(Grid(40.0, 1025)), np.arange(n_times) * 0.03)
 
 
-def test_without_kink_correction(half_wave):
+@pytest.mark.parametrize("times", [np.arange(1, 300) * 0.01,
+                                   np.sort(np.random.default_rng(7).uniform(0.0, 5.0, 300)),
+                                   np.zeros(1)])
+def test_rejects_times_not_uniform_from_zero(half_wave, times):
     state = sample_profile(half_wave, Grid(64.0, 2 ** 12 + 1), 0.0)
-    _assert_matches_oracle(state, np.arange(2000) * 2e-3, kink_correction=False)
-
-
-def test_non_uniform_times(half_wave):
-    state = sample_profile(half_wave, Grid(64.0, 2 ** 12 + 1), 0.0)
-    times = np.sort(np.random.default_rng(7).uniform(0.0, 5.0, 300))
-    _assert_matches_oracle(state, times)
+    with pytest.raises(ValueError, match="uniform times starting at 0"):
+        free_trace(state, times, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:free_trace.*no-wrap horizon")

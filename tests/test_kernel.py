@@ -191,12 +191,14 @@ class TestFreeTrace:
         want = mass_shell_trace(times, m, kappa, omega)
         assert np.max(np.abs(h - want)) < 1e-5
 
-    def test_matches_free_evolve_snapshots_without_correction(self, half_wave):
-        grid = Grid(64.0, 2 ** 12 + 1)
-        st = sample_profile(half_wave, grid, 0.0)
-        times = np.array([0.0, 0.7, 1.9])
-        h = free_trace(st, times, 1.0, kink_correction=False)
-        c = grid.center_index
+    def test_matches_free_evolve_snapshots_without_correction(self, small_grid):
+        # smooth data: the kink split is zero and the trace is the plain
+        # grid propagator at the center node
+        st = gaussian_state(small_grid, GaussianSpec(amplitude=0.7 + 0.2j, width=1.5,
+                                                     momentum=0.8, omega_bar=0.4))
+        times = np.arange(4) * 0.7
+        h = free_trace(st, times, 1.0)
+        c = small_grid.center_index
         for j, t in enumerate(times):
             direct = free_evolve(st, float(t), 1.0).psi[c]
             assert abs(h[j] - direct) < 1e-11
@@ -208,7 +210,8 @@ class TestFreeTrace:
         # psi' jump of C e^{-kappa|x|} is -2 kappa C = -0.5
         assert split.a * (-2 * split.kappa1) == pytest.approx(-0.5, abs=1e-8)
         smooth = gaussian_state(small_grid, GaussianSpec(amplitude=1.0, width=2.0))
-        assert kink_split(smooth, 1.0) is None
+        split = kink_split(smooth, 1.0)
+        assert split.a == 0 and split.b == 0
 
 
 class TestLocalDecay:

@@ -188,11 +188,8 @@ def deep_gap_run(cubic_model):
 class TestOmegaLimitReport:
     def test_solitary_run_report(self, cubic_model, deep_gap_run):
         wave, init, rep = deep_gap_run
-
-        def reconstructor(t):
-            return reconstruct_field(cubic_model, init, rep.trace, t)
-
-        out = omega_limit_report(cubic_model, rep.trace, reconstructor, (10.0, 30.0))
+        state = reconstruct_field(cubic_model, init, rep.trace, 20.0)
+        out = omega_limit_report(cubic_model, rep.trace, state, (10.0, 30.0))
         bin_nat = 2 * np.pi / 20.0
         assert abs(out.omega_plus - wave.omega) <= 2 * bin_nat
         assert out.in_gap_fraction >= 0.99
@@ -206,15 +203,26 @@ class TestOmegaLimitReport:
         from kgpoint.fields import zero_state
         init = zero_state(grid)
         rep = solve_trace(cubic_model, init, 10.0, 1e-2)
-
-        def reconstructor(t):
-            return reconstruct_field(cubic_model, init, rep.trace, t)
-
-        out = omega_limit_report(cubic_model, rep.trace, reconstructor, (2.0, 10.0))
+        state = reconstruct_field(cubic_model, init, rep.trace, 6.0)
+        out = omega_limit_report(cubic_model, rep.trace, state, (2.0, 10.0))
         assert isinstance(out.matched_wave, ZeroWave)
         assert out.rho == 0.0
 
     def test_short_window_rejected(self, cubic_model, deep_gap_run):
         wave, init, rep = deep_gap_run
         with pytest.raises(ValueError):
-            omega_limit_report(cubic_model, rep.trace, lambda t: None, (29.9, 30.0))
+            omega_limit_report(cubic_model, rep.trace, init, (29.9, 30.0))
+
+    def test_state_off_window_center_rejected(self, cubic_model, deep_gap_run):
+        # only a state within dt/2 of the window center is the center snapshot
+        wave, init, rep = deep_gap_run
+        dt = rep.trace.dt
+        state = init.copy()
+        # center 19.999 lies halfway between nodes; the nearest node, 20.0
+        # by round-half-even, is dt/2 away up to rounding
+        window = (10.0 - dt, 30.0)
+        state.time = dt * round(0.5 * (window[0] + window[1]) / dt)
+        omega_limit_report(cubic_model, rep.trace, state, window)
+        state.time = 20.0 + 0.6 * dt
+        with pytest.raises(ValueError, match="window center"):
+            omega_limit_report(cubic_model, rep.trace, state, (10.0, 30.0))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from kgpoint import (FieldState, Grid, OscillatorModel, SolveStatus, check_bound_below,
-                     energy, norm_e, reconstruct_field, solve_full, solve_trace)
+                     energy, norm_e, reconstruct_field, reconstruct_fields, solve_full,
+                     solve_trace)
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.kernel import KernelTables, kink_split
 from kgpoint.model import force_lipschitz
 from kgpoint.observables import charge
 from kgpoint.output import report_sections_from_solve
@@ -25,6 +27,14 @@ def solitary_run(cubic_model, half_wave, run_grid):
     init = sample_profile(half_wave, run_grid, 0.0)
     report = solve_trace(cubic_model, init, 5.0, 1e-3)
     return init, report
+
+
+@pytest.fixture(scope="module")
+def gaussian_run(cubic_model):
+    # smooth data on a grid fine enough that the kink split is zero
+    init = gaussian_state(Grid(45.0, 2 ** 11 + 1),
+                          GaussianSpec(amplitude=0.6, width=1.5, center=3.0, omega_bar=0.3))
+    return init, solve_trace(cubic_model, init, 30.0, 0.01)
 
 
 class TestSolveTrace:
@@ -127,6 +137,26 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct_field(cubic_model, init, rep.trace, 3.0005)
 
+    def test_undersized_tables_rejected(self, cubic_model, gaussian_run):
+        # a table lookup past a_max would clip to the last cell and return a
+        # finite but wrong field
+        init, rep = gaussian_run
+        with pytest.raises(ValueError, match="kernel tables cover"):
+            reconstruct_field(cubic_model, init, rep.trace, 30.0, KernelTables(5.0))
+
+    @pytest.mark.parametrize("run, times", [("solitary_run", (0.0, 2.5, 1.0, 5.0)),
+                                            ("gaussian_run", (0.0, 12.0, 30.0))])
+    def test_fields_equal_single_calls_bitwise(self, cubic_model, request, run, times):
+        init, rep = request.getfixturevalue(run)
+        kinked = kink_split(init, cubic_model.mass).a != 0
+        assert kinked == (run == "solitary_run")
+        states = reconstruct_fields(cubic_model, init, rep.trace, times)
+        assert [st.time for st in states] == list(times)
+        for t, st in zip(times, states):
+            one = reconstruct_field(cubic_model, init, rep.trace, t)
+            assert st.psi.tobytes() == one.psi.tobytes()
+            assert st.pi.tobytes() == one.pi.tobytes()
+
 
 class TestSolveFull:
     def test_no_snapshots(self, cubic_model, run_grid):
@@ -152,6 +182,13 @@ class TestSolveFull:
         assert sec["charge_initial"] == repr(float(q0))
         assert float(sec["energy_drift_max_rel"]) == float(np.max(np.abs(e - e0)) / abs(e0))
         assert float(sec["charge_drift_max_abs"]) == float(np.max(np.abs(q - q0)))
+
+    def test_energy_drift_beyond_tol_degrades_status(self, cubic_model, half_wave, run_grid):
+        init = sample_profile(half_wave, run_grid, 0.0)
+        rep, snaps = solve_full(cubic_model, init, 2.0, 2e-3, (1.0, 2.0), energy_tol=1e-14)
+        assert rep.status is SolveStatus.ENERGY_DRIFT_EXCEEDED
+        assert "exceeded tol 1e-14" in rep.message
+        assert [st.time for st in snaps] == [1.0, 2.0]
 
     def test_trace_bound_breach_skips_snapshots(self, run_grid):
         # the trace stops before T = 50, so the t = 50 snapshot has no trace
