@@ -210,6 +210,30 @@ def cmd_attract(args) -> int:
     return 0
 
 
+# thread-count variables of the BLAS builds numpy may load
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_single_thread_blas(fn, payloads: list, workers: int) -> list:
+    """`pool.map` over `workers` spawned processes whose BLAS runs one thread.
+
+    N workers each running a multi-threaded BLAS would oversubscribe the
+    cores.  Spawned children import numpy afresh, so they read the thread
+    variables set here; the parent's environment is restored afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            return pool.map(fn, payloads)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _sweep_one(payload: tuple[int, str]) -> tuple[int, str]:
     idx, text = payload
     cfg = parse_config_text(text)
@@ -247,8 +271,7 @@ def cmd_sweep(args) -> int:
         payloads.append((idx, text))
 
     if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            results = pool.map(_sweep_one, payloads)
+        results = _map_single_thread_blas(_sweep_one, payloads, args.workers)
     else:
         results = [_sweep_one(p) for p in payloads]
     results.sort()

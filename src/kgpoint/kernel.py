@@ -459,14 +459,14 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
     split = kink_split(initial, m)
     work = FieldState(initial.grid, initial.psi - split.a * split.g,
                       initial.pi - split.b * split.g, initial.time)
-    # the trace of the real-coefficient pair (g, i omega1 g): its real part
-    # is the trace of (g, 0) and its imaginary part omega1 times that of (0, g)
-    h_g = mass_shell_trace(times, m, split.kappa1, -split.omega1)
-
     amp_cos, amp_sin, w = _folded_modes(work, m)
     # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
     inner = int(np.ceil(np.sqrt(len(times))))
     tau = np.arange(inner) * (times[1] - times[0])
     out = _mode_sum(amp_cos, amp_sin, w, tau, times[::inner])[:len(times)]
-    out += split.a * h_g.real + split.b * (h_g.imag / split.omega1)
+    if split.a or split.b:
+        # the trace of the real-coefficient pair (g, i omega1 g): its real part
+        # is the trace of (g, 0) and its imaginary part omega1 times that of (0, g)
+        h_g = mass_shell_trace(times, m, split.kappa1, -split.omega1)
+        out += split.a * h_g.real + split.b * (h_g.imag / split.omega1)
     return out

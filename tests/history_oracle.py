@@ -1,10 +1,9 @@
-"""The complex-dot history loop, kept as the test oracle of `kgpoint.volterra.solve_trace`.
+"""The direct O(N^2) history loop, kept as the test oracle of `kgpoint.volterra.solve_trace`.
 
-This is the trace solver as it was before the memory sum was split into
-real and imaginary parts: the history g is one complex array and each step
-takes one complex-by-float dot, which casts the kernel slice to complex.
-The free trace comes from the current `free_trace`, so a comparison with
-`solve_trace` isolates the history loop.
+Each step sums the whole history in one complex-by-float dot against the
+reversed kernel, where `solve_trace` splits the sum into a near dot and
+FFT-convolved far-field squares.  The free trace comes from the current
+`free_trace`, so a comparison with `solve_trace` isolates the history loop.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from kgpoint.cli import main
+from kgpoint.cli import _BLAS_THREAD_VARS, _map_single_thread_blas, main
 from kgpoint.config import ConfigError, build_initial_state, config_to_text, parse_config_text
 from kgpoint.fields import Grid
 from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
@@ -296,6 +296,26 @@ class TestCommands:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("run.seed,")
         assert len(lines) == 3
+
+    def test_sweep_workers_match_serial(self, tmp_path, monkeypatch):
+        text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
+            "spectrum_windows = 1.0:4.0", "spectrum_windows =")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(text)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        csv = {}
+        for workers in (1, 2):
+            out = tmp_path / f"sweep_{workers}"
+            assert main(["--out", str(out), "sweep", "--config", str(cfg), "--vary",
+                         "initial.amplitude_re=0.3,0.4,0.5", "--workers", str(workers)]) == 0
+            csv[workers] = (out / "sweep.csv").read_bytes()
+        assert csv[2] == csv[1]
+        assert dict(os.environ) == before
+        pinned = _map_single_thread_blas(os.getenv, list(_BLAS_THREAD_VARS), 2)
+        assert pinned == ["1"] * len(_BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
 
     def test_attract(self, tmp_path):
         cfg = tmp_path / "a.cfg"
