@@ -214,6 +214,21 @@ def cmd_attract(args) -> int:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _spawn_can_import_main() -> bool:
+    """Whether `spawn` children can re-import the main module.
+
+    A child imports the main module by its name when it was run with -m,
+    otherwise from its __file__.  A __file__ naming no file, as for a script
+    read from standard input, makes every child fail at start-up, and the
+    pool would replace them forever.
+    """
+    main = sys.modules["__main__"]
+    if getattr(getattr(main, "__spec__", None), "name", None) is not None:
+        return True
+    path = getattr(main, "__file__", None)
+    return path is None or os.path.isfile(path)
+
+
 def _map_single_thread_blas(fn, payloads: list, workers: int) -> list:
     """`pool.map` over `workers` spawned processes whose BLAS runs one thread.
 
@@ -271,6 +286,10 @@ def cmd_sweep(args) -> int:
         payloads.append((idx, text))
 
     if args.workers > 1:
+        if not _spawn_can_import_main():
+            return _fail(2, "sweep --workers needs a main module that worker processes "
+                            "can import (a script file, python -m or the kgpoint "
+                            "command); use --workers 1")
         results = _map_single_thread_blas(_sweep_one, payloads, args.workers)
     else:
         results = [_sweep_one(p) for p in payloads]

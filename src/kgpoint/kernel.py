@@ -55,23 +55,42 @@ def check_horizon(initial: FieldState, t_max: float, what: str) -> None:
 
 _SERIES_CUT = 15.0
 _ASYM_TERMS = 34
+_QUARTER_ULP_1 = 0.25 * float(np.spacing(1.0))
 
 
 def _hankel(x: np.ndarray, mu: float, chi_shift: float) -> np.ndarray:
     """Large-argument amplitude/phase form sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    with the standard coefficient recurrence c_j = c_{j-1} (mu - (2j-1)^2)/(8j)."""
+    with the standard coefficient recurrence c_j = c_{j-1} (mu - (2j-1)^2)/(8j).
+
+    The sums stop early once every remaining term is below a quarter ulp of
+    the smallest |P| and |Q|: adding such a term rounds back to the same
+    sum, so the result equals the full sums bit for bit.  The remaining
+    terms are bounded by their value at the smallest x, computed with the
+    same operations, because rounding is monotone.
+    """
+    c = np.ones(_ASYM_TERMS)
+    bound = np.zeros(_ASYM_TERMS)  # |term j| at the smallest x
+    xp_min, inv_min = 1.0, 1.0 / float(x.min())
+    for j in range(1, _ASYM_TERMS):
+        c[j] = c[j - 1] * ((mu - (2 * j - 1) ** 2) / (8.0 * j))
+        xp_min = xp_min * inv_min
+        bound[j] = abs(c[j] * xp_min)
+    tail = np.maximum.accumulate(bound[::-1])[::-1]  # tail[j] = max of bound[j:]
     P = np.ones_like(x)
     Q = np.zeros_like(x)
-    c = 1.0
     xp = np.ones_like(x)
     inv = 1.0 / x
     for j in range(1, _ASYM_TERMS):
-        c *= (mu - (2 * j - 1) ** 2) / (8.0 * j)
+        # the cheap first test skips the reductions while the tail is above a
+        # quarter ulp of 1; sums larger than 1 only make the stop come later
+        if (tail[j] < _QUARTER_ULP_1
+                and tail[j] < 0.25 * np.spacing(min(np.abs(P).min(), np.abs(Q).min()))):
+            break
         xp = xp * inv
         if j % 2 == 0:
-            P += ((-1.0) ** (j // 2)) * c * xp
+            P += ((-1.0) ** (j // 2)) * c[j] * xp
         else:
-            Q += ((-1.0) ** ((j - 1) // 2)) * c * xp
+            Q += ((-1.0) ** ((j - 1) // 2)) * c[j] * xp
     chi = x - chi_shift
     return np.sqrt(2.0 / (np.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
 

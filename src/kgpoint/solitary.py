@@ -11,6 +11,12 @@ nonlinear models omega ranges over a subset of (-m, m); for the linear model
 F = a psi the profile decay is fixed at kappa = a/2 and every amplitude C is
 admissible at omega = +/- sqrt(m^2 - a^2/4), so the attractor there is the
 two-complex-dimensional span of those modes rather than a finite set.
+
+For polynomial models the relations are explicit in s = C^2: kappa =
+alpha(s)/2 and omega = +/- sqrt(m^2 - kappa^2).  The admissible set is the
+s > 0 with alpha(s)/2 in (0, m], a union of intervals in general, and
+`distance_to_manifold` scans it in s, with no root finding.  Only
+`waves_at_omega` solves alpha(s) = 2 kappa for s.
 """
 
 from __future__ import annotations
@@ -67,16 +73,26 @@ class ManifoldDistance:
     best: SolitaryWave | ZeroWave | LinearSpanFit
 
 
-def _isolate_roots(poly_fn, s_max: float, n_grid: int = 512) -> list[float]:
-    """Positive roots of poly_fn on (0, s_max] by sign-change bracketing.
-
-    Bracket nodes are the union of a log-spaced and a linear grid (the log
-    points catch roots piling up near zero), then plain bisection.
-    """
-    nodes = np.unique(np.concatenate([
-        np.geomspace(s_max * 1e-14, s_max, n_grid),
-        np.linspace(s_max / n_grid, s_max, n_grid),
+def _bracket_nodes(s_max: float) -> np.ndarray:
+    """The union of a log-spaced and a linear grid on (0, s_max], 512 nodes
+    each; the log points catch roots piling up near zero."""
+    return np.unique(np.concatenate([
+        np.geomspace(s_max * 1e-14, s_max, 512),
+        np.linspace(s_max / 512, s_max, 512),
     ]))
+
+
+def _s_bound(model: OscillatorModel, kappa: float) -> float:
+    """Upper end of the s range searched for roots of alpha(s) = 2 kappa."""
+    u = model.coefficients
+    n_deg = len(u) - 1
+    return 1.0 + (sum(abs(c) for c in u) + 2.0 * kappa) / (2.0 * n_deg * u[-1])
+
+
+def _isolate_roots(poly_fn, s_max: float) -> list[float]:
+    """Positive roots of poly_fn on (0, s_max]: sign changes between the
+    `_bracket_nodes`, then plain bisection."""
+    nodes = _bracket_nodes(s_max)
     vals = poly_fn(nodes)
     roots = []
     exact = np.abs(vals) < 1e-15
@@ -109,10 +125,7 @@ def _isolate_roots(poly_fn, s_max: float, n_grid: int = 512) -> list[float]:
 
 def _amplitudes_at_kappa(model: OscillatorModel, kappa: float) -> list[float]:
     """All C > 0 with alpha(C^2) = 2 kappa for a polynomial model."""
-    u = model.coefficients
-    n_deg = len(u) - 1
-    s_max = 1.0 + (sum(abs(c) for c in u) + 2.0 * kappa) / (2.0 * n_deg * u[-1])
-    roots_s = _isolate_roots(lambda s: alpha(model, s) - 2.0 * kappa, s_max)
+    roots_s = _isolate_roots(lambda s: alpha(model, s) - 2.0 * kappa, _s_bound(model, kappa))
     return [float(np.sqrt(s)) for s in roots_s if s > 1e-28]
 
 
@@ -181,34 +194,59 @@ def _window(state: FieldState, m: float, R: float):
             state.pi[lo:hi], w, grid.x[lo:hi], half)
 
 
-def _candidate_window_arrays(wave_params, x_w, half):
-    """psi, psi' (with one-sided pair at x = 0), pi of C e^{-kappa|x|} on the
-    window nodes; two guard nodes per side make the stencils identical to
-    the global operator's."""
-    C, kappa, omega = wave_params
+def _profile_rows(kappa: np.ndarray, x_w: np.ndarray, half: int) -> np.ndarray:
+    """Rows [phi | phi' | phi'(0+), phi'(0-)] of phi = e^{-kappa |x|} on the
+    window nodes, one row per kappa.
+
+    Two guard nodes per side make the stencils identical to the global
+    operator's.  The centred phi' entry at the kink node stays the plain
+    centred difference: inner products give it weight zero and read the
+    one-sided pair instead.
+    """
     h = x_w[1] - x_w[0]
-    x_ext = np.concatenate((x_w[0] - h * np.array([2.0, 1.0]), x_w,
-                            x_w[-1] + h * np.array([1.0, 2.0])))
-    prof = C * np.exp(-kappa * np.abs(x_ext))
-    dpsi = (prof[3:-1] - prof[1:-3]) / (2.0 * h)  # centered on the window nodes
-    cidx = half + 2  # x = 0 position inside prof
-    d_plus = (-3.0 * prof[cidx] + 4.0 * prof[cidx + 1] - prof[cidx + 2]) / (2.0 * h)
-    d_minus = (3.0 * prof[cidx] - 4.0 * prof[cidx - 1] + prof[cidx - 2]) / (2.0 * h)
+    n = len(x_w)
+    x_ext = np.abs(np.concatenate((x_w[0] - h * np.array([2.0, 1.0]), x_w,
+                                   x_w[-1] + h * np.array([1.0, 2.0]))))
+    prof = np.exp(-np.multiply.outer(kappa, x_ext))
+    c = half + 2  # x = 0 position inside prof
+    rows = np.empty((len(kappa), 2 * n + 2))
+    rows[:, :n] = prof[:, 2:-2]
+    np.subtract(prof[:, 3:-1], prof[:, 1:-3], out=rows[:, n:2 * n])
+    rows[:, 2 * n] = -3.0 * prof[:, c] + 4.0 * prof[:, c + 1] - prof[:, c + 2]
+    rows[:, 2 * n + 1] = 3.0 * prof[:, c] - 4.0 * prof[:, c - 1] + prof[:, c - 2]
+    rows[:, n:] /= 2.0 * h
+    return rows
+
+
+def _candidate_window_arrays(wave_params, x_w, half):
+    """psi, psi' (the pair average at x = 0), the one-sided pair and pi of
+    C e^{-kappa|x|} on the window nodes."""
+    C, kappa, omega = wave_params
+    n = len(x_w)
+    row = C * _profile_rows(np.array([kappa]), x_w, half)[0]
+    psi, dpsi, (d_plus, d_minus) = row[:n], row[n:2 * n], row[2 * n:]
     dpsi[half] = 0.5 * (d_plus + d_minus)
-    psi = prof[2:-2]
     return psi, dpsi, (d_plus, d_minus), -1j * omega * psi
 
 
-def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float,
-                         n_scan: int = 401) -> ManifoldDistance:
+# profile-matrix entries per chunk of the amplitude scan, so that its
+# temporaries stay bounded however many nodes the window holds
+_SCAN_ENTRIES = 1 << 16
+
+
+def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
+                         ) -> ManifoldDistance:
     """min over the solitary set of ||Psi - Phi||_{E,R}, phase eliminated analytically.
 
-    Strictly nonlinear models: dense omega scan over (-m, m) (the admissible
-    set may be a union of intervals, which the scan handles without case
-    analysis), all amplitude branches per omega, then golden-section
-    refinement of omega around the best candidate.  The zero wave is always
-    a candidate.  Linear models: least squares onto the span of the two
-    resonant modes.
+    Strictly nonlinear models: the waves are parametrized by s = C^2, with
+    kappa = alpha(s)/2 and omega = +/- sqrt(m^2 - kappa^2) in closed form.
+    The admissible set is the s with alpha(s)/2 in (0, m], possibly a union
+    of intervals; the scan skips the rest without case analysis.  Every
+    node of `_bracket_nodes` on (0, s_max], s_max bounding the roots at
+    kappa = m, is evaluated for both signs of omega in one vectorized pass,
+    then s is refined by golden section between the best node's two
+    neighbours.  The zero wave is always a candidate.  Linear models: least
+    squares onto the span of the two resonant modes.
     """
     m = model.mass
     psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
@@ -245,56 +283,79 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float,
             return ManifoldDistance(rho_zero, ZeroWave())
         return ManifoldDistance(rho, fit)
 
-    def best_at_omega(omega: float):
-        kappa = float(np.sqrt(m * m - omega * omega))
-        best = (np.inf, None)
-        for C in _amplitudes_at_kappa(model, kappa):
-            cand = _candidate_window_arrays((C, kappa, omega), x_w, half)
-            ip = win_inner(state_bundle, cand)
-            nn = win_inner(cand, cand).real
-            rho_sq = norm_sq - 2.0 * abs(ip) + nn
-            if rho_sq < best[0]:
-                best = (rho_sq, (C, kappa, omega, float(np.angle(ip))))
-        return best
+    # Against the rows of `_profile_rows`, the candidate C phi with
+    # pi = -i omega C phi has <Psi, Phi> = C (A + i omega B) and
+    # ||Phi||^2 = C^2 ((omega^2 + m^2) G + D): A and B are the products of
+    # the rows with the columns of `proj`, G and D those of the squared rows
+    # with the columns of `norm_w`.  The kink node weighs the one-sided pair.
+    n = len(x_w)
+    w_d = w.copy()
+    w_d[half] = 0.0
+    kink = 0.5 * w[half]
+    vec_a = np.concatenate((m * m * w * psi_w, w_d * dpsi_w, kink * np.array(pair_w)))
+    vec_b = np.concatenate((w * pi_w, np.zeros(n + 2)))
+    proj = np.stack((vec_a.real, vec_a.imag, vec_b.real, vec_b.imag), axis=1)
+    norm_w = np.zeros((2 * n + 2, 2))
+    norm_w[:n, 0] = w
+    norm_w[n:2 * n, 1] = w_d
+    norm_w[2 * n:, 1] = kink
+    chunk = max(1, _SCAN_ENTRIES // (2 * n + 2))
 
-    eps = 1e-6
-    omegas = np.linspace(-m + eps, m - eps, n_scan)
-    best_sq, best_params = rho_zero ** 2, None
-    best_omega_idx = None
-    for idx, om in enumerate(omegas):
-        sq, params = best_at_omega(float(om))
-        if params is not None and sq < best_sq:
-            best_sq, best_params, best_omega_idx = sq, params, idx
+    def scan(s: np.ndarray):
+        """rho^2 and <Psi, Phi> at each s (rows) for omega = +|omega| and
+        -|omega| (columns); rho^2 is inf where alpha(s)/2 is outside (0, m]."""
+        kappa = 0.5 * alpha(model, s)
+        admissible = np.nonzero((kappa > 0.0) & (kappa <= m))[0]
+        rho_sq = np.full((len(s), 2), np.inf)
+        ip = np.zeros((len(s), 2), dtype=complex)
+        for lo in range(0, len(admissible), chunk):
+            idx = admissible[lo:lo + chunk]
+            k = kappa[idx]
+            rows = _profile_rows(k, x_w, half)
+            a_re, a_im, b_re, b_im = (rows @ proj).T
+            g_sq, d_sq = ((rows * rows) @ norm_w).T
+            amp = np.sqrt(s[idx])
+            omega_sq = m * m - k * k
+            a = a_re + 1j * a_im
+            iwb = 1j * np.sqrt(omega_sq) * (b_re + 1j * b_im)
+            ip[idx, 0] = amp * (a + iwb)
+            ip[idx, 1] = amp * (a - iwb)
+            nn = s[idx] * ((omega_sq + m * m) * g_sq + d_sq)
+            rho_sq[idx] = norm_sq - 2.0 * np.abs(ip[idx]) + nn[:, None]
+        return rho_sq, ip
 
-    if best_params is None:
+    def at(s: float):
+        """(rho^2, s, sign column, <Psi, Phi>) of the better sign at s."""
+        rho_sq, ip = scan(np.array([s]))
+        col = int(np.argmin(rho_sq[0]))
+        return float(rho_sq[0, col]), s, col, ip[0, col]
+
+    nodes = _bracket_nodes(_s_bound(model, m))
+    rho_sq, ip = scan(nodes)
+    i, col = np.unravel_index(np.argmin(rho_sq), rho_sq.shape)
+    if not rho_sq[i, col] < norm_sq:
         return ManifoldDistance(rho_zero, ZeroWave())
 
-    # golden-section refinement of omega on the bracketing scan interval
-    lo = omegas[max(best_omega_idx - 1, 0)]
-    hi = omegas[min(best_omega_idx + 1, n_scan - 1)]
+    # golden-section refinement of s between the best node's neighbours
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
+    a_, b_ = nodes[max(i - 1, 0)], nodes[min(i + 1, len(nodes) - 1)]
     c_ = b_ - invphi * (b_ - a_)
     d_ = a_ + invphi * (b_ - a_)
-    fc, pc = best_at_omega(c_)
-    fd, pd = best_at_omega(d_)
+    fc, fd = at(c_), at(d_)
     for _ in range(70):
-        if fc < fd:
-            b_, d_, fd, pd = d_, c_, fc, pc
+        if fc[0] < fd[0]:
+            b_, d_, fd = d_, c_, fc
             c_ = b_ - invphi * (b_ - a_)
-            fc, pc = best_at_omega(c_)
+            fc = at(c_)
         else:
-            a_, c_, fc, pc = c_, d_, fd, pd
+            a_, c_, fc = c_, d_, fd
             d_ = a_ + invphi * (b_ - a_)
-            fd, pd = best_at_omega(d_)
-        if b_ - a_ < 1e-12:
+            fd = at(d_)
+        if b_ - a_ < 1e-12 * b_:
             break
-    for sq, params in ((fc, pc), (fd, pd)):
-        if params is not None and sq < best_sq:
-            best_sq, best_params = sq, params
-
-    if best_params is None or rho_zero ** 2 <= best_sq:
-        return ManifoldDistance(rho_zero, ZeroWave())
-    C, kappa, omega, theta = best_params
-    wave = SolitaryWave(C, theta % (2.0 * np.pi), kappa, omega)
+    best_sq, s, col, ip_best = min((float(rho_sq[i, col]), nodes[i], col, ip[i, col]),
+                                   fc, fd, key=lambda cand: cand[0])
+    kappa = 0.5 * float(alpha(model, s))
+    omega = float(np.sqrt(m * m - kappa * kappa)) * (1.0 if col == 0 else -1.0)
+    wave = SolitaryWave(np.sqrt(s), float(np.angle(ip_best)) % (2.0 * np.pi), kappa, omega)
     return ManifoldDistance(float(np.sqrt(max(best_sq, 0.0))), wave)

@@ -1,8 +1,11 @@
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from kgpoint import cli
 from kgpoint.cli import _BLAS_THREAD_VARS, _map_single_thread_blas, main
 from kgpoint.config import ConfigError, build_initial_state, config_to_text, parse_config_text
 from kgpoint.fields import Grid
@@ -316,6 +319,46 @@ class TestCommands:
         pinned = _map_single_thread_blas(os.getenv, list(_BLAS_THREAD_VARS), 2)
         assert pinned == ["1"] * len(_BLAS_THREAD_VARS)
         assert dict(os.environ) == before
+
+    def test_sweep_workers_need_importable_main(self, tmp_path, monkeypatch, capsys):
+        text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
+            "spectrum_windows = 1.0:4.0", "spectrum_windows =")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(text)
+        contexts = []
+
+        class SerialPool:
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return [fn(p) for p in payloads]
+
+        def get_context(method):
+            contexts.append(method)
+            return types.SimpleNamespace(Pool=SerialPool)
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context", get_context)
+        main_module = sys.modules["__main__"]
+        monkeypatch.setattr(main_module, "__spec__", None, raising=False)
+        argv = ["--out", str(tmp_path / "out"), "sweep", "--config", str(cfg),
+                "--vary", "run.seed=1,2", "--workers", "2"]
+        # a script read from standard input: spawned children could not import it
+        monkeypatch.setattr(main_module, "__file__", str(tmp_path / "<stdin>"), raising=False)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert contexts == []
+        # the same sweep from a script file reaches the pool
+        monkeypatch.setattr(main_module, "__file__", str(cfg))
+        assert main(argv) == 0
+        assert contexts == ["spawn"]
 
     def test_attract(self, tmp_path):
         cfg = tmp_path / "a.cfg"

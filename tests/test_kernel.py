@@ -4,7 +4,7 @@ from scipy.integrate import fixed_quad
 from scipy.special import j0 as scipy_j0
 from scipy.special import j1 as scipy_j1
 
-from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, green_g
+from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, green_g, kernel
 from kgpoint.initial import GaussianSpec, gaussian_state
 from kgpoint.kernel import (bessel_j1, bessel_j1_over_x, convolve_j0, kink_split,
                             mass_shell_trace, spectral_energy_norm)
@@ -65,6 +65,32 @@ class TestBesselJ0:
         x = np.concatenate([np.linspace(0, 40, 20001), np.geomspace(40, 1e4, 20001)])
         assert np.max(np.abs(bessel_j1(x) - scipy_j1(x))) <= 1e-12
         assert bessel_j1_over_x(0.0) == pytest.approx(0.5)
+
+
+def hankel_all_terms(x, mu, chi_shift):
+    """`kernel._hankel` summing every asymptotic term, with no early stop."""
+    P = np.ones_like(x)
+    Q = np.zeros_like(x)
+    c = 1.0
+    xp = np.ones_like(x)
+    inv = 1.0 / x
+    for j in range(1, kernel._ASYM_TERMS):
+        c *= (mu - (2 * j - 1) ** 2) / (8.0 * j)
+        xp = xp * inv
+        if j % 2 == 0:
+            P += ((-1.0) ** (j // 2)) * c * xp
+        else:
+            Q += ((-1.0) ** ((j - 1) // 2)) * c * xp
+    chi = x - chi_shift
+    return np.sqrt(2.0 / (np.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
+
+
+def test_tables_equal_all_term_sums_bytewise(monkeypatch):
+    fast = kernel.KernelTables(401.0)
+    monkeypatch.setattr(kernel, "_hankel", hankel_all_terms)
+    full = kernel.KernelTables(401.0)
+    assert fast.j0.values.tobytes() == full.j0.values.tobytes()
+    assert fast.j1x.values.tobytes() == full.j1x.values.tobytes()
 
 
 class TestGreen:
