@@ -296,15 +296,18 @@ def spectral_energy_norm(state: FieldState, m: float) -> float:
     return float(np.sqrt(total * state.grid.spacing / n))
 
 
-def convolve_j0(times: np.ndarray, f: np.ndarray, m: float) -> np.ndarray:
+def convolve_j0(times: np.ndarray, f: np.ndarray, m: float,
+                kern: np.ndarray | None = None) -> np.ndarray:
     """Trapezoid product integration of int_0^t J0(m (t - s)) f(s) ds.
 
     `times` must be uniform starting at 0.  One FFT linear convolution gives
-    all upper limits at once; the i = t node carries half weight.
+    all upper limits at once; the i = t node carries half weight.  `kern`,
+    when given, must be bessel_j0(m * times).
     """
     n = len(times)
     dt = times[1] - times[0]
-    kern = bessel_j0(m * times)
+    if kern is None:
+        kern = bessel_j0(m * times)
     g = f.astype(complex).copy()
     g[0] *= 0.5
     npad = 1
@@ -371,7 +374,8 @@ def kink_split(initial: FieldState, m: float) -> KinkSplit:
     return split
 
 
-def mass_shell_trace(times: np.ndarray, m: float, kappa: float, omega: float) -> np.ndarray:
+def mass_shell_trace(times: np.ndarray, m: float, kappa: float, omega: float,
+                     kern: np.ndarray | None = None) -> np.ndarray:
     """Exact free trace of the pair (e^{-kappa|x|}, -i omega e^{-kappa|x|}).
 
     On the mass shell kappa^2 = m^2 - omega^2 the field
@@ -379,9 +383,11 @@ def mass_shell_trace(times: np.ndarray, m: float, kappa: float, omega: float) ->
     2 kappa e^{-i omega t}, so Duhamel gives the free part in closed form:
 
         h(t) = e^{-i omega t} - kappa int_0^t J0(m (t - s)) e^{-i omega s} ds.
+
+    `kern` is passed on to `convolve_j0`.
     """
     osc = np.exp(-1j * omega * times)
-    return osc - kappa * convolve_j0(times, osc, m)
+    return osc - kappa * convolve_j0(times, osc, m, kern)
 
 
 # entries per temporary of the free-trace mode sum, so that a chunk's phase
@@ -449,7 +455,8 @@ def _mode_sum(amp_cos: np.ndarray, amp_sin: np.ndarray, w: np.ndarray,
     return acc[:n_out].ravel() + 1j * acc[n_out:].ravel()
 
 
-def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
+def free_trace(initial: FieldState, times: np.ndarray, m: float,
+               kern: np.ndarray | None = None) -> np.ndarray:
     """Center-node trace psi1(0, t_j) of the free evolution of `initial`.
 
     `times` must be uniform and start at 0.  For data without an x = 0
@@ -467,7 +474,8 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
     early times.  The kink content is therefore split off (`kink_split`) as
     a multiple of e^{-kappa1 |x|} pairs whose free traces are known in
     closed form (`mass_shell_trace`), and only the kink-free remainder goes
-    through the grid propagator.
+    through the grid propagator.  `kern`, when given, must be
+    bessel_j0(m * times); the kink part's convolution then reuses it.
     """
     initial.require_finite()
     times = np.asarray(times, dtype=float)
@@ -486,6 +494,6 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
     if split.a or split.b:
         # the trace of the real-coefficient pair (g, i omega1 g): its real part
         # is the trace of (g, 0) and its imaginary part omega1 times that of (0, g)
-        h_g = mass_shell_trace(times, m, split.kappa1, -split.omega1)
+        h_g = mass_shell_trace(times, m, split.kappa1, -split.omega1, kern)
         out += split.a * h_g.real + split.b * (h_g.imag / split.omega1)
     return out

@@ -83,10 +83,16 @@ def _bracket_nodes(s_max: float) -> np.ndarray:
 
 
 def _s_bound(model: OscillatorModel, kappa: float) -> float:
-    """Upper end of the s range searched for roots of alpha(s) = 2 kappa."""
+    """Upper end of the s range searched for roots of alpha(s) = 2 kappa.
+
+    alpha(s) - 2 kappa = -2 (u_1 + kappa) - sum_{n>=2} 2 n u_n s^(n-1), so
+    by Cauchy's bound every root has
+    |s| <= 1 + (sum_{1<=n<N} 2 n |u_n| + 2 kappa) / (2 N u_N).
+    """
     u = model.coefficients
     n_deg = len(u) - 1
-    return 1.0 + (sum(abs(c) for c in u) + 2.0 * kappa) / (2.0 * n_deg * u[-1])
+    lower = sum(2.0 * n * abs(u[n]) for n in range(1, n_deg))
+    return 1.0 + (lower + 2.0 * kappa) / (2.0 * n_deg * u[-1])
 
 
 def _isolate_roots(poly_fn, s_max: float) -> list[float]:
@@ -245,8 +251,11 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     node of `_bracket_nodes` on (0, s_max], s_max bounding the roots at
     kappa = m, is evaluated for both signs of omega in one vectorized pass,
     then s is refined by golden section between the best node's two
-    neighbours.  The zero wave is always a candidate.  Linear models: least
-    squares onto the span of the two resonant modes.
+    neighbours, on the residual ||Psi - Phi||_{E,R} summed term by term (the
+    scan's inner-product form cancels to ~1e-15 ||Psi||^2, which near the
+    manifold leaves only a few digits of rho); the reported rho is that
+    residual of the reported wave.  The zero wave is always a candidate.
+    Linear models: least squares onto the span of the two resonant modes.
     """
     m = model.mass
     psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
@@ -324,19 +333,37 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
             rho_sq[idx] = norm_sq - 2.0 * np.abs(ip[idx]) + nn[:, None]
         return rho_sq, ip
 
+    # ||Psi - Phi||_{E,R}^2 = res_w . |state_rows - Phi rows|^2 + w . |pi - pi_Phi|^2
+    state_rows = np.concatenate((psi_w, dpsi_w, pair_w))
+    res_w = np.concatenate((m * m * w, w_d, [kink, kink]))
+
     def at(s: float):
-        """(rho^2, s, sign column, <Psi, Phi>) of the better sign at s."""
+        """(rho^2, wave) of the better sign of omega at s, the phase
+        eliminated; (inf, None) where s is not admissible."""
         rho_sq, ip = scan(np.array([s]))
         col = int(np.argmin(rho_sq[0]))
-        return float(rho_sq[0, col]), s, col, ip[0, col]
+        if not np.isfinite(rho_sq[0, col]):
+            return np.inf, None
+        kappa = 0.5 * float(alpha(model, s))
+        omega = float(np.sqrt(m * m - kappa * kappa)) * (1.0 if col == 0 else -1.0)
+        wave = SolitaryWave(np.sqrt(s), float(np.angle(ip[0, col])) % (2.0 * np.pi),
+                            kappa, omega)
+        # the residual summed term by term, which does not cancel
+        row = (wave.amplitude * np.exp(1j * wave.theta)) * _profile_rows(np.array([kappa]),
+                                                                        x_w, half)[0]
+        r = state_rows - row
+        r_pi = pi_w + 1j * omega * row[:n]
+        return float(res_w @ (r.real ** 2 + r.imag ** 2)
+                     + w @ (r_pi.real ** 2 + r_pi.imag ** 2)), wave
 
     nodes = _bracket_nodes(_s_bound(model, m))
-    rho_sq, ip = scan(nodes)
+    rho_sq, _ = scan(nodes)
     i, col = np.unravel_index(np.argmin(rho_sq), rho_sq.shape)
     if not rho_sq[i, col] < norm_sq:
         return ManifoldDistance(rho_zero, ZeroWave())
 
-    # golden-section refinement of s between the best node's neighbours
+    # golden-section refinement of s between the best node's neighbours,
+    # on the direct residual
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a_, b_ = nodes[max(i - 1, 0)], nodes[min(i + 1, len(nodes) - 1)]
     c_ = b_ - invphi * (b_ - a_)
@@ -353,9 +380,8 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
             fd = at(d_)
         if b_ - a_ < 1e-12 * b_:
             break
-    best_sq, s, col, ip_best = min((float(rho_sq[i, col]), nodes[i], col, ip[i, col]),
-                                   fc, fd, key=lambda cand: cand[0])
-    kappa = 0.5 * float(alpha(model, s))
-    omega = float(np.sqrt(m * m - kappa * kappa)) * (1.0 if col == 0 else -1.0)
-    wave = SolitaryWave(np.sqrt(s), float(np.angle(ip_best)) % (2.0 * np.pi), kappa, omega)
-    return ManifoldDistance(float(np.sqrt(max(best_sq, 0.0))), wave)
+    best_sq, wave = min(at(nodes[i]), fc, fd, key=lambda cand: cand[0])
+    rho = float(np.sqrt(max(best_sq, 0.0)))
+    if rho >= rho_zero:
+        return ManifoldDistance(rho_zero, ZeroWave())
+    return ManifoldDistance(rho, wave)

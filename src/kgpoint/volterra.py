@@ -8,7 +8,11 @@ the trace z(t) = psi(0, t):
 with h the free-field trace of the initial data.  Product integration with
 trapezoid weights discretizes the memory integral (the kernel is entire, so
 no singularity treatment is needed); the s = t node makes each step weakly
-implicit with weight dt/4, solved by warm-started fixed-point iteration.
+implicit, z = b + (dt/4) F(z) with b known.  F(z) = alpha(|z|^2) z with
+alpha real (U(1) invariance), so the solution is a real multiple z = b / mu
+of b, and the node reduces to the real fixed point
+mu = 1 - (dt/4) alpha(|b|^2 / mu^2), warm-started by extrapolating mu from
+the previous steps.  The linear part of F is thereby solved exactly.
 The memory sum of step n, sum_{i<n} g_i J0(m (n - i) dt), is split into a
 near part and a far part.  The sources in the current aligned block of
 _NEAR nodes take one direct dot per step.  Every other (target, source)
@@ -18,10 +22,13 @@ L = _NEAR 2^p; each square is added by one FFT convolution as soon as its
 sources are known (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput.
 6 (1985) 532-541).  The weights are those of the direct sum, the cost
 O(N log^2 N) instead of O(N^2).
-The a priori bound |z| <= cap (`_trace_cap`) makes that iteration a
-contraction once dt L / 4 <= 1/2, L the Lipschitz bound of F on |z| <= cap
-(`force_lipschitz`); `solve_trace` checks this up front and rejects larger
-steps.
+The a priori bound |z| <= cap (`_trace_cap`) makes the mu iteration a
+contraction by 1/2 once dt L / 4 <= 1/2, L the Lipschitz bound of F on
+|z| <= cap (`force_lipschitz`); `solve_trace` checks this up front and
+rejects larger steps.  With q = dt/4, A = q sup|alpha| and
+D = q sup|2 s alpha'(s)| over s <= cap^2, A + D <= q L <= 1/2; the map's
+slope 2 q alpha'(s) s / mu is then at most D / (1 - A) <= 1/2 wherever
+mu >= 1 - A.
 
 The full field is recovered from the trace by the Duhamel representation
 
@@ -46,6 +53,7 @@ against the source histories in a single matmul.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +61,8 @@ import numpy as np
 from .fields import FieldState
 from .kernel import (KernelTables, bessel_j0, check_horizon, free_evolve,
                      free_trace, kink_split)
-from .model import ModelKind, OscillatorModel, check_bound_below, force, force_lipschitz
+from .model import (ModelKind, OscillatorModel, alpha, check_bound_below, force,
+                    force_lipschitz)
 from .observables import charge as charge_of
 from .observables import energy as energy_of
 
@@ -62,6 +71,8 @@ from .observables import energy as energy_of
 _RESIDUAL_TOL = 1e-12
 # largest dt L / 4 accepted: the implicit node's map then contracts by 1/2
 _MAX_CONTRACTION = 0.5
+# iterations of the implicit node before the step counts as failed
+_MAX_ITERATIONS = 30
 # sources per near block of the history sum (a power of two).  A T = 600,
 # dt = 0.02 solve (N = 30001, one BLAS thread, 2-core Xeon) took 0.226 /
 # 0.226 / 0.206 / 0.200 s at 16 / 32 / 64 / 128 (best of 8), a T = 2000
@@ -123,25 +134,57 @@ class SolveReport:
     message: str = ""
     energy_initial: float | None = None
     charge_initial: float | None = None
+    # fixed-point iterations of the implicit node over the steps solved: in
+    # total, and the most in one step
+    node_iterations: int = 0
+    node_iterations_max: int = 0
 
 
-def _scalar_force(model: OscillatorModel):
-    """Fast scalar F(z) closure for the hot per-step iteration."""
+def _alpha_coefficients(model: OscillatorModel) -> list[float]:
+    """Coefficients of alpha(s), highest power first, for a real Horner loop
+    (the single constant a for the linear kind)."""
     if model.kind is ModelKind.LINEAR:
-        a = model.linear_a
-        return lambda z: a * z
+        return [model.linear_a]
     # alpha(s) = c[0] + c[1] s + ... (ascending), c[n-1] = -2 n u_n
     coefs = [-2.0 * n * u for n, u in enumerate(model.coefficients) if n >= 1]
     coefs.reverse()
+    return coefs
 
-    def f(z: complex) -> complex:
-        s = z.real * z.real + z.imag * z.imag
-        acc = 0.0
-        for cc in coefs:
-            acc = acc * s + cc
-        return acc * z
 
-    return f
+def _node(coefs: list[float], quarter_dt: float, b: complex, mu: float):
+    """Solve the implicit node z = b + (dt/4) F(z) from the guess mu.
+
+    F(z) = alpha(|z|^2) z with alpha real, so z = b / mu with mu real, and
+    the node becomes the scalar fixed point mu = 1 - (dt/4) alpha(|b|^2 / mu^2).
+    Each iteration is one real Horner step and one division; the stopping
+    rule is |dz| = |b| |dmu| / |mu mu'| <= _RESIDUAL_TOL max(1, |z|),
+    multiplied through by |mu mu'|.  Returns (z, F(z), mu, iterations);
+    iterations = 0 flags an iteration that did not converge within
+    _MAX_ITERATIONS (a NaN never passes the stopping rule), and z and F(z)
+    then hold no solution.
+    """
+    b_sq = b.real * b.real + b.imag * b.imag
+    b_abs = math.sqrt(b_sq)
+    try:
+        for it in range(1, _MAX_ITERATIONS + 1):
+            s = b_sq / (mu * mu)
+            acc = 0.0
+            for c in coefs:
+                acc = acc * s + c
+            mu_new = 1.0 - quarter_dt * acc
+            if b_abs * abs(mu_new - mu) <= _RESIDUAL_TOL * max(abs(mu * mu_new), b_abs * abs(mu)):
+                break
+            mu = mu_new
+        else:
+            return b, b, mu, 0
+        z = b / mu_new
+        s = b_sq / (mu_new * mu_new)
+    except ZeroDivisionError:
+        return b, b, mu, 0
+    acc = 0.0
+    for c in coefs:
+        acc = acc * s + c
+    return z, acc * z, mu_new, it
 
 
 def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
@@ -206,7 +249,16 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     the far sums of the block's targets, and the block's h + (dt/2) far
     becomes a list of Python complex numbers, so the per-step fixed-point
     iteration runs on Python scalars.  Each step adds the near part, one
-    dot of the block's finished sources against kernel lags r .. 1.
+    dot of the block's finished sources against kernel lags r .. 1, and
+    solves its node for the real multiplier mu of z = b / mu (`_node`).
+    The first guess extrapolates mu by the degree-5 polynomial through the
+    six previous steps: on the long_sweep setting (T = 600, dt = 0.02) the
+    node then takes 1.01-1.14 iterations per step over seeds 1-10, against
+    2.8-3.9 for degree 1 and about 5 for the complex iteration it replaced;
+    degree 6 took more again (1.29 at seed 1).  The linear model takes one.
+    The report counts the iterations (`node_iterations`, and the most in
+    one step, `node_iterations_max`).  J0(m t_k) is evaluated once, for the
+    far-field spectra and the kink part of the free trace.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -225,28 +277,34 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     m = model.mass
     times = np.arange(n) * dt
 
-    h = free_trace(initial, times, m)
-    spectra = _square_spectra(bessel_j0(m * times), n)
+    kern = bessel_j0(m * times)
+    h = free_trace(initial, times, m, kern)
+    spectra = _square_spectra(kern, n)
     # near_lags[r] holds kernel lags r .. 1, the weights of the r sources
     # g[start:start+r] in the block at target start + r; complex, so that
     # the near dot casts nothing
     lags = bessel_j0(m * (np.arange(_NEAR - 1, 0, -1) * dt)).astype(complex)
     near_lags = [lags[_NEAR - 1 - r:] for r in range(_NEAR)]
 
-    F = _scalar_force(model)
+    coefs = _alpha_coefficients(model)
+    quarter_dt = 0.25 * dt
+    half_dt = 0.5 * dt
 
     z = np.empty(n, dtype=complex)
     # f with the j=0 trapezoid half-weight folded in
     g = np.empty(n, dtype=complex)
     # far-field memory sums, completed for a block when the march reaches it
     far = np.zeros(n, dtype=complex)
-    z_prev = z_prev2 = z[0] = complex(initial.psi[initial.grid.center_index])
-    g[0] = 0.5 * F(z_prev)
+    z[0] = complex(initial.psi[initial.grid.center_index])
+    g[0] = 0.5 * force(model, z[0])
+    # the multiplier z_0 would have as a node, mu = 1 - (dt/4) alpha(|z|^2),
+    # seeds the predictor's history mu_1 .. mu_6 (mu_k from step j - k)
+    mu_0 = 1.0 - quarter_dt * float(alpha(model, abs(z[0]) ** 2))
+    mu_1 = mu_2 = mu_3 = mu_4 = mu_5 = mu_6 = mu_0
 
     status = SolveStatus.COMPLETED
     message = ""
-    half_dt = 0.5 * dt
-    quarter_dt = 0.25 * dt
+    iterations = iterations_max = 0
     last = n
     for start in range(0, n, _NEAR):
         if start:
@@ -255,21 +313,19 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
         for r in range(1 if start == 0 else 0, len(known)):
             j = start + r
             b = known[r] + half_dt * complex(np.dot(g[start:j], near_lags[r]))
-            zj = 2.0 * z_prev - z_prev2
-            for _ in range(30):
-                znew = b + quarter_dt * F(zj)
-                converged = abs(znew - zj) <= _RESIDUAL_TOL * max(1.0, abs(znew))
-                zj = znew
-                if converged:
-                    break
-            if not converged or zj != zj:  # NaN check
+            # degree-5 extrapolation of mu over the previous six steps
+            guess = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
+            zj, g[j], mu, it = _node(coefs, quarter_dt, b, guess)
+            if not it:
                 status = SolveStatus.NON_FINITE
                 message = f"implicit node failed to converge at t={times[j]:.6g}"
                 last = j
                 break
+            iterations += it
+            if it > iterations_max:
+                iterations_max = it
             z[j] = zj
-            g[j] = F(zj)
-            z_prev2, z_prev = z_prev, zj
+            mu_6, mu_5, mu_4, mu_3, mu_2, mu_1 = mu_5, mu_4, mu_3, mu_2, mu_1, mu
             if abs(zj) > cap:
                 status = SolveStatus.TRACE_BOUND_EXCEEDED
                 message = (f"|z|={abs(zj):.3g} exceeded the a priori bound cap {cap:.3g} "
@@ -282,7 +338,8 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     # rebuild the source through the public force path so f = force(z) holds
     # bitwise (the in-loop scalar Horner may differ in the last ulp)
     trace = TraceSeries.from_z(model, dt, z[:last])
-    return SolveReport(trace=trace, status=status, message=message)
+    return SolveReport(trace=trace, status=status, message=message,
+                       node_iterations=iterations, node_iterations_max=iterations_max)
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)

@@ -3,7 +3,11 @@
 Each step sums the whole history in one complex-by-float dot against the
 reversed kernel, where `solve_trace` splits the sum into a near dot and
 FFT-convolved far-field squares.  The free trace comes from the current
-`free_trace`, so a comparison with `solve_trace` isolates the history loop.
+`free_trace`, and each step solves its implicit node with the current
+`_node` from the same degree-5 predictor of mu, so a comparison with
+`solve_trace` isolates the history loop.  The node must be the same: the
+trace dynamics amplify node differences of 1e-14 per step into gaps of
+1e-10 over T = 600, which would swamp the history sum's 1e-12.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import numpy as np
 
 from kgpoint.fields import FieldState
 from kgpoint.kernel import bessel_j0, free_trace
-from kgpoint.model import OscillatorModel
-from kgpoint.volterra import (_RESIDUAL_TOL, SolveReport, SolveStatus, TraceSeries,
-                              _scalar_force, _trace_cap)
+from kgpoint.model import OscillatorModel, alpha, force
+from kgpoint.volterra import (SolveReport, SolveStatus, TraceSeries, _alpha_coefficients,
+                              _node, _trace_cap)
 
 
 def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt: float
@@ -42,40 +46,33 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
     kern = bessel_j0(m * times)
     kern_rev = kern[::-1].copy()
 
-    F = _scalar_force(model)
+    coefs = _alpha_coefficients(model)
     cap = _trace_cap(model, initial)
 
     z = np.empty(n, dtype=complex)
     g = np.empty(n, dtype=complex)  # f with the j=0 trapezoid half-weight folded in
-    f_arr = np.empty(n, dtype=complex)
     z[0] = initial.psi[initial.grid.center_index]
-    f_arr[0] = F(complex(z[0]))
-    g[0] = 0.5 * f_arr[0]
+    g[0] = 0.5 * force(model, z[0])
 
     status = SolveStatus.COMPLETED
     message = ""
     quarter_dt = 0.25 * dt
+    # mu_hist[k - 1] is the multiplier of step j - k
+    mu_hist = [1.0 - quarter_dt * float(alpha(model, abs(z[0]) ** 2))] * 6
     last = n
     for j in range(1, n):
         mem = np.dot(g[:j], kern_rev[n - 1 - j:n - 1])
-        b = h[j] + 0.5 * dt * mem
-        zj = complex(2.0 * z[j - 1] - z[j - 2]) if j >= 2 else complex(z[0])
-        converged = False
-        for _ in range(30):
-            znew = b + quarter_dt * F(zj)
-            if abs(znew - zj) <= _RESIDUAL_TOL * max(1.0, abs(znew)):
-                zj = znew
-                converged = True
-                break
-            zj = znew
-        if not converged or zj != zj:  # NaN check
+        b = complex(h[j] + 0.5 * dt * mem)
+        mu_1, mu_2, mu_3, mu_4, mu_5, mu_6 = mu_hist
+        guess = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
+        zj, g[j], mu, it = _node(coefs, quarter_dt, b, guess)
+        if not it:
             status = SolveStatus.NON_FINITE
             message = f"implicit node failed to converge at t={times[j]:.6g}"
             last = j
             break
         z[j] = zj
-        f_arr[j] = F(zj)
-        g[j] = f_arr[j]
+        mu_hist = [mu] + mu_hist[:-1]
         if abs(zj) > cap:
             status = SolveStatus.TRACE_BOUND_EXCEEDED
             message = (f"|z|={abs(zj):.3g} exceeded the a priori bound cap {cap:.3g} "
@@ -84,6 +81,6 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
             break
 
     # rebuild the source through the public force path so f = force(z) holds
-    # bitwise (the in-loop scalar Horner may differ in the last ulp)
+    # bitwise (the node's real Horner may differ in the last ulp)
     trace = TraceSeries.from_z(model, dt, z[:last])
     return SolveReport(trace=trace, status=status, message=message)

@@ -217,6 +217,16 @@ class TestFreeTrace:
         want = mass_shell_trace(times, m, kappa, omega)
         assert np.max(np.abs(h - want)) < 1e-5
 
+    def test_passed_kernel_gives_the_same_trace(self, half_wave):
+        # solve_trace hands its J0(m t) down to the kink part; kinked data must
+        # give the bitwise trace of the call that evaluates J0 itself
+        grid = Grid(64.0, 2 ** 12 + 1)
+        st = sample_profile(half_wave, grid, 0.0)
+        assert kink_split(st, 1.0).a != 0
+        times = np.arange(1001) * 5e-3
+        h = free_trace(st, times, 1.0, bessel_j0(times))
+        assert np.array_equal(h, free_trace(st, times, 1.0))
+
     def test_matches_free_evolve_snapshots_without_correction(self, small_grid):
         # smooth data: the kink split is zero and the trace is the plain
         # grid propagator at the center node

@@ -75,6 +75,18 @@ class TestWavesAtOmega:
                 2 * w.kappa * w.amplitude, rel=1e-10)
 
 
+    def test_upper_branch_past_the_coefficient_sum(self):
+        # u = (0, -0.5, -3, 1) at C = 1.42: s = C^2 = 2.0164 solves
+        # alpha(s) = 2 kappa for kappa = 0.4008, beyond 1 + (sum_n |u_n| + 2 kappa)
+        # / (2 N u_N) = 1.883; the root bound needs sum_{1<=n<N} 2 n |u_n|
+        model = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))
+        wave = waves_from_amplitude(model, 1.42)[0]
+        back = waves_at_omega(model, wave.omega)
+        assert any(abs(b.amplitude - 1.42) < 1e-10 for b in back)
+        near = waves_at_omega(model, 0.9162)
+        assert len(near) == 1 and near[0].amplitude == pytest.approx(1.42, abs=1e-4)
+
+
 class TestRoundTrip:
     def test_standard(self, cubic_model):
         for C in (0.1, 0.3, 0.5, 0.65):
@@ -133,6 +145,31 @@ class TestDistance:
         assert res.best.amplitude == pytest.approx(0.5, abs=1e-6)
         assert res.best.omega == pytest.approx(SQ75, abs=1e-6)
         assert res.best.theta == pytest.approx(1.2, abs=1e-6)
+
+    def test_admissible_interval_past_the_coefficient_sum(self, small_grid):
+        # u = (0, 0, -10, 1): alpha(s) = 40 s - 6 s^2, so kappa = alpha/2 lies in
+        # (0, m] near s = 0 and on s in [6.617, 6.667), past the bound 3.17 that
+        # summed |u_n|; the sampled C = 2.577 wave (s = 6.641) is found
+        model = OscillatorModel.polynomial(1.0, (0.0, 0.0, -10.0, 1.0))
+        wave = waves_from_amplitude(model, 2.577)[0]
+        res = distance_to_manifold(model, sample_profile(wave, small_grid, 0.0), 5.0)
+        assert isinstance(res.best, SolitaryWave)
+        assert res.rho < 1e-8
+        assert res.best.amplitude == pytest.approx(2.577, abs=1e-6)
+        assert res.best.omega == pytest.approx(wave.omega, abs=1e-6)
+
+    def test_rho_is_the_residual_of_the_reported_wave(self, cubic_model, small_grid):
+        # rho ~ 1.5e-6 against ||Psi||_{E,R} ~ 1: the scan's
+        # ||Psi||^2 - 2 |<Psi, Phi>| + ||Phi||^2 loses ~4 digits here
+        base = sample_profile(SolitaryWave(0.5, 0.3, 0.5, SQ75), small_grid, 0.0)
+        bump = gaussian_state(small_grid, GaussianSpec(amplitude=1e-6, width=0.7, center=2.0))
+        st = FieldState(small_grid, base.psi + bump.psi, base.pi + bump.pi)
+        res = distance_to_manifold(cubic_model, st, 5.0)
+        assert isinstance(res.best, SolitaryWave)
+        cand = sample_profile(res.best, small_grid, 0.0)
+        want = norm_e(FieldState(small_grid, st.psi - cand.psi, st.pi - cand.pi), 1.0, R=5.0)
+        assert 0.0 < want <= norm_e(bump, 1.0, R=5.0)
+        assert res.rho == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_zero_state(self, cubic_model, small_grid):
         res = distance_to_manifold(cubic_model, zero_state(small_grid), 5.0)

@@ -5,13 +5,13 @@ from kgpoint import (FieldState, Grid, OscillatorModel, SolveStatus, check_bound
                      energy, norm_e, reconstruct_field, reconstruct_fields, solve_full,
                      solve_trace)
 from kgpoint.fields import zero_state
-from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec
 from kgpoint.kernel import KernelTables, kink_split
 from kgpoint.model import force_lipschitz
 from kgpoint.observables import charge
 from kgpoint.output import report_sections_from_solve
 from kgpoint.solitary import sample_profile
-from kgpoint.volterra import StepTooLargeError, _trace_cap
+from kgpoint.volterra import _MAX_ITERATIONS, StepTooLargeError, _trace_cap
 
 SQ75 = float(np.sqrt(0.75))
 
@@ -100,6 +100,22 @@ class TestSolveTrace:
         assert rep.status is SolveStatus.TRACE_BOUND_EXCEEDED
         assert len(rep.trace.z) < 5001
 
+    def test_linear_node_takes_one_iteration_per_step(self, linear_model):
+        # alpha is the constant a, so mu = 1 - (dt/4) a solves the node at once
+        init = gaussian_state(Grid(40.0, 1025), GaussianSpec(amplitude=0.5, width=1.5))
+        rep = solve_trace(linear_model, init, 5.0, 0.01)
+        assert rep.status is SolveStatus.COMPLETED
+        assert rep.node_iterations == 500
+        assert rep.node_iterations_max == 1
+
+    def test_node_iterations_on_long_sweep(self, cubic_model):
+        # seed 3 on the long_sweep grid: 1.03 iterations per step measured
+        # (1.01-1.14 over seeds 1-10), most 5 in one step
+        init = gaussian_state(Grid(630.0, 2 ** 11 + 1), seeded_gaussian_spec(3))
+        rep = solve_trace(cubic_model, init, 600.0, 0.02)
+        assert rep.status is SolveStatus.COMPLETED
+        assert rep.node_iterations <= 1.2 * 30000
+        assert 1 <= rep.node_iterations_max <= _MAX_ITERATIONS
 
     def test_step_size_checked_up_front(self, cubic_model):
         init = gaussian_state(Grid(40.0, 1025), GaussianSpec(amplitude=0.5, width=1.5))
