@@ -255,7 +255,8 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     scan's inner-product form cancels to ~1e-15 ||Psi||^2, which near the
     manifold leaves only a few digits of rho); the reported rho is that
     residual of the reported wave.  The zero wave is always a candidate.
-    Linear models: least squares onto the span of the two resonant modes.
+    Linear models: least squares onto the span of the two resonant modes,
+    rho the residual of that fit, summed term by term too.
     """
     m = model.mass
     psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
@@ -274,6 +275,21 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     norm_sq = max(win_inner(state_bundle, state_bundle).real, 0.0)
     rho_zero = float(np.sqrt(norm_sq))
 
+    # ||Psi - Phi||_{E,R}^2 summed term by term, which does not cancel: against
+    # candidate rows [psi | psi' | psi'(0+), psi'(0-)] laid out like those of
+    # `_profile_rows`, with the kink node weighing the one-sided pair
+    n = len(x_w)
+    w_d = w.copy()
+    w_d[half] = 0.0
+    kink = 0.5 * w[half]
+    state_rows = np.concatenate((psi_w, dpsi_w, pair_w))
+    res_w = np.concatenate((m * m * w, w_d, [kink, kink]))
+
+    def residual_sq(row: np.ndarray, pi_row: np.ndarray) -> float:
+        r = state_rows - row
+        r_pi = pi_w - pi_row
+        return float(res_w @ (r.real ** 2 + r.imag ** 2) + w @ (r_pi.real ** 2 + r_pi.imag ** 2))
+
     if model.kind is ModelKind.LINEAR:
         a = model.linear_a
         if a <= 0 or a >= 2 * m:
@@ -285,8 +301,10 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
         gram = np.array([[win_inner(e1, e1), win_inner(e2, e1)],
                          [win_inner(e1, e2), win_inner(e2, e2)]])
         coef = np.linalg.solve(gram, v)
-        res_sq = norm_sq - float(np.real(np.vdot(v, coef)))
-        rho = float(np.sqrt(max(res_sq, 0.0)))
+        # both modes have the profile g = e^{-a |x| / 2}, with pi = +-i omega_a g
+        g_row = _profile_rows(np.array([0.5 * a]), x_w, half)[0]
+        rho = float(np.sqrt(residual_sq((coef[0] + coef[1]) * g_row,
+                                        (1j * omega_a * (coef[0] - coef[1])) * g_row[:n])))
         fit = LinearSpanFit(complex(coef[0]), complex(coef[1]), omega_a, 0.5 * a)
         if rho_zero <= rho + 1e-15:
             return ManifoldDistance(rho_zero, ZeroWave())
@@ -297,10 +315,6 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     # ||Phi||^2 = C^2 ((omega^2 + m^2) G + D): A and B are the products of
     # the rows with the columns of `proj`, G and D those of the squared rows
     # with the columns of `norm_w`.  The kink node weighs the one-sided pair.
-    n = len(x_w)
-    w_d = w.copy()
-    w_d[half] = 0.0
-    kink = 0.5 * w[half]
     vec_a = np.concatenate((m * m * w * psi_w, w_d * dpsi_w, kink * np.array(pair_w)))
     vec_b = np.concatenate((w * pi_w, np.zeros(n + 2)))
     proj = np.stack((vec_a.real, vec_a.imag, vec_b.real, vec_b.imag), axis=1)
@@ -310,54 +324,49 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     norm_w[2 * n:, 1] = kink
     chunk = max(1, _SCAN_ENTRIES // (2 * n + 2))
 
-    def scan(s: np.ndarray):
-        """rho^2 and <Psi, Phi> at each s (rows) for omega = +|omega| and
-        -|omega| (columns); rho^2 is inf where alpha(s)/2 is outside (0, m]."""
+    def inner(s: np.ndarray, kappa: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """<Psi, Phi> of the waves with C^2 = s and these kappa (rows) for
+        omega = +|omega| and -|omega| (columns), against their profile rows."""
+        a_re, a_im, b_re, b_im = (rows @ proj).T
+        a = a_re + 1j * a_im
+        iwb = 1j * np.sqrt(m * m - kappa * kappa) * (b_re + 1j * b_im)
+        return np.sqrt(s)[:, None] * np.stack((a + iwb, a - iwb), axis=1)
+
+    def scan(s: np.ndarray) -> np.ndarray:
+        """rho^2 at each s (rows) for omega = +|omega| and -|omega|
+        (columns), in the cancelling inner-product form; inf where
+        alpha(s)/2 is outside (0, m]."""
         kappa = 0.5 * alpha(model, s)
         admissible = np.nonzero((kappa > 0.0) & (kappa <= m))[0]
         rho_sq = np.full((len(s), 2), np.inf)
-        ip = np.zeros((len(s), 2), dtype=complex)
         for lo in range(0, len(admissible), chunk):
             idx = admissible[lo:lo + chunk]
             k = kappa[idx]
             rows = _profile_rows(k, x_w, half)
-            a_re, a_im, b_re, b_im = (rows @ proj).T
             g_sq, d_sq = ((rows * rows) @ norm_w).T
-            amp = np.sqrt(s[idx])
             omega_sq = m * m - k * k
-            a = a_re + 1j * a_im
-            iwb = 1j * np.sqrt(omega_sq) * (b_re + 1j * b_im)
-            ip[idx, 0] = amp * (a + iwb)
-            ip[idx, 1] = amp * (a - iwb)
             nn = s[idx] * ((omega_sq + m * m) * g_sq + d_sq)
-            rho_sq[idx] = norm_sq - 2.0 * np.abs(ip[idx]) + nn[:, None]
-        return rho_sq, ip
-
-    # ||Psi - Phi||_{E,R}^2 = res_w . |state_rows - Phi rows|^2 + w . |pi - pi_Phi|^2
-    state_rows = np.concatenate((psi_w, dpsi_w, pair_w))
-    res_w = np.concatenate((m * m * w, w_d, [kink, kink]))
+            rho_sq[idx] = norm_sq - 2.0 * np.abs(inner(s[idx], k, rows)) + nn[:, None]
+        return rho_sq
 
     def at(s: float):
         """(rho^2, wave) of the better sign of omega at s, the phase
-        eliminated; (inf, None) where s is not admissible."""
-        rho_sq, ip = scan(np.array([s]))
-        col = int(np.argmin(rho_sq[0]))
-        if not np.isfinite(rho_sq[0, col]):
-            return np.inf, None
+        eliminated and rho^2 the residual; (inf, None) where s is not
+        admissible."""
         kappa = 0.5 * float(alpha(model, s))
+        if not 0.0 < kappa <= m:
+            return np.inf, None
+        row = _profile_rows(np.array([kappa]), x_w, half)[0]
+        ip = inner(np.array([s]), np.array([kappa]), row[None, :])[0]
+        col = int(np.argmax(np.abs(ip)))
         omega = float(np.sqrt(m * m - kappa * kappa)) * (1.0 if col == 0 else -1.0)
-        wave = SolitaryWave(np.sqrt(s), float(np.angle(ip[0, col])) % (2.0 * np.pi),
+        wave = SolitaryWave(np.sqrt(s), float(np.angle(ip[col])) % (2.0 * np.pi),
                             kappa, omega)
-        # the residual summed term by term, which does not cancel
-        row = (wave.amplitude * np.exp(1j * wave.theta)) * _profile_rows(np.array([kappa]),
-                                                                        x_w, half)[0]
-        r = state_rows - row
-        r_pi = pi_w + 1j * omega * row[:n]
-        return float(res_w @ (r.real ** 2 + r.imag ** 2)
-                     + w @ (r_pi.real ** 2 + r_pi.imag ** 2)), wave
+        cand = (wave.amplitude * np.exp(1j * wave.theta)) * row
+        return residual_sq(cand, -1j * omega * cand[:n]), wave
 
     nodes = _bracket_nodes(_s_bound(model, m))
-    rho_sq, _ = scan(nodes)
+    rho_sq = scan(nodes)
     i, col = np.unravel_index(np.argmin(rho_sq), rho_sq.shape)
     if not rho_sq[i, col] < norm_sq:
         return ManifoldDistance(rho_zero, ZeroWave())

@@ -543,26 +543,25 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
                       initial.pi - split.b * split.g, initial.time)
     free = free_evolve(work, t, m)
     k1, w1 = split.kappa1, split.omega1
+    # The kink pair (a g, b g) is a sum of mass-shell harmonics
+    # A g cos(w1 t - phase), (A, phase) = (a, 0) and (b / w1, pi / 2).  Each
+    # evolves freely as that standing field plus the Duhamel field of the
+    # source -2 kappa1 A cos(w1 s - phase), whose boundary term is exact.  A
+    # zero amplitude gets no column: smooth data send only the trace through
+    # the cone sums.
+    harmonics = [(amp, phase) for amp, phase in ((split.a, 0.0), (split.b / w1, 0.5 * np.pi))
+                 if amp]
     times = np.arange(len(trace.f)) * dt
-    f_cols = np.column_stack([trace.f,
-                              np.cos(w1 * times).astype(complex),
-                              np.sin(w1 * times).astype(complex)])
-    ca = -2.0 * k1 * split.a
-    cb = -2.0 * k1 * split.b / w1
-    coef = np.array([1.0, ca, cb])
-    # standing kink parts of the closed-form free field
-    osc_c, osc_s = np.cos(w1 * t), np.sin(w1 * t)
-    psi_stand = split.g * (split.a * osc_c + split.b * osc_s / w1)
-    pi_stand = split.g * (-split.a * w1 * osc_s + split.b * osc_c)
-    # boundary terms: interpolated for the trace source, exact for the
-    # mass-shell harmonics
-    bdry = (0.5 * _interp_history(trace.f, reach, dt, inside)
-            + np.where(inside, 0.5 * (ca * np.cos(w1 * reach)
-                                      + cb * np.sin(w1 * reach)), 0.0))
-
+    f_cols = np.column_stack([trace.f] + [np.cos(w1 * times - phase) for _, phase in harmonics])
+    coef = np.array([1.0] + [-2.0 * k1 * amp for amp, _ in harmonics])
     d_psi_cols, d_pi_cols = _cone_quadrature(dt, f_cols, x, t, tables, m)
-    psi = free.psi + psi_stand + d_psi_cols @ coef
-    pi = free.pi + pi_stand + d_pi_cols @ coef + bdry
+    psi = free.psi + d_psi_cols @ coef
+    # boundary term of the trace source, interpolated
+    pi = free.pi + d_pi_cols @ coef + 0.5 * _interp_history(trace.f, reach, dt, inside)
+    for (amp, phase), c in zip(harmonics, coef[1:]):
+        psi += amp * np.cos(w1 * t - phase) * split.g
+        pi += (-amp * w1 * np.sin(w1 * t - phase)) * split.g
+        pi += np.where(inside, 0.5 * c * np.cos(w1 * reach - phase), 0.0)
     return FieldState(grid, psi, pi, t)
 
 

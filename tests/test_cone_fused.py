@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import cone_oracle
+import table_oracle
 from kgpoint import Grid, reconstruct_field, solve_trace, volterra
 from kgpoint.initial import GaussianSpec, gaussian_state
-from kgpoint.kernel import (_BUILD_CHUNK, BesselTable, KernelTables, bessel_j0,
-                            bessel_j1_over_x, kink_split)
+from kgpoint.kernel import (_TABLE_SPACING, KernelTables, bessel_j0, bessel_j1_over_x,
+                            kink_split)
 from kgpoint.solitary import sample_profile
 
 
@@ -80,7 +81,25 @@ def test_fused_lookup_equals_single_table_lookup_bitwise():
 
 @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1_over_x])
 def test_table_built_in_chunks_is_bitwise(fn):
-    table = BesselTable(fn, 20.0)
-    n = len(table.values)
-    assert n > 2 * _BUILD_CHUNK and n % _BUILD_CHUNK  # full chunks and a partial one
-    assert table.values.tobytes() == fn(np.arange(n) * table.spacing).tobytes()
+    values = table_oracle.direct_values(fn, 20.0)
+    n = len(values)
+    chunk = table_oracle._BUILD_CHUNK
+    assert n > 2 * chunk and n % chunk  # full chunks and a partial one
+    assert values.tobytes() == fn(np.arange(n) * _TABLE_SPACING).tobytes()
+
+
+@pytest.mark.parametrize("run, n_cols", [("solitary_run", 3), ("coarse_gaussian_run", 1)])
+def test_one_source_column_per_kink_harmonic(cubic_model, request, monkeypatch, run, n_cols):
+    # the trace plus one mass-shell harmonic per nonzero kink amplitude; smooth
+    # data send only the trace through the cone pass
+    init, trace = request.getfixturevalue(run)
+    widths = []
+    fused = volterra._cone_quadrature
+
+    def spy(dt, f_cols, *args):
+        widths.append(f_cols.shape[1])
+        return fused(dt, f_cols, *args)
+
+    monkeypatch.setattr(volterra, "_cone_quadrature", spy)
+    reconstruct_field(cubic_model, init, trace, 5.0)
+    assert widths == [n_cols]

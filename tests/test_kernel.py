@@ -1,11 +1,16 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
 from scipy.special import j0 as scipy_j0
 from scipy.special import j1 as scipy_j1
 
+import cone_oracle
+import table_oracle
 from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, green_g, kernel
-from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.config import InitialSpec
+from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
 from kgpoint.kernel import (bessel_j1, bessel_j1_over_x, convolve_j0, kink_split,
                             mass_shell_trace, spectral_energy_norm)
 from kgpoint.observables import norm_e
@@ -86,11 +91,52 @@ def hankel_all_terms(x, mu, chi_shift):
 
 
 def test_tables_equal_all_term_sums_bytewise(monkeypatch):
+    # the early stop of `_hankel` as it runs on the tables' coarse nodes
     fast = kernel.KernelTables(401.0)
     monkeypatch.setattr(kernel, "_hankel", hankel_all_terms)
     full = kernel.KernelTables(401.0)
     assert fast.j0.values.tobytes() == full.j0.values.tobytes()
     assert fast.j1x.values.tobytes() == full.j1x.values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tables_401():
+    """The tables of an attraction run (T = 400) and their direct-fill oracles."""
+    tables = kernel.KernelTables(401.0)
+    return tables, {"j0": table_oracle.direct_values(bessel_j0, 401.0),
+                    "j1x": table_oracle.direct_values(bessel_j1_over_x, 401.0)}
+
+
+# max |two-level fill - direct fill| over the 1.6M entries of a_max = 401 was
+# 7.7e-15 for J0 and 6.6e-16 for J1/x, both next to the series/Hankel splice
+# at 15, where the direct evaluation itself is noisiest
+@pytest.mark.parametrize("name, fn, entry_tol", [("j0", bessel_j0, 1e-14),
+                                                 ("j1x", bessel_j1_over_x, 1e-15)])
+class TestTwoLevelTableFill:
+    def test_coarse_nodes_equal_fn_bytewise(self, tables_401, name, fn, entry_tol):
+        values = getattr(tables_401[0], name).values
+        nodes = np.arange(0, len(values), kernel._COARSE)
+        assert values[nodes].tobytes() == fn(nodes * kernel._TABLE_SPACING).tobytes()
+
+    def test_entries_match_direct_fill(self, tables_401, name, fn, entry_tol):
+        values = getattr(tables_401[0], name).values
+        want = tables_401[1][name]
+        assert values.shape == want.shape
+        assert np.max(np.abs(values - want)) <= entry_tol
+
+    def test_lookup_error_within_direct_fill_error(self, tables_401, name, fn, entry_tol):
+        # dense sample, a third of it around the splice; over three samples the
+        # two-level table's max error against scipy exceeded the direct table's
+        # by at most 4e-17 (J1/x) and was 2.7e-15 smaller for J0
+        tables, direct = tables_401
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(0.0, tables.a_max, 200000),
+                            rng.uniform(13.0, 30.0, 100000)])
+        ref = scipy_j0(x) if name == "j0" else scipy_j1(x) / x
+        oracle = types.SimpleNamespace(values=direct[name], spacing=tables.spacing)
+        err = np.max(np.abs(cone_oracle.table_lookup(getattr(tables, name), x) - ref))
+        err_direct = np.max(np.abs(cone_oracle.table_lookup(oracle, x) - ref))
+        assert err <= err_direct + 1e-16
 
 
 class TestGreen:
@@ -248,6 +294,49 @@ class TestFreeTrace:
         smooth = gaussian_state(small_grid, GaussianSpec(amplitude=1.0, width=2.0))
         split = kink_split(smooth, 1.0)
         assert split.a == 0 and split.b == 0
+
+
+def _grid_at_spacing(h):
+    return Grid(1024 * h, 2049)
+
+
+# the long_sweep and attract_seed benchmark grids have spacings 0.615 and 0.42
+COARSE_SPACINGS = [0.2, 0.42, 0.615]
+
+
+class TestKinkSplitOnCoarseGrids:
+    @pytest.mark.parametrize("h", COARSE_SPACINGS)
+    def test_smooth_gaussians_get_no_split(self, h):
+        # the one-sided stencils' O(h^4) residue exceeds the threshold here
+        grid = _grid_at_spacing(h)
+        for seed in range(1, 11):
+            split = kink_split(gaussian_state(grid, seeded_gaussian_spec(seed)), 1.0)
+            assert split.a == 0 and split.b == 0, seed
+
+    @pytest.mark.parametrize("h", COARSE_SPACINGS)
+    def test_solitary_data_keep_their_split(self, cubic_model, h):
+        # measured at h = 0.615: a within 0.11% of the h = 0.05 value for the
+        # bare profile and 1.2% with the default bump; b within 0.11%
+        def splits(grid):
+            base = solitary_state(cubic_model, grid, 0.5)
+            spec = InitialSpec("solitary_plus_bump")
+            bump = gaussian_state(grid, GaussianSpec(spec.bump_amplitude, spec.bump_width,
+                                                     spec.bump_center))
+            bumped = FieldState(grid, base.psi + bump.psi, base.pi + bump.pi)
+            return [kink_split(st, 1.0) for st in (base, bumped)]
+
+        for fine, coarse in zip(splits(_grid_at_spacing(0.05)), splits(_grid_at_spacing(h))):
+            assert abs(coarse.a - fine.a) <= 0.02 * abs(fine.a)
+            assert abs(coarse.b - fine.b) <= 0.02 * abs(fine.b)
+
+    def test_coarse_free_trace_matches_fine_trace(self):
+        # seed 5 on the long_sweep grid (spacing 0.615) against h = 0.05, to
+        # T = 100: 2.9e-13 (the spurious split made it 6.7e-4)
+        spec = seeded_gaussian_spec(5)
+        times = np.arange(5001) * 0.02
+        fine = free_trace(gaussian_state(Grid(130.0, 5201), spec), times, 1.0)
+        coarse = free_trace(gaussian_state(Grid(630.0, 2049), spec), times, 1.0)
+        assert np.max(np.abs(coarse - fine)) <= 1e-12
 
 
 class TestLocalDecay:

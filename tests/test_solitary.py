@@ -200,3 +200,19 @@ class TestDistance:
         st = FieldState(small_grid, psi, -1j * om_a * psi)
         res = distance_to_manifold(linear_model, st, 5.0)
         assert res.rho < 1e-10  # pure span member
+
+    def test_linear_rho_is_the_residual_of_the_fit(self, linear_model, small_grid):
+        # as for the nonlinear branch: ||Psi||^2 - Re(v . coef) left a 3e-5
+        # relative gap here
+        om_a = SQ75
+        g = np.exp(-0.5 * np.abs(small_grid.x))
+        psi = (0.4 + 0.1j) * g
+        bump = gaussian_state(small_grid, GaussianSpec(amplitude=1e-6, width=0.7, center=2.0))
+        st = FieldState(small_grid, psi + bump.psi, -1j * om_a * psi + bump.pi)
+        res = distance_to_manifold(linear_model, st, 5.0)
+        fit = res.best
+        fit_psi = (fit.c_plus + fit.c_minus) * g
+        fit_pi = 1j * om_a * (fit.c_plus - fit.c_minus) * g
+        want = norm_e(FieldState(small_grid, st.psi - fit_psi, st.pi - fit_pi), 1.0, R=5.0)
+        assert 0.0 < want <= norm_e(bump, 1.0, R=5.0)
+        assert res.rho == pytest.approx(want, rel=1e-10, abs=0.0)
