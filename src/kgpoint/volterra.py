@@ -42,12 +42,16 @@ Leibniz time derivative of the Duhamel term, whose delta ridge integrates
 to the sharp analytic boundary value f(t - |x|)/2, to the free part's
 exact spectral derivative.
 
-Both cone sums come from one pass.  The pass walks the source nodes in
-blocks of about 2^15 kernel entries, small enough that a block's arrays stay
-in the per-core cache; each block computes the cone geometry
-m sqrt(tau^2 - x^2) and the cubic table-interpolation weights once, gathers
-J0 (the psi kernel) and J1/x (the pi kernel) with them, and multiplies both
-against the source histories in a single matmul.
+Both cone sums come from one pass over panels of 128 source nodes.  Away
+from the cone edge each row of the kernels is smooth across a panel (they
+are entire in u = tau^2 - x^2), so the pass evaluates it at 24 Chebyshev
+points only and multiplies against the panel's moments of the source
+histories.  The near-edge band, the last partial panel and the row x = 0
+are summed entry by entry, in blocks of about 2^15 kernel entries, small
+enough that a block's arrays stay in the per-core cache; each block computes
+the cone geometry m sqrt(tau^2 - x^2) and the cubic table-interpolation
+weights once, gathers J0 (the psi kernel) and J1/x (the pi kernel) with
+them, and multiplies both against the source histories in a single matmul.
 """
 
 from __future__ import annotations
@@ -352,6 +356,33 @@ _GAUSS_W = 0.5 * _GAUSS_W
 # about 1.3x slower.
 _BLOCK_ENTRIES = 1 << 15
 
+# source nodes per panel of the cone sum, Chebyshev points per panel, and the
+# largest kernel phase across a panel that the points resolve (in radians).
+# Panels are sized in nodes, not in time: 2560-node panels at dt = 1e-3
+# made a solitary snapshot's cone sum slower (0.061 s -> 0.08-0.12 s).
+_PANEL = 128
+_PANEL_POINTS = 24
+_PANEL_PHASE = 7.0
+
+
+def _panel_rule(n_nodes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points c_q on [0, n_nodes - 1] and the
+    (n_points, n_nodes) matrix W[q, j] = L_q(j) of their Lagrange basis at
+    the nodes, in barycentric form (weights (-1)^q sin theta_q).
+
+    For p of degree < n_points, sum_q p(c_q) W[q, j] = p(j), so
+    sum_j p(j) f_j = sum_q p(c_q) (W f)_q for any f.  For 24 points on 128
+    nodes the nearest node and point are 0.089 apart.
+    """
+    theta = (2 * np.arange(n_points) + 1) * np.pi / (2 * n_points)
+    points = 0.5 * (n_nodes - 1) * (1.0 - np.cos(theta))
+    terms = ((-1.0) ** np.arange(n_points) * np.sin(theta))[:, None] / (
+        np.arange(n_nodes)[None, :] - points[:, None])
+    return points, terms / terms.sum(axis=0)
+
+
+_PANEL_NODES, _PANEL_WEIGHTS = _panel_rule(_PANEL, _PANEL_POINTS)
+
 
 def _point_kernels(tables: KernelTables, m: float, xa: np.ndarray, tau: np.ndarray):
     """(K_psi, K_pi) at the points (xa, tau), clipped to the cone edge value
@@ -371,12 +402,30 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     `f_cols` has shape (n_times, k): each column is one source history and
     gets its own output column; the result is the pair (psi, pi) of
     (len(grid_x), k) complex arrays.  The kernels are even in x and the grid
-    is symmetric, so only the right half is summed and mirrored.  The sum
-    runs over blocks of about _BLOCK_ENTRIES kernel entries: a block of
-    consecutive source nodes touches only the x inside its widest cone
-    (capping the work at t^2/(2 h dt) entries), computes the cone geometry
-    m sqrt(tau^2 - x^2) and the interpolation weights once, gathers both
-    kernels from them and multiplies both against the sources in one matmul.
+    is symmetric, so only the right half is summed and mirrored.
+
+    The trapezoid sums run over panels of _PANEL consecutive source nodes.
+    Both kernels depend on a row x only through u = tau^2 - x^2, and
+    J0(m sqrt(u)) and J1(m sqrt(u))/(m sqrt(u)) are entire in u, so away
+    from the cone edge a row is a smooth function of tau across a panel.
+    There it is replaced by its interpolant at _PANEL_POINTS Chebyshev
+    points (`_panel_rule`): the panel's sum becomes K(x, tau_q) @ g with the
+    panel moments g = W f, computed once per call for every panel and
+    source column, and 24 kernel lookups per row replace 128.  A (row,
+    panel) pair takes this rule when the row's trapezoid region covers the
+    whole panel and the kernel's phase across it,
+    m tau_lo (_PANEL - 1) dt / sqrt(tau_lo^2 - x^2) at the panel's smallest
+    tau, is at most _PANEL_PHASE (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013, ch. 8).  On rows at that bound the
+    rule's kernel values differ from the nodes' by at most 8e-14 of
+    sum |K| over the panel in the l1 norm, for both kernels and
+    dt = 1e-3 .. 0.05 (4e-15 at dt = 1e-3; tests/test_cone_fused.py), and
+    whole reconstructions stay within 5.1e-14 max|field| of the direct pass.
+    The rest is summed entry by entry, in blocks of whole rows with about
+    _BLOCK_ENTRIES kernel entries that share the cone geometry and the
+    interpolation weights between both kernels: the near-edge band of each
+    panel, the last partial panel, and the row x = 0.  Each block
+    multiplies both kernels against the sources in one matmul.
 
     Near the cone edge the kernels turn as functions of r = sqrt(tau^2-x^2)
     with d(phase)/ds ~ m sqrt(x/(2u)) diverging at the edge (u = distance to
@@ -387,11 +436,12 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     The trapezoid region always ends on a node with half weight; for x
     without an edge zone the final partial cell is closed with the kernel's
     edge-limit value (which `_point_kernels` returns at tau = |x|).  The
-    x = 0 column has no edge zone and stays the exact mirror of the trace
-    solver's product-integration weights.
+    x = 0 column has no edge zone and, summed entry by entry, stays the
+    exact mirror of the trace solver's product-integration weights.
     """
     n_half = (len(grid_x) + 1) // 2
     xa = grid_x[n_half - 1:]  # 0 .. L ascending
+    x_sq = xa * xa
     h = xa[1] - xa[0]
     n_times, n_cols = f_cols.shape
     half_m_sq = 0.5 * m * m
@@ -414,30 +464,48 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     n_nodes = int(np.max(j_cut)) + 1 if np.any(inside) else 0
     f_ri = np.concatenate([f_cols.real, f_cols.imag], axis=1)
 
-    start = 0
-    while start < n_nodes:
-        tau_max = t - start * dt
-        nx = min(int(tau_max / h) + 1, n_half)
-        block = max(1, min(_BLOCK_ENTRIES // nx, n_nodes - start))
-        stop = start + block
-        jidx = np.arange(start, stop)
-        tau = t - jidx * dt
-        arg = tau[None, :] ** 2 - (xa[:nx] * xa[:nx])[:, None]
-        np.maximum(arg, 0.0, out=arg)
-        np.sqrt(arg, out=arg)
-        arg *= m
-        kern = np.empty((2, nx, block))
-        tables(arg, out=kern)
-        kern[0] *= 0.5
-        kern[1] *= -half_m_sq * tau[None, :]
-        # zero the entries past each row's trapezoid end; rows whose end
-        # lies beyond the block need none
-        short = np.flatnonzero(j_cut[:nx] < stop - 1)
-        if short.size:
-            r0 = short[0]
-            kern[:, r0:][:, jidx[None, :] > j_cut[r0:nx, None]] = 0.0
-        acc[:, :nx] += (kern.reshape(2 * nx, block) @ f_ri[start:stop]).reshape(2, nx, -1)
-        start = stop
+    def add(r0: int, r1: int, tau: np.ndarray, src: np.ndarray, nodes=None):
+        """acc[:, r0:r1] += K(x, tau) @ src in blocks of whole rows.  With
+        `nodes` (the source node of each tau), entries past a row's
+        trapezoid end are dropped."""
+        rows = max(1, _BLOCK_ENTRIES // len(tau))
+        tau_sq = tau * tau
+        for a in range(r0, r1, rows):
+            b = min(a + rows, r1)
+            arg = tau_sq[None, :] - x_sq[a:b, None]
+            np.maximum(arg, 0.0, out=arg)
+            np.sqrt(arg, out=arg)
+            arg *= m
+            kern = np.empty((2,) + arg.shape)
+            tables(arg, out=kern)
+            kern[0] *= 0.5
+            kern[1] *= -half_m_sq * tau[None, :]
+            if nodes is not None:
+                short = np.flatnonzero(j_cut[a:b] < nodes[-1])
+                if short.size:
+                    s0 = short[0]
+                    kern[:, s0:][:, nodes[None, :] > j_cut[a + s0:b, None]] = 0.0
+            acc[:, a:b] += (kern.reshape(2 * (b - a), -1) @ src).reshape(2, b - a, -1)
+
+    n_full = n_nodes // _PANEL
+    moments = _PANEL_WEIGHTS @ f_ri[:n_full * _PANEL].reshape(n_full, _PANEL, f_ri.shape[1])
+    # a row compresses on a panel when its trapezoid covers the panel (no
+    # partial cell or Gauss zone inside) and x^2 <= tau_lo^2 (1 - ratio^2)
+    ratio = m * (_PANEL - 1) * dt / _PANEL_PHASE
+    for k, start in enumerate(range(0, n_nodes, _PANEL)):
+        nodes = np.arange(start, min(start + _PANEL, n_nodes))
+        tau = t - nodes * dt
+        nx = min(int(tau[0] / h) + 1, n_half)
+        split = 1  # rows 1 .. split-1 take the panel rule
+        if k < n_full:
+            ok = ((j_cut[1:nx] >= nodes[-1])
+                  & (x_sq[1:nx] <= tau[-1] * tau[-1] * (1.0 - ratio * ratio)))
+            bad = np.flatnonzero(~ok)
+            split += int(bad[0]) if bad.size else ok.size
+            add(1, split, t - (start + _PANEL_NODES) * dt, moments[k])
+        src = f_ri[start:start + len(nodes)]
+        add(0, 1, tau, src, nodes)
+        add(split, nx, tau, src, nodes)
     sums = (acc[..., :n_cols] + 1j * acc[..., n_cols:]) * dt
 
     inside_c = inside[:, None]

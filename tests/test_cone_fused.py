@@ -1,4 +1,5 @@
-"""The fused psi/pi cone pass against the two-pass oracle in cone_oracle.py."""
+"""The fused psi/pi cone pass, with its Chebyshev panels, against the
+two-pass direct oracle in cone_oracle.py."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import cone_oracle
 import table_oracle
 from kgpoint import Grid, reconstruct_field, solve_trace, volterra
-from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
 from kgpoint.kernel import (_TABLE_SPACING, KernelTables, bessel_j0, bessel_j1_over_x,
                             kink_split)
 from kgpoint.solitary import sample_profile
@@ -27,6 +28,8 @@ def coarse_gaussian_run(cubic_model):
 
 
 def _assert_matches_oracle(model, init, trace, t, monkeypatch):
+    """Reconstruct at t with the fused pass and with the oracle, assert that
+    they agree to 1e-12 max|field|, and return both states."""
     tables = KernelTables(model.mass * (t + trace.dt) + 1.0)
     fused = reconstruct_field(model, init, trace, t, tables)
     with monkeypatch.context() as mp:
@@ -34,6 +37,7 @@ def _assert_matches_oracle(model, init, trace, t, monkeypatch):
         oracle = reconstruct_field(model, init, trace, t, tables)
     for got, want in ((fused.psi, oracle.psi), (fused.pi, oracle.pi)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return fused, oracle
 
 
 def _cone_rectangle(init, trace, t):
@@ -45,6 +49,68 @@ def test_kinked_solitary(cubic_model, solitary_run, monkeypatch):
     init, trace = solitary_run
     assert kink_split(init, cubic_model.mass).a != 0  # the kink columns carry weight
     _assert_matches_oracle(cubic_model, init, trace, 6.0, monkeypatch)
+
+
+def test_center_column_is_summed_directly(cubic_model, solitary_run, monkeypatch):
+    # x = 0 stays on the direct pass, the mirror of the trace solver's
+    # product-integration weights.  The panel rule is accurate to roundoff
+    # there too, so the lookups show which pass summed it: the kernel is
+    # read at every source node s_j, at argument m (t - s_j)
+    init, trace = solitary_run
+    t = 6.0
+    args = []
+    lookup = KernelTables.__call__
+
+    def recording(self, a, out=None):
+        args.append(np.ravel(a))
+        return lookup(self, a, out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(KernelTables, "__call__", recording)
+        fused, oracle = _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
+    c = init.grid.center_index
+    for got, want in ((fused.psi, oracle.psi), (fused.pi, oracle.pi)):
+        assert abs(got[c] - want[c]) <= 1e-14 * abs(want[c])
+    seen = np.unique(np.concatenate(args))
+    center_args = cubic_model.mass * (t - trace.times[:trace.index_of(t) + 1])
+    nearest = np.clip(np.searchsorted(seen, center_args), 1, len(seen) - 1)
+    gap = np.minimum(np.abs(seen[nearest] - center_args), np.abs(seen[nearest - 1] - center_args))
+    assert np.all(gap <= 1e-12 * t)
+
+
+@pytest.mark.parametrize("spacing", [0.419921875, 0.615234375])
+def test_solitary_probe_geometry(cubic_model, monkeypatch, spacing):
+    # the benchmark's accuracy probe: kinked solitary data (three source
+    # columns) at T = 50, dt = 0.02 on the attract_seed and long_sweep spacings
+    grid = Grid(111.0, 2 * round(111.0 / spacing) + 1)
+    init = solitary_state(cubic_model, grid, 0.5)
+    trace = solve_trace(cubic_model, init, 50.0, 0.02).trace
+    fused, _ = _assert_matches_oracle(cubic_model, init, trace, 50.0, monkeypatch)
+    assert np.all(np.isfinite(fused.psi)) and np.all(np.isfinite(fused.pi))
+
+
+def test_many_panels_look_up_few_entries(cubic_model, monkeypatch):
+    # 9500 source nodes (74 panels) on 513 half-grid rows; counting the
+    # points handed to the tables catches a silent fallback to the direct pass
+    grid = Grid(200.0, 2 ** 10 + 1)
+    init = gaussian_state(grid, GaussianSpec(amplitude=0.6, width=1.0,
+                                             center=1.0, omega_bar=0.3))
+    t = 190.0
+    trace = solve_trace(cubic_model, init, t, 0.02).trace
+    points = []
+    lookup = KernelTables.__call__
+
+    def counting(self, a, out=None):
+        points.append(np.size(a))
+        return lookup(self, a, out)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(KernelTables, "__call__", counting)
+        _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
+        n_fused = sum(points)  # the oracle interpolates without the call
+    reach = t - grid.x[grid.center_index:]
+    entries = int(np.sum(np.floor(reach[reach >= 0] / trace.dt + 1e-12) + 1))
+    assert n_fused < 0.4 * entries
 
 
 def test_gaussian_with_gauss_edge_zone(cubic_model, coarse_gaussian_run, monkeypatch):
@@ -103,3 +169,40 @@ def test_one_source_column_per_kink_harmonic(cubic_model, request, monkeypatch, 
     monkeypatch.setattr(volterra, "_cone_quadrature", spy)
     reconstruct_field(cubic_model, init, trace, 5.0)
     assert widths == [n_cols]
+
+
+def test_panel_rule_reproduces_polynomials():
+    points, weights = volterra._PANEL_NODES, volterra._PANEL_WEIGHTS
+    assert weights.shape == (volterra._PANEL_POINTS, volterra._PANEL)
+    assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= 1e-13
+    nodes = np.arange(volterra._PANEL)
+    span = volterra._PANEL - 1
+    for degree in range(volterra._PANEL_POINTS):
+        poly = np.polynomial.Chebyshev.basis(degree, domain=[0, span])
+        assert np.max(np.abs(poly(points) @ weights - poly(nodes))) <= 1e-13
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2.5e-3, 0.02, 0.05])
+def test_compressed_panel_at_the_phase_bound(dt):
+    # rows x on the bound m tau_lo (P - 1) dt / sqrt(tau_lo^2 - x^2) = Omega.
+    # tau - x is carried exactly as d + lag, so that u = tau^2 - x^2 has no
+    # cancellation and the gap is the rule's, not the rounding of tau.  The
+    # worst l1 gap measured here is 8.0e-14 sum |K| (dt = 0.05; 4.3e-15 at
+    # dt = 1e-3); at twice the phase bound it is 1.7e-11
+    m = 1.0
+    tables = KernelTables(1001.0)
+    lag_nodes = (volterra._PANEL - 1 - np.arange(volterra._PANEL)) * dt
+    lag_points = (volterra._PANEL - 1 - volterra._PANEL_NODES) * dt
+    ratio = m * (volterra._PANEL - 1) * dt / volterra._PANEL_PHASE
+    assert ratio < 1.0  # rows off x = 0 compress at this dt
+
+    def kernels(x, d, lag):
+        j0, j1x = tables(m * np.sqrt((d + lag) * (2.0 * x + d + lag)))
+        return 0.5 * j0, -0.5 * m * m * (x + d + lag) * j1x
+
+    for tau_lo in np.geomspace(0.05, 1000.0, 60):
+        x = tau_lo * np.sqrt(1.0 - ratio * ratio)
+        d = tau_lo - x
+        for direct, compressed in zip(kernels(x, d, lag_nodes), kernels(x, d, lag_points)):
+            gap = np.sum(np.abs(direct - compressed @ volterra._PANEL_WEIGHTS))
+            assert gap <= 3e-13 * np.sum(np.abs(direct))
