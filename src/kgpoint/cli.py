@@ -134,15 +134,12 @@ def cmd_solitary(args) -> int:
         rows = [(w.amplitude, w.kappa, w.omega) for w in res]
     else:
         return _fail(2, "solitary needs --C or --omega")
-    print("C,kappa,omega")
-    for C, kappa, omega in rows:
-        print(f"{C!r},{kappa!r},{omega!r}")
+    table = "C,kappa,omega\n" + "".join(f"{C!r},{kappa!r},{omega!r}\n"
+                                         for C, kappa, omega in rows)
+    print(table, end="")
     if args.out and args.write:
-        outdir = _outdir(args)
-        with open(os.path.join(outdir, "solitary.csv"), "w", encoding="utf-8") as fh:
-            fh.write("C,kappa,omega\n")
-            for C, kappa, omega in rows:
-                fh.write(f"{C!r},{kappa!r},{omega!r}\n")
+        with open(os.path.join(_outdir(args), "solitary.csv"), "w", encoding="utf-8") as fh:
+            fh.write(table)
     return 0
 
 

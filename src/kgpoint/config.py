@@ -15,13 +15,12 @@ wrap-around are excluded by construction instead of by absorbing layers.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldState, Grid, zero_state
 from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
                       gaussian_state, seeded_gaussian_spec, solitary_state)
-from .model import ModelKind, OscillatorModel, alpha
+from .model import OscillatorModel, alpha
 
 
 class ConfigError(Exception):
@@ -265,40 +264,3 @@ def _parse_windows(text: str) -> list[tuple[float, float]]:
         lo, hi = part.split(":")
         out.append((float(lo), float(hi)))
     return out
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["model"] = {"kind": cfg.model.kind.value, "mass": repr(cfg.model.mass)}
-    if cfg.model.kind is ModelKind.POLYNOMIAL:
-        cp["model"]["coefficients"] = ", ".join(repr(c) for c in cfg.model.coefficients)
-    else:
-        cp["model"]["a"] = repr(cfg.model.linear_a)
-    cp["grid"] = {"half_extent": repr(cfg.half_extent), "n_points": str(cfg.n_points)}
-    cp["time"] = {"T": repr(cfg.T), "dt": repr(cfg.dt)}
-    init = cfg.initial
-    sec = {"kind": init.kind}
-    if init.kind in ("solitary", "solitary_plus_bump"):
-        sec.update(C=repr(init.C), theta=repr(init.theta), branch=init.branch)
-    if init.kind in ("gaussian",):
-        sec.update(amplitude_re=repr(init.amplitude.real),
-                   amplitude_im=repr(init.amplitude.imag),
-                   width=repr(init.width), center=repr(init.center),
-                   momentum=repr(init.momentum), omega_bar=repr(init.omega_bar))
-    if init.kind == "solitary_plus_bump":
-        sec.update(bump_amplitude_re=repr(init.bump_amplitude.real),
-                   bump_amplitude_im=repr(init.bump_amplitude.imag),
-                   bump_width=repr(init.bump_width), bump_center=repr(init.bump_center))
-    if init.kind == "from_file":
-        sec["path"] = init.path
-    cp["initial"] = sec
-    cp["run"] = {"seed": str(cfg.seed), "energy_tol": repr(cfg.energy_tol)}
-    cp["outputs"] = {
-        "trace": "true" if cfg.out_trace else "false",
-        "snapshots": ", ".join(repr(t) for t in cfg.snapshots),
-        "spectrum_windows": ", ".join(f"{a}:{b}" for a, b in cfg.spectrum_windows),
-        "report": "true" if cfg.out_report else "false",
-    }
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()

@@ -83,9 +83,13 @@ def seeded_gaussian_spec(seed: int) -> GaussianSpec:
     )
 
 
-def data_radius_gaussian(spec: GaussianSpec, tail: float = 1e-13) -> float:
-    return abs(spec.center) + spec.width * float(np.sqrt(-2.0 * np.log(tail)))
+# relative magnitude at which the data radius cuts the profile's tail
+_DATA_TAIL = 1e-13
 
 
-def data_radius_exponential(kappa: float, tail: float = 1e-13) -> float:
-    return float(-np.log(tail) / kappa)
+def data_radius_gaussian(spec: GaussianSpec) -> float:
+    return abs(spec.center) + spec.width * float(np.sqrt(-2.0 * np.log(_DATA_TAIL)))
+
+
+def data_radius_exponential(kappa: float) -> float:
+    return float(-np.log(_DATA_TAIL) / kappa)

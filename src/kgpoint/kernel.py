@@ -22,12 +22,14 @@ modes: the phases of the L offsets l dt against the amplitudes rotated to
 the N/L starts s L dt.  That is O(sqrt(N)) trig calls per mode and the
 multiply-adds run in BLAS, with no per-step loop.
 
-The cone sums read J0 and J1(x)/x from `KernelTables`, fine tables with
-cubic lookup.  Each is filled in two levels: the function is evaluated
-directly on every 64th node only, and one fixed 8-point Lagrange stencil
-fills the nodes between.  That needs a function that is even (the stencil
-reaches below 0) and smooth on the coarse spacing, as both Bessel factors
-are.
+J0 and J1(x)/x both come from one routine for J_nu(x)/x^nu, nu = 0 and 1:
+an extended-precision power series up to x = 15 and the full Hankel
+asymptotic sums beyond.  The cone sums read them from `KernelTables`, fine
+tables with cubic lookup.  Each table is filled in two levels: the function
+is evaluated directly on every 64th node only, and one fixed 8-point
+Lagrange stencil fills the nodes between.  That needs a function that is
+even (the stencil reaches below 0) and smooth on the coarse spacing, as
+both Bessel factors are.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ import numpy as np
 from .fields import FieldState
 
 
-def support_radius(state: FieldState, rel: float = 1e-10) -> float:
-    """Radius of the data support at a relative magnitude threshold."""
+# magnitude, relative to the peak, below which data count as outside the support
+_SUPPORT_REL = 1e-10
+
+
+def support_radius(state: FieldState) -> float:
+    """Radius of the data support at the relative threshold _SUPPORT_REL."""
     mag = np.maximum(np.abs(state.psi), np.abs(state.pi))
     peak = float(mag.max())
     if peak == 0.0:
         return 0.0
-    idx = np.nonzero(mag > rel * peak)[0]
+    idx = np.nonzero(mag > _SUPPORT_REL * peak)[0]
     x = state.grid.x
     return float(max(abs(x[idx[0]]), abs(x[idx[-1]])))
 
@@ -62,52 +68,18 @@ def check_horizon(initial: FieldState, t_max: float, what: str) -> None:
 
 _SERIES_CUT = 15.0
 _ASYM_TERMS = 34
-_QUARTER_ULP_1 = 0.25 * float(np.spacing(1.0))
 
 
-def _hankel(x: np.ndarray, mu: float, chi_shift: float) -> np.ndarray:
-    """Large-argument amplitude/phase form sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    with the standard coefficient recurrence c_j = c_{j-1} (mu - (2j-1)^2)/(8j).
-
-    The sums stop early once every remaining term is below a quarter ulp of
-    the smallest |P| and |Q|: adding such a term rounds back to the same
-    sum, so the result equals the full sums bit for bit.  The remaining
-    terms are bounded by their value at the smallest x, computed with the
-    same operations, because rounding is monotone.
-    """
-    c = np.ones(_ASYM_TERMS)
-    bound = np.zeros(_ASYM_TERMS)  # |term j| at the smallest x
-    xp_min, inv_min = 1.0, 1.0 / float(x.min())
-    for j in range(1, _ASYM_TERMS):
-        c[j] = c[j - 1] * ((mu - (2 * j - 1) ** 2) / (8.0 * j))
-        xp_min = xp_min * inv_min
-        bound[j] = abs(c[j] * xp_min)
-    tail = np.maximum.accumulate(bound[::-1])[::-1]  # tail[j] = max of bound[j:]
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    xp = np.ones_like(x)
-    inv = 1.0 / x
-    for j in range(1, _ASYM_TERMS):
-        # the cheap first test skips the reductions while the tail is above a
-        # quarter ulp of 1; sums larger than 1 only make the stop come later
-        if (tail[j] < _QUARTER_ULP_1
-                and tail[j] < 0.25 * np.spacing(min(np.abs(P).min(), np.abs(Q).min()))):
-            break
-        xp = xp * inv
-        if j % 2 == 0:
-            P += ((-1.0) ** (j // 2)) * c[j] * xp
-        else:
-            Q += ((-1.0) ** ((j - 1) // 2)) * c[j] * xp
-    chi = x - chi_shift
-    return np.sqrt(2.0 / (np.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
-
-
-def bessel_j0(x) -> float | np.ndarray:
-    """J0(x), even in x, absolute error below 1e-13 for |x| <= 1e4.
+def _bessel_over_power(x, nu: int) -> float | np.ndarray:
+    """J_nu(x) / x^nu for nu = 0 or 1: even in x, absolute error below 1e-13
+    for |x| <= 1e4.
 
     Ascending power series in extended precision for |x| <= 15 (the float64
     series loses ~4 digits to cancellation there), Hankel amplitude/phase
-    asymptotics beyond.  Both branches agree to ~1e-14 at the splice.
+    asymptotics beyond: sqrt(2/(pi x)) (P cos chi - Q sin chi) with
+    chi = x - (2 nu + 1) pi/4 and every one of the _ASYM_TERMS terms of P and
+    Q, from the recurrence c_j = c_{j-1} (4 nu^2 - (2j-1)^2)/(8j).  Both
+    branches agree to ~1e-14 at the splice.
     """
     x = np.abs(np.asarray(x, dtype=float))
     scalar = x.ndim == 0
@@ -118,15 +90,34 @@ def bessel_j0(x) -> float | np.ndarray:
     if np.any(small):
         xs = x[small].astype(np.longdouble)
         q = -(xs * xs) / np.longdouble(4)
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
+        term = np.full_like(xs, np.longdouble(0.5 ** nu))
+        acc = term.copy()
         for k in range(1, 46):
-            term = term * q / np.longdouble(k * k)
+            term = term * q / np.longdouble(k * (k + nu))
             acc += term
         out[small] = acc.astype(float)
     if np.any(~small):
-        out[~small] = _hankel(x[~small], 0.0, 0.25 * np.pi)
+        xl = x[~small]
+        P = np.ones_like(xl)
+        Q = np.zeros_like(xl)
+        xp = np.ones_like(xl)
+        inv = 1.0 / xl
+        c = 1.0
+        for j in range(1, _ASYM_TERMS):
+            c *= (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j)
+            xp = xp * inv
+            if j % 2 == 0:
+                P += ((-1.0) ** (j // 2)) * c * xp
+            else:
+                Q += ((-1.0) ** ((j - 1) // 2)) * c * xp
+        chi = xl - (0.25 + 0.5 * nu) * np.pi
+        out[~small] = np.sqrt(2.0 / (np.pi * xl)) * (P * np.cos(chi) - Q * np.sin(chi)) / xl ** nu
     return float(out[0]) if scalar else out
+
+
+def bessel_j0(x) -> float | np.ndarray:
+    """J0(x), even in x, absolute error below 1e-13 for |x| <= 1e4."""
+    return _bessel_over_power(x, 0)
 
 
 def bessel_j1_over_x(x) -> float | np.ndarray:
@@ -135,25 +126,7 @@ def bessel_j1_over_x(x) -> float | np.ndarray:
     This is the smooth factor of the Green function's interior time
     derivative, dG/dt = -(m^2 t / 2) [J1/(.)](m sqrt(t^2 - x^2)).
     """
-    x = np.abs(np.asarray(x, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = x <= _SERIES_CUT
-    if np.any(small):
-        xs = x[small].astype(np.longdouble)
-        q = -(xs * xs) / np.longdouble(4)
-        term = np.full_like(xs, np.longdouble(0.5))
-        acc = np.full_like(xs, np.longdouble(0.5))
-        for k in range(1, 46):
-            term = term * q / np.longdouble(k * (k + 1))
-            acc += term
-        out[small] = acc.astype(float)
-    if np.any(~small):
-        xl = x[~small]
-        out[~small] = _hankel(xl, 4.0, 0.75 * np.pi) / xl
-    return float(out[0]) if scalar else out
+    return _bessel_over_power(x, 1)
 
 
 def bessel_j1(x) -> float | np.ndarray:

@@ -16,7 +16,9 @@ For polynomial models the relations are explicit in s = C^2: kappa =
 alpha(s)/2 and omega = +/- sqrt(m^2 - kappa^2).  The admissible set is the
 s > 0 with alpha(s)/2 in (0, m], a union of intervals in general, and
 `distance_to_manifold` scans it in s, with no root finding.  Only
-`waves_at_omega` solves alpha(s) = 2 kappa for s.
+`waves_at_omega` solves alpha(s) = 2 kappa for s.  Both model kinds measure
+the distance through the same profile rows, inner products and term-by-term
+residual; the linear model needs them at the single decay kappa = a/2.
 """
 
 from __future__ import annotations
@@ -150,8 +152,12 @@ def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]
     return [SolitaryWave(C, 0.0, kappa_c, w), SolitaryWave(C, 0.0, kappa_c, -w)]
 
 
-def waves_at_omega(model: OscillatorModel, omega: float,
-                   family_tol: float = 1e-9) -> list[SolitaryWave] | LinearWaveFamily:
+# |omega -/+ omega_a| at which a linear-model frequency counts as resonant
+_FAMILY_TOL = 1e-9
+
+
+def waves_at_omega(model: OscillatorModel, omega: float
+                   ) -> list[SolitaryWave] | LinearWaveFamily:
     """All waves at frequency omega; a LinearWaveFamily flag for the linear continuum."""
     m = model.mass
     if model.kind is ModelKind.LINEAR:
@@ -159,7 +165,7 @@ def waves_at_omega(model: OscillatorModel, omega: float,
         if a <= 0 or a >= 2 * m:
             return []
         omega_a = float(np.sqrt(m * m - 0.25 * a * a))
-        if min(abs(omega - omega_a), abs(omega + omega_a)) <= family_tol:
+        if min(abs(omega - omega_a), abs(omega + omega_a)) <= _FAMILY_TOL:
             return LinearWaveFamily(kappa=0.5 * a, omega=float(np.sign(omega) * omega_a))
         return []
     if abs(omega) >= m:
@@ -224,17 +230,6 @@ def _profile_rows(kappa: np.ndarray, x_w: np.ndarray, half: int) -> np.ndarray:
     return rows
 
 
-def _candidate_window_arrays(wave_params, x_w, half):
-    """psi, psi' (the pair average at x = 0), the one-sided pair and pi of
-    C e^{-kappa|x|} on the window nodes."""
-    C, kappa, omega = wave_params
-    n = len(x_w)
-    row = C * _profile_rows(np.array([kappa]), x_w, half)[0]
-    psi, dpsi, (d_plus, d_minus) = row[:n], row[n:2 * n], row[2 * n:]
-    dpsi[half] = 0.5 * (d_plus + d_minus)
-    return psi, dpsi, (d_plus, d_minus), -1j * omega * psi
-
-
 # profile-matrix entries per chunk of the amplitude scan, so that its
 # temporaries stay bounded however many nodes the window holds
 _SCAN_ENTRIES = 1 << 16
@@ -255,25 +250,13 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     scan's inner-product form cancels to ~1e-15 ||Psi||^2, which near the
     manifold leaves only a few digits of rho); the reported rho is that
     residual of the reported wave.  The zero wave is always a candidate.
-    Linear models: least squares onto the span of the two resonant modes,
-    rho the residual of that fit, summed term by term too.
+    Linear models: least squares onto the span of the two resonant modes.
+    They share the profile row of kappa = a/2, so the scan's inner products
+    give the right-hand side and its squared-row sums the 2 x 2 Gram
+    matrix; rho is the residual of that fit, summed term by term too.
     """
     m = model.mass
     psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
-    state_bundle = (psi_w, dpsi_w, pair_w, pi_w)
-
-    def win_inner(a, b) -> complex:
-        apsi, adp, (app, apm), api = a
-        bpsi, bdp, (bpp, bpm), bpi = b
-        ip = np.sum(w * (api * np.conj(bpi) + adp * np.conj(bdp)
-                         + m * m * apsi * np.conj(bpsi)))
-        # the kink node carries the average of the two one-sided products
-        ip += w[half] * (0.5 * (app * np.conj(bpp) + apm * np.conj(bpm))
-                         - adp[half] * np.conj(bdp[half]))
-        return complex(ip)
-
-    norm_sq = max(win_inner(state_bundle, state_bundle).real, 0.0)
-    rho_zero = float(np.sqrt(norm_sq))
 
     # ||Psi - Phi||_{E,R}^2 summed term by term, which does not cancel: against
     # candidate rows [psi | psi' | psi'(0+), psi'(0-)] laid out like those of
@@ -285,30 +268,13 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     state_rows = np.concatenate((psi_w, dpsi_w, pair_w))
     res_w = np.concatenate((m * m * w, w_d, [kink, kink]))
 
-    def residual_sq(row: np.ndarray, pi_row: np.ndarray) -> float:
+    def residual_sq(row, pi_row) -> float:
         r = state_rows - row
         r_pi = pi_w - pi_row
         return float(res_w @ (r.real ** 2 + r.imag ** 2) + w @ (r_pi.real ** 2 + r_pi.imag ** 2))
 
-    if model.kind is ModelKind.LINEAR:
-        a = model.linear_a
-        if a <= 0 or a >= 2 * m:
-            return ManifoldDistance(rho_zero, ZeroWave())
-        omega_a = float(np.sqrt(m * m - 0.25 * a * a))
-        e1 = _candidate_window_arrays((1.0, 0.5 * a, -omega_a), x_w, half)  # pi = +i omega_a g
-        e2 = _candidate_window_arrays((1.0, 0.5 * a, omega_a), x_w, half)   # pi = -i omega_a g
-        v = np.array([win_inner(state_bundle, e1), win_inner(state_bundle, e2)])
-        gram = np.array([[win_inner(e1, e1), win_inner(e2, e1)],
-                         [win_inner(e1, e2), win_inner(e2, e2)]])
-        coef = np.linalg.solve(gram, v)
-        # both modes have the profile g = e^{-a |x| / 2}, with pi = +-i omega_a g
-        g_row = _profile_rows(np.array([0.5 * a]), x_w, half)[0]
-        rho = float(np.sqrt(residual_sq((coef[0] + coef[1]) * g_row,
-                                        (1j * omega_a * (coef[0] - coef[1])) * g_row[:n])))
-        fit = LinearSpanFit(complex(coef[0]), complex(coef[1]), omega_a, 0.5 * a)
-        if rho_zero <= rho + 1e-15:
-            return ManifoldDistance(rho_zero, ZeroWave())
-        return ManifoldDistance(rho, fit)
+    norm_sq = residual_sq(0.0, 0.0)
+    rho_zero = float(np.sqrt(norm_sq))
 
     # Against the rows of `_profile_rows`, the candidate C phi with
     # pi = -i omega C phi has <Psi, Phi> = C (A + i omega B) and
@@ -322,7 +288,6 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     norm_w[:n, 0] = w
     norm_w[n:2 * n, 1] = w_d
     norm_w[2 * n:, 1] = kink
-    chunk = max(1, _SCAN_ENTRIES // (2 * n + 2))
 
     def inner(s: np.ndarray, kappa: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """<Psi, Phi> of the waves with C^2 = s and these kappa (rows) for
@@ -331,6 +296,30 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
         a = a_re + 1j * a_im
         iwb = 1j * np.sqrt(m * m - kappa * kappa) * (b_re + 1j * b_im)
         return np.sqrt(s)[:, None] * np.stack((a + iwb, a - iwb), axis=1)
+
+    if model.kind is ModelKind.LINEAR:
+        a = model.linear_a
+        if a <= 0 or a >= 2 * m:
+            return ManifoldDistance(rho_zero, ZeroWave())
+        # both modes have the profile g = e^{-a |x| / 2}, with pi = +i omega_a g
+        # (c_plus) and -i omega_a g (c_minus): the columns of `inner` reversed
+        omega_a = float(np.sqrt(m * m - 0.25 * a * a))
+        kappa = np.array([0.5 * a])
+        g_row = _profile_rows(kappa, x_w, half)[0]
+        v = inner(np.ones(1), kappa, g_row[None, :])[0, ::-1]
+        # Gram matrix [[p, q], [q, p]]: the modes' pi parts are conjugate
+        g_sq, d_sq = (g_row * g_row) @ norm_w
+        p = (m * m + omega_a * omega_a) * g_sq + d_sq
+        q = (m * m - omega_a * omega_a) * g_sq + d_sq
+        coef = np.linalg.solve(np.array([[p, q], [q, p]]), v)
+        rho = float(np.sqrt(residual_sq((coef[0] + coef[1]) * g_row,
+                                        (1j * omega_a * (coef[0] - coef[1])) * g_row[:n])))
+        fit = LinearSpanFit(complex(coef[0]), complex(coef[1]), omega_a, 0.5 * a)
+        if rho_zero <= rho + 1e-15:
+            return ManifoldDistance(rho_zero, ZeroWave())
+        return ManifoldDistance(rho, fit)
+
+    chunk = max(1, _SCAN_ENTRIES // (2 * n + 2))
 
     def scan(s: np.ndarray) -> np.ndarray:
         """rho^2 at each s (rows) for omega = +|omega| and -|omega|

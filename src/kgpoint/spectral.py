@@ -132,10 +132,14 @@ class OmegaLimitReport:
     rho: float
 
 
-def late_window(T: float, dt: float, min_samples: int = 1024) -> tuple[float, float]:
-    """Default report window: the last quarter of the run, at least min_samples
-    wide (clamped to the run length for short runs)."""
-    width = min(max(0.25 * T, min_samples * dt), T)
+# fewest trace samples in the default report window
+_LATE_MIN_SAMPLES = 1024
+
+
+def late_window(T: float, dt: float) -> tuple[float, float]:
+    """Default report window: the last quarter of the run, at least
+    _LATE_MIN_SAMPLES wide (clamped to the run length for short runs)."""
+    width = min(max(0.25 * T, _LATE_MIN_SAMPLES * dt), T)
     return (T - width, T)
 
 

@@ -435,14 +435,14 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     int K(x, tau) (r / tau) f(t - tau) dr is then exact to roundoff.
     The trapezoid region always ends on a node with half weight; for x
     without an edge zone the final partial cell is closed with the kernel's
-    edge-limit value (which `_point_kernels` returns at tau = |x|).  The
-    x = 0 column has no edge zone and, summed entry by entry, stays the
-    exact mirror of the trace solver's product-integration weights.
+    edge-limit value (which `_point_kernels` returns at tau = |x|); a row
+    on the front t = |x| has an empty region and sums to zero.  The x = 0
+    column has no edge zone and, summed entry by entry, stays the exact
+    mirror of the trace solver's product-integration weights.
     """
     n_half = (len(grid_x) + 1) // 2
     xa = grid_x[n_half - 1:]  # 0 .. L ascending
     x_sq = xa * xa
-    h = xa[1] - xa[0]
     n_times, n_cols = f_cols.shape
     half_m_sq = 0.5 * m * m
     reach = t - xa
@@ -495,7 +495,7 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     for k, start in enumerate(range(0, n_nodes, _PANEL)):
         nodes = np.arange(start, min(start + _PANEL, n_nodes))
         tau = t - nodes * dt
-        nx = min(int(tau[0] / h) + 1, n_half)
+        nx = int(np.flatnonzero(j_cut >= start)[-1]) + 1  # up to the last row reaching it
         split = 1  # rows 1 .. split-1 take the panel rule
         if k < n_full:
             ok = ((j_cut[1:nx] >= nodes[-1])
@@ -514,10 +514,10 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     f0 = f_cols[0][None, :]
 
     # trapezoid endpoint weights: halve s = 0 and the cut node; an empty
-    # trapezoid region (j_cut = 0 with content beyond) drops its node fully
+    # trapezoid region (j_cut = 0) drops its node fully, so the front row
+    # t = |x| gets no sum at all
     k_tau0 = _point_kernels(tables, m, xa, np.full_like(xa, t))
     w0 = np.where(j_cut[:, None] >= 1, 0.5 * dt, dt)
-    keep0 = inside_c & ((j_cut[:, None] >= 1) | (delta_c > 0) | gauss_c)
 
     j_cut_c = np.maximum(j_cut, 0)
     k_cut = _point_kernels(tables, m, xa, t - j_cut_c * dt)
@@ -528,15 +528,15 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     ji_next = np.minimum(ji_c + 1, n_times - 1)
     f_ji = f_cols[ji_c, :]
     f_edge = f_ji + (f_cols[ji_next, :] - f_ji) * (delta_c / dt)
-    k_node = _point_kernels(tables, m, xa, xa + delta)
     k_lim = _point_kernels(tables, m, xa, xa)
     keep_p = inside_c & ~gauss_c & (delta_c > 0)
 
     halves = []
     for c in range(2):
-        sub0 = np.where(keep0, w0 * np.where(t > xa, k_tau0[c], 0.0)[:, None] * f0, 0.0)
+        sub0 = np.where(inside_c, w0 * k_tau0[c][:, None] * f0, 0.0)
         sub_j = np.where(keep_j, 0.5 * dt * k_cut[c][:, None] * f_cut, 0.0)
-        partial = np.where(keep_p, 0.5 * delta_c * (k_node[c][:, None] * f_ji
+        # the partial cell starts on the row's cut node s_ji (no edge zone)
+        partial = np.where(keep_p, 0.5 * delta_c * (k_cut[c][:, None] * f_ji
                                                     + k_lim[c][:, None] * f_edge), 0.0)
         halves.append(sums[c] - sub0 - sub_j + partial)
 

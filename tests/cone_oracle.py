@@ -5,7 +5,8 @@ sums were fused: one full quadrature per kernel, each rebuilding the cone
 geometry and interpolating one table through `table_lookup`, in blocks of
 about 6e6 // nx source nodes.  `cone_quadrature` has the signature of
 `kgpoint.volterra._cone_quadrature`, so a test can swap it in and compare
-whole reconstructions.
+whole reconstructions.  It follows the same front-row rule: a row with
+t = |x| has an empty region and sums to zero.
 """
 
 import numpy as np
@@ -55,7 +56,6 @@ def two_pass_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: fl
     """
     n_half = (len(grid_x) + 1) // 2
     xa = grid_x[n_half - 1:]  # 0 .. L ascending
-    h = xa[1] - xa[0]
     n_times, n_cols = f_cols.shape
     reach = t - xa
     ji = np.floor(reach / dt + 1e-12).astype(np.intp)
@@ -79,8 +79,7 @@ def two_pass_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: fl
 
     start = 0
     while start < n_nodes:
-        tau_max = t - start * dt
-        nx = min(int(tau_max / h) + 1, n_half)
+        nx = int(np.flatnonzero(j_cut >= start)[-1]) + 1
         block = max(1, min(int(6.0e6 // nx), n_nodes - start))
         stop = start + block
         jidx = np.arange(start, stop)
@@ -98,11 +97,11 @@ def two_pass_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: fl
     f0 = f_cols[0][None, :]
 
     # trapezoid endpoint weights: halve s = 0 and the cut node; an empty
-    # trapezoid region (j_cut = 0 with content beyond) drops its node fully
-    k_tau0 = np.where(t > xa, kern_point(xa, np.full_like(xa, t)), 0.0)[:, None]
+    # trapezoid region (j_cut = 0) drops its node fully, so the front row
+    # t = |x| gets no sum at all
+    k_tau0 = kern_point(xa, np.full_like(xa, t))[:, None]
     w0 = np.where(j_cut[:, None] >= 1, 0.5 * dt, dt)
-    sub0 = np.where(inside_c & ((j_cut[:, None] >= 1) | (delta_c > 0) | gauss_c),
-                    w0 * k_tau0 * f0, 0.0)
+    sub0 = np.where(inside_c, w0 * k_tau0 * f0, 0.0)
 
     j_cut_c = np.maximum(j_cut, 0)
     tau_cut = t - j_cut_c * dt

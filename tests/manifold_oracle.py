@@ -4,9 +4,10 @@
 The nonlinear branch scans 401 frequencies over (-m, m), isolates every
 amplitude root alpha(C^2) = 2 kappa at each of them and refines omega by
 golden section, where `distance_to_manifold` scans s = C^2 and obtains kappa
-and omega in closed form.  The window arrays, the candidate stencils and the
-root isolation come from the current module, so a comparison isolates the
-parametrization of the scan.
+and omega in closed form.  Both branches form their inner products with
+`win_inner` on per-candidate window arrays, where `distance_to_manifold`
+reads profile rows against precomputed projections.  The window arrays, the
+profile stencils and the root isolation come from the current module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ import numpy as np
 from kgpoint.fields import FieldState
 from kgpoint.model import ModelKind, OscillatorModel
 from kgpoint.solitary import (LinearSpanFit, ManifoldDistance, SolitaryWave, ZeroWave,
-                              _amplitudes_at_kappa, _candidate_window_arrays, _window)
+                              _amplitudes_at_kappa, _profile_rows, _window)
+
+
+def _candidate_window_arrays(wave_params, x_w, half):
+    """psi, psi' (the pair average at x = 0), the one-sided pair and pi of
+    C e^{-kappa|x|} on the window nodes."""
+    C, kappa, omega = wave_params
+    n = len(x_w)
+    row = C * _profile_rows(np.array([kappa]), x_w, half)[0]
+    psi, dpsi, (d_plus, d_minus) = row[:n], row[n:2 * n], row[2 * n:]
+    dpsi[half] = 0.5 * (d_plus + d_minus)
+    return psi, dpsi, (d_plus, d_minus), -1j * omega * psi
 
 
 def distance_to_manifold_oracle(model: OscillatorModel, state: FieldState, R: float,

@@ -7,9 +7,10 @@ import pytest
 
 from kgpoint import cli
 from kgpoint.cli import _BLAS_THREAD_VARS, _map_single_thread_blas, main
-from kgpoint.config import ConfigError, build_initial_state, config_to_text, parse_config_text
+from kgpoint.config import ConfigError, build_initial_state, data_radius, parse_config_text
 from kgpoint.fields import Grid
-from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
+from kgpoint.initial import (GaussianSpec, data_radius_gaussian, gaussian_state,
+                             seeded_gaussian_spec, solitary_state)
 from kgpoint.output import (read_report, read_snapshot_csv, read_spectrum_csv,
                             read_trace_csv, write_report, write_snapshot_csv,
                             write_spectrum_csv, write_trace_csv)
@@ -55,16 +56,6 @@ ZERO_CFG = BASE_CFG.replace("kind = gaussian", "kind = zero")
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = parse_config_text(BASE_CFG)
-        text = config_to_text(cfg)
-        cfg2 = parse_config_text(text)
-        assert cfg2.model.coefficients == cfg.model.coefficients
-        assert cfg2.T == cfg.T and cfg2.dt == cfg.dt
-        assert cfg2.initial.kind == "gaussian"
-        assert cfg2.snapshots == cfg.snapshots
-        assert cfg2.spectrum_windows == cfg.spectrum_windows
-
     def test_validation_collects_all_violations(self):
         bad = BASE_CFG.replace("mass = 1.0", "mass = -1.0").replace(
             "n_points = 2049", "n_points = 2048").replace("dt = 0.01", "dt = 0.013")
@@ -92,8 +83,17 @@ class TestConfig:
 
     def test_removed_run_keys_still_load(self):
         old = BASE_CFG.replace("seed = 7", "seed = 7\nfd_delta_width = 3\nworkers = 2")
-        assert config_to_text(parse_config_text(old)) == config_to_text(
-            parse_config_text(BASE_CFG))
+        assert parse_config_text(old) == parse_config_text(BASE_CFG)
+
+    def test_seeded_gaussian_initial_data(self):
+        text = BASE_CFG.replace("kind = gaussian\namplitude_re = 0.5\nwidth = 1.5",
+                                "kind = seeded_gaussian").replace("seed = 7", "seed = 3")
+        cfg = parse_config_text(text)
+        spec = seeded_gaussian_spec(3)
+        assert data_radius(cfg) == data_radius_gaussian(spec)
+        state = build_initial_state(cfg)
+        want = gaussian_state(cfg.grid, spec)
+        assert np.array_equal(state.psi, want.psi) and np.array_equal(state.pi, want.pi)
 
     def test_bad_initial_kind(self):
         bad = BASE_CFG.replace("kind = gaussian", "kind = sine")
@@ -247,6 +247,13 @@ class TestCommands:
         assert sorted(abs(float(r[2])) for r in rows) == pytest.approx(
             [np.sqrt(0.75)] * 2)
 
+    def test_solitary_write(self, tmp_path, capsys):
+        out = tmp_path / "sol"
+        code = main(["--out", str(out), "solitary", "--u", "0,-1,1", "--mass", "1",
+                     "--C", "0.5", "--write"])
+        assert code == 0
+        assert (out / "solitary.csv").read_text() == capsys.readouterr().out
+
     def test_solitary_linear_family(self, capsys):
         code = main(["solitary", "--a", "1.0", "--mass", "1",
                      "--omega", str(np.sqrt(0.75))])
@@ -263,6 +270,24 @@ class TestCommands:
         assert code == 0
         spec = read_spectrum_csv(str(tmp_path / "spec_out" / "spectrum.csv"))
         assert len(spec.freqs) > 0
+
+    def test_spectrum_command_rect_window(self, tmp_path, capsys):
+        dt = 0.01
+        tt = np.arange(2001) * dt
+        trace = TraceSeries(dt=dt, z=np.exp(-1j * 0.8 * tt), f=None)
+        p = str(tmp_path / "trace.csv")
+        write_trace_csv(p, trace, [], [])
+        code = main(["--out", str(tmp_path / "spec_out"), "spectrum", "--trace", p,
+                     "--t-center", "10.0", "--t-width", "15.0", "--window", "rect"])
+        assert code == 0
+        spec = read_spectrum_csv(str(tmp_path / "spec_out" / "spectrum.csv"))
+        assert spec.window is Window.RECT
+        want = windowed_spectrum(trace, 10.0, 15.0, Window.RECT)
+        assert np.allclose(spec.amps, want.amps, rtol=0.0, atol=1e-12 * np.abs(want.amps).max())
+        hann = windowed_spectrum(trace, 10.0, 15.0, Window.HANN)
+        assert not np.allclose(spec.amps, hann.amps)
+        dom = float(capsys.readouterr().out.split("=")[1])
+        assert abs(abs(dom) - 0.8) <= 2.0 * np.pi / 15.0
 
     def test_compare_command_and_refinement(self, tmp_path):
         # solitary data: both solvers cleanly second order, ratio ~ 4
@@ -372,6 +397,19 @@ class TestCommands:
         assert float(rep["matched_wave"]["c"]) == pytest.approx(0.5, abs=1e-3)
         lines = (out / "attract_windows.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_attract_linear_model(self, tmp_path):
+        cfg = tmp_path / "lin.cfg"
+        cfg.write_text(BASE_CFG.replace("kind = polynomial\nmass = 1.0\ncoefficients = 0, -1, 1",
+                                        "kind = linear\nmass = 1.0\na = 1.0"))
+        out = tmp_path / "att_lin"
+        assert main(["--out", str(out), "attract", "--config", str(cfg), "--windows", "2"]) == 0
+        rep = read_report(str(out / "report.txt"))
+        wave = rep["matched_wave"]
+        assert wave["kind"] == "linear_span"
+        assert float(wave["omega_a"]) == pytest.approx(np.sqrt(0.75), rel=1e-15)
+        assert abs(complex(wave["c_plus"])) > 0.0 and abs(complex(wave["c_minus"])) > 0.0
+        assert 0.0 < float(rep["omega_limit"]["rho"]) < np.inf
 
     def test_set_override(self, tmp_path):
         cfg = tmp_path / "o.cfg"

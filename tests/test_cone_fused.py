@@ -206,3 +206,23 @@ def test_compressed_panel_at_the_phase_bound(dt):
         for direct, compressed in zip(kernels(x, d, lag_nodes), kernels(x, d, lag_points)):
             gap = np.sum(np.abs(direct - compressed @ volterra._PANEL_WEIGHTS))
             assert gap <= 3e-13 * np.sum(np.abs(direct))
+
+
+@pytest.mark.parametrize("quadrature", [volterra._cone_quadrature, cone_oracle.cone_quadrature],
+                         ids=["fused", "oracle"])
+@pytest.mark.parametrize("half_extent, n_points, dt, steps",
+                         [(4.0, 129, 1 / 64, 16), (4.0, 129, 1 / 64, 32), (4.0, 129, 1 / 64, 40),
+                          (3.0, 61, 0.1, 3), (3.0, 61, 0.1, 7)])
+def test_front_row_sums_to_zero(quadrature, half_extent, n_points, dt, steps):
+    # on the rows t = |x| the region 0 <= s <= t - |x| is empty, so both
+    # sums vanish (a stray s = 0 node of weight dt gives dt/2 for f = 1).  On
+    # the h = 0.1 grid the front nodes lie an ulp beyond t = steps * dt and
+    # still count as inside the cone
+    grid = Grid(half_extent, n_points)
+    t = steps * dt
+    f = np.ones((steps + 1, 1), dtype=complex)
+    psi, pi = quadrature(dt, f, grid.x, t, KernelTables(t + dt + 1.0), 1.0)
+    front = np.flatnonzero(np.abs(np.abs(grid.x) - t) <= 1e-12)
+    assert len(front) == 2
+    assert np.max(np.abs(psi[front])) <= 1e-15
+    assert np.max(np.abs(pi[front])) <= 1e-15

@@ -72,33 +72,6 @@ class TestBesselJ0:
         assert bessel_j1_over_x(0.0) == pytest.approx(0.5)
 
 
-def hankel_all_terms(x, mu, chi_shift):
-    """`kernel._hankel` summing every asymptotic term, with no early stop."""
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    c = 1.0
-    xp = np.ones_like(x)
-    inv = 1.0 / x
-    for j in range(1, kernel._ASYM_TERMS):
-        c *= (mu - (2 * j - 1) ** 2) / (8.0 * j)
-        xp = xp * inv
-        if j % 2 == 0:
-            P += ((-1.0) ** (j // 2)) * c * xp
-        else:
-            Q += ((-1.0) ** ((j - 1) // 2)) * c * xp
-    chi = x - chi_shift
-    return np.sqrt(2.0 / (np.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
-
-
-def test_tables_equal_all_term_sums_bytewise(monkeypatch):
-    # the early stop of `_hankel` as it runs on the tables' coarse nodes
-    fast = kernel.KernelTables(401.0)
-    monkeypatch.setattr(kernel, "_hankel", hankel_all_terms)
-    full = kernel.KernelTables(401.0)
-    assert fast.j0.values.tobytes() == full.j0.values.tobytes()
-    assert fast.j1x.values.tobytes() == full.j1x.values.tobytes()
-
-
 @pytest.fixture(scope="module")
 def tables_401():
     """The tables of an attraction run (T = 400) and their direct-fill oracles."""

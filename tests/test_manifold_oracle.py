@@ -16,7 +16,7 @@ from kgpoint import FieldState, Grid, OscillatorModel, distance_to_manifold, sam
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec
 from kgpoint.observables import norm_e
-from kgpoint.solitary import SolitaryWave, ZeroWave, waves_at_omega
+from kgpoint.solitary import LinearSpanFit, SolitaryWave, ZeroWave, waves_at_omega
 from kgpoint.volterra import SolveStatus, reconstruct_fields, solve_trace
 
 from manifold_oracle import distance_to_manifold_oracle
@@ -30,6 +30,7 @@ THETA_TOL = 3e-8
 CUBIC = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0))
 # alpha(s) = 1 + 12 s - 6 s^2: two amplitude branches at every kappa in (0.5, 1]
 QUINTIC = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))
+LINEAR = OscillatorModel.linear(1.0, 1.0)
 OMEGA_8 = 0.6  # kappa = 0.8 on m = 1
 
 GRID = Grid(40.0, 4097)
@@ -94,6 +95,25 @@ def test_zero_state():
     got = assert_matches_oracle(CUBIC, zero_state(GRID))
     assert isinstance(got.best, ZeroWave)
     assert got.rho == 0.0
+
+
+@pytest.mark.parametrize("state", ["span_plus_bump", "gaussian"])
+def test_linear_span_fit(state):
+    # both fits solve the same 2 x 2 normal equations; the coefficient gaps
+    # measured here were at most 1.3e-15 relative
+    g = np.exp(-0.5 * np.abs(GRID.x))
+    c_plus, c_minus = 0.3 + 0.1j, -0.2 + 0.25j
+    if state == "gaussian":
+        st = gaussian_state(GRID, GaussianSpec(amplitude=0.5, width=1.5, momentum=0.7,
+                                               omega_bar=0.4))
+    else:
+        st = _plus_bump(FieldState(GRID, (c_plus + c_minus) * g,
+                                   1j * np.sqrt(0.75) * (c_plus - c_minus) * g))
+    got = assert_matches_oracle(LINEAR, st)
+    want = distance_to_manifold_oracle(LINEAR, st, R)
+    assert isinstance(got.best, LinearSpanFit)
+    for g_c, w_c in ((got.best.c_plus, want.best.c_plus), (got.best.c_minus, want.best.c_minus)):
+        assert abs(g_c - w_c) <= 1e-12 * abs(w_c)
 
 
 def test_band_edge_wave():
