@@ -11,10 +11,16 @@ Subcommands:
                report row per run, optionally in parallel
 * compare   -- volterra vs finite-difference oracle on identical data
 
-Exit codes: 0 ok, 1 run failure, 2 config failure (including a dt too large
-for the trace solver's implicit node).  All outputs are deterministic
-functions of (config, seed); errors are printed to stderr as `error: ...`
-lines.
+The config-reading subcommands (simulate, attract, sweep, compare) each take
+a required --config; simulate, attract and compare also take --set
+SEC.KEY=VAL overrides (the seed is run.seed).  solitary takes its model from
+--mass, --u or --a only.  Every table goes through `output.format_table`.
+
+Exit codes: 0 ok, 1 run failure, 2 input failure: an invalid config (including
+a dt too large for the trace solver's implicit node) or an invalid flag value
+or input file.  All outputs are deterministic functions of (config, seed);
+errors are printed to stderr as `error: ...` lines, one per input failure
+(one per violated rule of a config).
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
 from .spectral import (Window, dominant_frequency, gap_mass_fraction, late_window,
                        modulus_variation, omega_limit_report, windowed_spectrum)
-from .volterra import (SolveStatus, StepTooLargeError, TraceSeries, reconstruct_fields,
-                       solve_full, solve_trace)
+from .volterra import SolveStatus, TraceSeries, reconstruct_fields, solve_full, solve_trace
 
 
 def _fail(code: int, *messages: str) -> int:
@@ -47,21 +52,14 @@ def _fail(code: int, *messages: str) -> int:
     return code
 
 
-def _load_cfg(args) -> RunConfig:
-    """Config from --config plus --set/--seed overrides."""
-    path = getattr(args, "config", None)
-    if not path:
-        raise ConfigError(["missing --config"])
-    overrides = list(getattr(args, "set", []))
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"run.seed={args.seed}")
-    return _load_with_overrides(path, overrides)
-
-
-def _load_with_overrides(path: str, overrides: list[str]) -> RunConfig:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(_override_text(text, overrides))
+        return fh.read()
+
+
+def _load_cfg(args) -> RunConfig:
+    """Config from --config with its --set overrides."""
+    return parse_config_text(_override_text(_read(args.config), args.set))
 
 
 def _override_text(text: str, overrides: list[str]) -> str:
@@ -99,7 +97,9 @@ def cmd_simulate(args) -> int:
                             report.energy_samples, report.charge_samples)
     for state in snapshots:
         out.write_snapshot_csv(os.path.join(outdir, f"snapshot_t{state.time:.6f}.csv"), state)
-    for i, (w0, w1) in enumerate(cfg.spectrum_windows):
+    # a trace the solver stopped early gets no spectra, as it gets no snapshots
+    stopped = report.status in (SolveStatus.NON_FINITE, SolveStatus.TRACE_BOUND_EXCEEDED)
+    for i, (w0, w1) in enumerate([] if stopped else cfg.spectrum_windows):
         spec = windowed_spectrum(report.trace, 0.5 * (w0 + w1), w1 - w0, Window.HANN)
         out.write_spectrum_csv(os.path.join(outdir, f"spectrum_{i}.csv"), spec)
     if cfg.out_report:
@@ -111,8 +111,6 @@ def cmd_simulate(args) -> int:
 
 
 def _model_from_args(args) -> OscillatorModel:
-    if getattr(args, "config", None):
-        return _load_cfg(args).model
     mass = args.mass if args.mass is not None else 1.0
     if args.a is not None:
         return OscillatorModel.linear(mass, args.a)
@@ -134,12 +132,11 @@ def cmd_solitary(args) -> int:
         rows = [(w.amplitude, w.kappa, w.omega) for w in res]
     else:
         return _fail(2, "solitary needs --C or --omega")
-    table = "C,kappa,omega\n" + "".join(f"{C!r},{kappa!r},{omega!r}\n"
-                                         for C, kappa, omega in rows)
+    table = out.format_table(("C", "kappa", "omega"),
+                             np.array(rows, dtype=float).reshape(-1, 3).T)
     print(table, end="")
-    if args.out and args.write:
-        with open(os.path.join(_outdir(args), "solitary.csv"), "w", encoding="utf-8") as fh:
-            fh.write(table)
+    if args.write:
+        out.write_text(os.path.join(_outdir(args), "solitary.csv"), table)
     return 0
 
 
@@ -157,6 +154,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_attract(args) -> int:
+    if args.radius <= 0:
+        return _fail(2, f"--radius must be positive, got {args.radius!r}")
     cfg = _load_cfg(args)
     outdir = _outdir(args)
     initial = build_initial_state(cfg)
@@ -172,15 +171,15 @@ def cmd_attract(args) -> int:
     states = reconstruct_fields(cfg.model, initial, trace,
                                 [trace.dt * round(tc / trace.dt)
                                  for tc in (*centers, 0.5 * (late[0] + late[1]))])
-    lines = ["t_center,rho,in_gap_fraction,omega_plus,modulus_variation"]
+    rows = []
     for tc, state in zip(centers, states):
         spec = windowed_spectrum(trace, tc, width, Window.HANN)
-        dist = distance_to_manifold(cfg.model, state, args.radius)
-        mv = modulus_variation(trace, tc - width / 2, tc + width / 2)
-        lines.append(f"{float(tc)!r},{dist.rho!r},{gap_mass_fraction(spec, cfg.model.mass)!r},"
-                     f"{dominant_frequency(spec)!r},{mv!r}")
-    with open(os.path.join(outdir, "attract_windows.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((tc, distance_to_manifold(cfg.model, state, args.radius).rho,
+                     gap_mass_fraction(spec, cfg.model.mass), dominant_frequency(spec),
+                     modulus_variation(trace, tc - width / 2, tc + width / 2)))
+    out.write_table(os.path.join(outdir, "attract_windows.csv"),
+                    ("t_center", "rho", "in_gap_fraction", "omega_plus", "modulus_variation"),
+                    np.array(rows, dtype=float).T)
 
     rep = omega_limit_report(cfg.model, trace, states[-1], late, R=args.radius)
     matched = rep.matched_wave
@@ -246,28 +245,28 @@ def _map_single_thread_blas(fn, payloads: list, workers: int) -> list:
                 os.environ[name] = value
 
 
-def _sweep_one(payload: tuple[int, str]) -> tuple[int, str]:
+_SWEEP_COLUMNS = ("status", "in_gap_fraction", "omega_plus", "modulus_variation",
+                  "late_max_abs_z")
+
+
+def _sweep_one(payload: tuple[int, str]) -> tuple[int, tuple[str, ...]]:
+    """(index, cells of the _SWEEP_COLUMNS) of one sweep run."""
     idx, text = payload
     cfg = parse_config_text(text)
     initial = build_initial_state(cfg)
     report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
-        return idx, f"{report.status.value},,,,"
+        return idx, (report.status.value, "", "", "", "")
     w = late_window(cfg.T, cfg.dt)
     spec = windowed_spectrum(report.trace, 0.5 * (w[0] + w[1]), w[1] - w[0], Window.HANN)
-    gap = gap_mass_fraction(spec, cfg.model.mass)
-    dom = dominant_frequency(spec)
-    mv = modulus_variation(report.trace, w[0], w[1])
     tail = np.abs(report.trace.z[len(report.trace.z) // 2:])
-    return idx, f"completed,{float(gap)!r},{float(dom)!r},{float(mv)!r},{float(tail.max())!r}"
+    values = (gap_mass_fraction(spec, cfg.model.mass), dominant_frequency(spec),
+              modulus_variation(report.trace, w[0], w[1]), tail.max())
+    return idx, ("completed", *(repr(float(v)) for v in values))
 
 
 def cmd_sweep(args) -> int:
-    path = getattr(args, "config", None)
-    if not path:
-        raise ConfigError(["missing --config"])
-    with open(path, "r", encoding="utf-8") as fh:
-        base_text = fh.read()
+    base_text = _read(args.config)
     axes = []
     for spec in args.vary:
         key, _, values = spec.partition("=")
@@ -291,26 +290,16 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_one(p) for p in payloads]
     results.sort()
-    outdir = _outdir(args)
-    header = ",".join(key for key, _ in axes)
-    header = (header + "," if header else "") + \
-        "status,in_gap_fraction,omega_plus,modulus_variation,late_max_abs_z"
-    lines = [header]
-    for (idx, row), combo in zip(results, combos):
-        prefix = ",".join(combo)
-        lines.append((prefix + "," if prefix else "") + row)
-    with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    out.write_table(os.path.join(_outdir(args), "sweep.csv"),
+                    (*(key for key, _ in axes), *_SWEEP_COLUMNS),
+                    [*zip(*combos), *zip(*(cells for _, cells in results))])
     return 0
 
 
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
     h = cfg.grid.spacing
-    try:
-        check_cfl(h, cfg.dt)
-    except ValueError as exc:
-        return _fail(2, str(exc))
+    check_cfl(h, cfg.dt)
     outdir = _outdir(args)
     initial = build_initial_state(cfg)
     report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
@@ -318,12 +307,9 @@ def cmd_compare(args) -> int:
         return _fail(1, f"volterra status {report.status.value}")
     run = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)
     diff = np.abs(report.trace.z - run.trace)
-    lines = ["t,abs_z_volterra,abs_z_fd,abs_diff"]
-    for tv, zv, zf, d in zip(report.trace.times, np.abs(report.trace.z),
-                             np.abs(run.trace), diff):
-        lines.append(f"{float(tv)!r},{float(zv)!r},{float(zf)!r},{float(d)!r}")
-    with open(os.path.join(outdir, "compare.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    out.write_table(os.path.join(outdir, "compare.csv"),
+                    ("t", "abs_z_volterra", "abs_z_fd", "abs_diff"),
+                    [report.trace.times, np.abs(report.trace.z), np.abs(run.trace), diff])
     out.write_report(os.path.join(outdir, "report.txt"), {
         "compare": {"sup_diff": repr(float(diff.max())),
                     "h": repr(h), "dt": repr(cfg.dt)},
@@ -336,23 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kgpoint",
                                 description="point-coupled Klein-Gordon simulation toolkit")
     p.add_argument("--out", default="kgpoint_out", help="output directory")
-    p.add_argument("--config", default=None, help="config file path")
-    p.add_argument("--seed", type=int, default=None, help="override run.seed")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        # SUPPRESS keeps a sub-level flag from clobbering the global value
-        sp.add_argument("--config", required=False, default=argparse.SUPPRESS,
-                        help="config file path (alternative to the global flag)")
+    def config(sp):
+        sp.add_argument("--config", required=True, help="config file path")
         sp.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
-                        help="override a config entry (repeatable)")
+                        help="override a config entry, e.g. run.seed=3 (repeatable)")
 
     sp = sub.add_parser("simulate", help="run the Volterra solver")
-    common(sp)
+    config(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("solitary", help="solitary-wave table")
-    common(sp)
     sp.add_argument("--C", type=float)
     sp.add_argument("--omega", type=float)
     sp.add_argument("--mass", type=float)
@@ -369,19 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("attract", help="attraction diagnostics")
-    common(sp)
+    config(sp)
     sp.add_argument("--windows", type=int, default=6)
     sp.add_argument("--radius", type=float, default=5.0)
     sp.set_defaults(func=cmd_attract)
 
     sp = sub.add_parser("sweep", help="parameter sweep over a config template")
-    sp.add_argument("--config", required=False, default=argparse.SUPPRESS)
+    sp.add_argument("--config", required=True, help="config template path")
     sp.add_argument("--vary", action="append", default=[], metavar="SEC.KEY=V1,V2")
     sp.add_argument("--workers", type=int, default=1, help="parallel sweep processes")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("compare", help="volterra vs finite-difference oracle")
-    common(sp)
+    config(sp)
     sp.set_defaults(func=cmd_compare)
     return p
 
@@ -392,9 +373,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(2, *exc.errors)
-    except StepTooLargeError as exc:
-        return _fail(2, str(exc))
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         return _fail(2, str(exc))
 
 

@@ -232,7 +232,7 @@ def parse_config_text(text: str) -> RunConfig:
         energy_tol=get("run", "energy_tol", float, 1e-4),
         out_trace=get("outputs", "trace", as_bool, True),
         snapshots=get("outputs", "snapshots", _parse_floats, []),
-        spectrum_windows=_parse_windows(get("outputs", "spectrum_windows", str, "")),
+        spectrum_windows=get("outputs", "spectrum_windows", _parse_windows, []),
         out_report=get("outputs", "report", as_bool, True),
     )
 

@@ -17,24 +17,43 @@ from .spectral import SpectrumEstimate, Window
 from .volterra import SolveReport, TraceSeries
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def format_table(header, columns, comments=()) -> str:
+    """CSV text: one `# ` line per comment, the header names, then one row
+    per index of the columns.  A float-array column is written as repr of
+    each value; any other column holds ready-made string cells."""
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_table(path: str, header, columns, comments=()) -> None:
+    write_text(path, format_table(header, columns, comments))
+
+
+def _sample_cells(samples, dt: float, n: int) -> list[str]:
+    """repr of each (t, value) sample at its trace row, "" on the others."""
+    cells = [""] * n
+    for t, v in [] if samples is None else samples:
+        cells[round(t / dt)] = repr(float(v))
+    return cells
 
 
 def write_trace_csv(path: str, trace: TraceSeries,
                     energy_samples=None, charge_samples=None) -> None:
-    e_rows = [] if energy_samples is None else list(energy_samples)
-    q_rows = [] if charge_samples is None else list(charge_samples)
-    e_map = {round(t / trace.dt): v for t, v in e_rows}
-    q_map = {round(t / trace.dt): v for t, v in q_rows}
-    lines = ["t,re_z,im_z,abs_z,energy,charge"]
-    for j, z in enumerate(trace.z):
-        t = j * trace.dt
-        e = _fmt(e_map[j]) if j in e_map else ""
-        q = _fmt(q_map[j]) if j in q_map else ""
-        lines.append(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(abs(z))},{e},{q}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n = len(trace.z)
+    # abs() of each Python complex: np.abs differs in the last digit on some rows
+    write_table(path, ("t", "re_z", "im_z", "abs_z", "energy", "charge"),
+                [trace.times, trace.z.real, trace.z.imag,
+                 [repr(abs(z)) for z in trace.z.tolist()],
+                 _sample_cells(energy_samples, trace.dt, n),
+                 _sample_cells(charge_samples, trace.dt, n)])
 
 
 def read_trace_csv(path: str):
@@ -57,11 +76,9 @@ def read_trace_csv(path: str):
 
 
 def write_snapshot_csv(path: str, state: FieldState) -> None:
-    lines = [f"# time = {_fmt(state.time)}", "x,re_psi,im_psi,re_pi,im_pi"]
-    for x, p, q in zip(state.grid.x, state.psi, state.pi):
-        lines.append(f"{_fmt(x)},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(q.real)},{_fmt(q.imag)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("x", "re_psi", "im_psi", "re_pi", "im_pi"),
+                [state.grid.x, state.psi.real, state.psi.imag, state.pi.real, state.pi.imag],
+                [f"time = {float(state.time)!r}"])
 
 
 def read_snapshot_csv(path: str) -> FieldState:
@@ -82,16 +99,10 @@ def read_snapshot_csv(path: str) -> FieldState:
 
 
 def write_spectrum_csv(path: str, spec: SpectrumEstimate) -> None:
-    lines = [
-        f"# window = {spec.window.value}",
-        f"# t_center = {_fmt(spec.t_center)}",
-        f"# t_width = {_fmt(spec.t_width)}",
-        "omega,re_amp,im_amp",
-    ]
-    for w, a in zip(spec.freqs, spec.amps):
-        lines.append(f"{_fmt(w)},{_fmt(a.real)},{_fmt(a.imag)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("omega", "re_amp", "im_amp"),
+                [spec.freqs, spec.amps.real, spec.amps.imag],
+                [f"window = {spec.window.value}", f"t_center = {float(spec.t_center)!r}",
+                 f"t_width = {float(spec.t_width)!r}"])
 
 
 def read_spectrum_csv(path: str) -> SpectrumEstimate:
@@ -119,8 +130,7 @@ def write_report(path: str, sections: dict[str, dict[str, str]]) -> None:
         cp[name] = {k: str(v) for k, v in kv.items()}
     buf = io.StringIO()
     cp.write(buf)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_text(path, buf.getvalue())
 
 
 def read_report(path: str) -> dict[str, dict[str, str]]:

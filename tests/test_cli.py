@@ -5,17 +5,17 @@ import types
 import numpy as np
 import pytest
 
-from kgpoint import cli
+from kgpoint import cli, volterra
 from kgpoint.cli import _BLAS_THREAD_VARS, _map_single_thread_blas, main
 from kgpoint.config import ConfigError, build_initial_state, data_radius, parse_config_text
-from kgpoint.fields import Grid
+from kgpoint.fields import FieldState, Grid
 from kgpoint.initial import (GaussianSpec, data_radius_gaussian, gaussian_state,
                              seeded_gaussian_spec, solitary_state)
 from kgpoint.output import (read_report, read_snapshot_csv, read_spectrum_csv,
                             read_trace_csv, write_report, write_snapshot_csv,
                             write_spectrum_csv, write_trace_csv)
-from kgpoint.spectral import Window, windowed_spectrum
-from kgpoint.volterra import TraceSeries
+from kgpoint.spectral import SpectrumEstimate, Window, windowed_spectrum
+from kgpoint.volterra import SolveStatus, TraceSeries
 
 BASE_CFG = """
 [model]
@@ -54,6 +54,43 @@ SOLITARY_CFG = BASE_CFG.replace("kind = gaussian", "kind = solitary").replace(
 
 ZERO_CFG = BASE_CFG.replace("kind = gaussian", "kind = zero")
 
+GAUSSIAN_INITIAL = "kind = gaussian\namplitude_re = 0.5\nwidth = 1.5"
+POLYNOMIAL_MODEL = "kind = polynomial\nmass = 1.0\ncoefficients = 0, -1, 1"
+
+# (edits of BASE_CFG, the violation parse_config_text must list): one case
+# per validation rule
+CONFIG_VIOLATIONS = [
+    ([("mass = 1.0\n", "")], "missing model.mass"),
+    ([("n_points = 2049", "n_points = many")], "cannot parse grid.n_points = 'many'"),
+    ([("mass = 1.0", "mass = -1.0")], "model.mass must be positive"),
+    ([("coefficients = 0, -1, 1", "coefficients = 0, 1")], "needs u_0..u_N with N >= 2"),
+    ([("coefficients = 0, -1, 1", "coefficients = 0, 1, -1")],
+     "leading coefficient u_N must be positive"),
+    ([(POLYNOMIAL_MODEL, "kind = linear\nmass = 1.0\na = 2.5")],
+     "outside the well-posedness window"),
+    ([("kind = polynomial", "kind = quartic")], "model.kind must be polynomial or linear"),
+    ([("n_points = 2049", "n_points = 2048")], "grid.n_points must be odd and >= 3"),
+    ([("half_extent = 40.0", "half_extent = -40.0")], "grid.half_extent must be positive"),
+    ([("T = 4.0", "T = -4.0")], "time.T must be positive"),
+    ([("dt = 0.01", "dt = -0.01")], "time.dt must be positive"),
+    ([("dt = 0.01", "dt = 0.013")], "is not an integer multiple of dt"),
+    ([("kind = gaussian", "kind = sine")], "initial.kind must be one of"),
+    ([("width = 1.5", "width = 1.5\nbranch = up")], "initial.branch must be plus or minus"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary\nC = -0.5")], "initial.C must be positive"),
+    ([(GAUSSIAN_INITIAL, "kind = from_file")], "initial.path required for from_file data"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary\nC = 0.5"),
+      ("coefficients = 0, -1, 1", "coefficients = 0, 1, 1")],
+     "no solitary wave exists at C=0.5"),
+    ([("T = 4.0", "T = 60.0")], "horizon rule violated"),
+    ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.0, 5.0")], "snapshot time 5.0 outside [0, T]"),
+    ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.005")],
+     "snapshot time 0.005 not on the dt grid"),
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 3.0:5.0")],
+     "spectrum window 3.0:5.0 not inside [0, T]"),
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 1.0-4.0")],
+     "cannot parse outputs.spectrum_windows"),
+]
+
 
 class TestConfig:
     def test_validation_collects_all_violations(self):
@@ -66,6 +103,17 @@ class TestConfig:
         assert any("mass" in m for m in msgs)
         assert any("n_points" in m for m in msgs)
         assert any("multiple" in m for m in msgs)
+
+    @pytest.mark.parametrize("edits,violation", CONFIG_VIOLATIONS,
+                             ids=[v for _, v in CONFIG_VIOLATIONS])
+    def test_each_violation_listed(self, edits, violation):
+        text = BASE_CFG
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert any(violation in m for m in err.value.errors), err.value.errors
 
     def test_horizon_rule_enforced(self):
         bad = BASE_CFG.replace("T = 4.0", "T = 60.0").replace("dt = 0.01", "dt = 0.01")
@@ -149,6 +197,36 @@ class TestRoundTrips:
         assert np.array_equal(back.freqs, spec.freqs)
         assert np.array_equal(back.amps, spec.amps)
 
+    def test_table_bytes(self, tmp_path):
+        # -0.0, 1e-05 and 1e+16 keep their repr; abs(0.25+0.6j) is 0.65, where
+        # np.abs of an array gives 0.6499999999999999
+        z = np.array([complex(-0.0, 1e-05), 0.25 + 0.6j, complex(1e16, -0.0)])
+        p = tmp_path / "trace.csv"
+        write_trace_csv(str(p), TraceSeries(dt=0.1, z=z, f=None),
+                        [(0.0, 1e-05), (0.2, 0.5)], [(0.0, 1e16), (0.2, -0.0)])
+        assert p.read_bytes() == (b"t,re_z,im_z,abs_z,energy,charge\n"
+                                  b"0.0,-0.0,1e-05,1e-05,1e-05,1e+16\n"
+                                  b"0.1,0.25,0.6,0.65,,\n"
+                                  b"0.2,1e+16,-0.0,1e+16,0.5,-0.0\n")
+        p = tmp_path / "snap.csv"
+        write_snapshot_csv(str(p), FieldState(Grid(1.0, 3), z, z[::-1], time=2.5))
+        assert p.read_bytes() == (b"# time = 2.5\n"
+                                  b"x,re_psi,im_psi,re_pi,im_pi\n"
+                                  b"-1.0,-0.0,1e-05,1e+16,-0.0\n"
+                                  b"0.0,0.25,0.6,0.25,0.6\n"
+                                  b"1.0,1e+16,-0.0,-0.0,1e-05\n")
+        p = tmp_path / "spec.csv"
+        write_spectrum_csv(str(p), SpectrumEstimate(freqs=np.array([-1e16, -0.0, 1e-05]),
+                                                    amps=z, window=Window.RECT,
+                                                    t_center=1e-05, t_width=1e16))
+        assert p.read_bytes() == (b"# window = rect\n"
+                                  b"# t_center = 1e-05\n"
+                                  b"# t_width = 1e+16\n"
+                                  b"omega,re_amp,im_amp\n"
+                                  b"-1e+16,-0.0,1e-05\n"
+                                  b"-0.0,0.25,0.6\n"
+                                  b"1e-05,1e+16,-0.0\n")
+
     def test_report_round_trip(self, tmp_path):
         p = str(tmp_path / "report.txt")
         sections = {"solve": {"status": "completed", "steps": "100"},
@@ -164,6 +242,13 @@ class TestRoundTrips:
 
 def run_cli(tmp_path, *args):
     return main(["--out", str(tmp_path / "out"), *args])
+
+
+def assert_input_error(code, capsys, text):
+    """Exit 2 with one `error:` line on stderr that contains text."""
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and text in err[0], err
 
 
 class TestCommands:
@@ -234,6 +319,57 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "largest admissible dt" in err[0]
+
+    def test_non_finite_node(self, tmp_path, monkeypatch, capsys):
+        # one fixed-point iteration never meets the node's stopping rule
+        monkeypatch.setattr(volterra, "_MAX_ITERATIONS", 1)
+        cfg = parse_config_text(BASE_CFG)
+        initial = build_initial_state(cfg)
+        report = volterra.solve_trace(cfg.model, initial, cfg.T, cfg.dt)
+        assert report.status is SolveStatus.NON_FINITE
+        assert report.message == "implicit node failed to converge at t=0.01"
+        assert len(report.trace.z) == 1 and report.trace.z[0] == initial.center_value
+        report, snapshots = volterra.solve_full(cfg.model, initial, cfg.T, cfg.dt,
+                                                snapshot_times=cfg.snapshots)
+        assert report.status is SolveStatus.NON_FINITE and snapshots == []
+        path = tmp_path / "g.cfg"
+        path.write_text(BASE_CFG)
+        assert run_cli(tmp_path, "simulate", "--config", str(path)) == 1
+        assert capsys.readouterr().err == ("error: run status non_finite: "
+                                           "implicit node failed to converge at t=0.01\n")
+        # the files hold the truncated trace and no spectrum of it
+        assert len(read_trace_csv(str(tmp_path / "out" / "trace.csv"))[0]) == 1
+        assert not (tmp_path / "out" / "spectrum_0.csv").exists()
+        assert read_report(str(tmp_path / "out" / "report.txt"))["solve"]["steps"] == "0"
+
+    @pytest.mark.parametrize("argv,text", [
+        (["--u", "0,1", "--C", "0.5"], "degree N >= 2"),
+        (["--u", "0,-1,abc", "--C", "0.5"], "'abc'"),
+        (["--C", "-1"], "amplitude must be positive"),
+        (["--omega", "2"], "|omega| < m"),
+    ], ids=["degree", "coefficient", "amplitude", "omega"])
+    def test_solitary_input_errors(self, tmp_path, capsys, argv, text):
+        assert_input_error(run_cli(tmp_path, "solitary", *argv), capsys, text)
+
+    @pytest.mark.parametrize("name,t_width,text", [
+        ("trace.csv", "2.0", "window extends outside the trace"),
+        ("report.txt", "1.0", "not a trace file"),
+    ], ids=["window", "not_a_trace"])
+    def test_spectrum_input_errors(self, tmp_path, capsys, name, t_width, text):
+        # a 1 s trace, and a report file beside it
+        write_trace_csv(str(tmp_path / "trace.csv"),
+                        TraceSeries(dt=0.1, z=np.ones(11, dtype=complex), f=None))
+        write_report(str(tmp_path / "report.txt"), {"solve": {"status": "completed"}})
+        code = run_cli(tmp_path, "spectrum", "--trace", str(tmp_path / name),
+                       "--t-center", "0.5", "--t-width", t_width)
+        assert_input_error(code, capsys, text)
+
+    def test_attract_rejects_radius_before_solve(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        code = run_cli(tmp_path, "attract", "--config", str(cfg), "--radius", "-1")
+        assert_input_error(code, capsys, "--radius must be positive")
 
     def test_solitary_table(self, capsys):
         code = main(["solitary", "--u", "0,-1,1", "--mass", "1", "--C", "0.5"])
