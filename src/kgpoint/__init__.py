@@ -6,9 +6,9 @@ global attraction of finite-energy solutions to that manifold.
 """
 
 from .fields import FieldState, Grid, zero_state
-from .kernel import bessel_j0, free_evolve, free_trace, green_g, spectral_energy_norm
+from .kernel import bessel_j0, free_evolve, free_trace
 from .model import ModelKind, OscillatorModel, alpha, check_bound_below, force, potential
-from .observables import ac_weight, charge, energy, k_of_omega, kappa_of_omega, norm_e
+from .observables import charge, energy, norm_e
 from .solitary import (LinearSpanFit, LinearWaveFamily, ManifoldDistance,
                        SolitaryWave, ZeroWave, distance_to_manifold, sample_profile,
                        waves_at_omega, waves_from_amplitude)
@@ -23,13 +23,13 @@ __all__ = [
     "FieldState", "Grid", "LinearSpanFit", "LinearWaveFamily",
     "ManifoldDistance", "ModelKind", "OmegaLimitReport", "OscillatorModel",
     "SolitaryWave", "SolveReport", "SolveStatus", "SpectrumEstimate",
-    "TitchmarshResult", "TraceSeries", "Window", "ZeroWave", "ac_weight",
+    "TitchmarshResult", "TraceSeries", "Window", "ZeroWave",
     "alpha", "bessel_j0", "charge", "check_bound_below", "distance_to_manifold",
     "dominant_frequency", "energy", "force", "free_evolve", "free_trace",
-    "gap_mass_fraction", "green_g", "k_of_omega", "kappa_of_omega",
+    "gap_mass_fraction",
     "late_window", "modulus_variation", "norm_e", "omega_limit_report",
     "potential", "reconstruct_field", "reconstruct_fields", "sample_profile", "solve_full",
-    "solve_trace", "spectral_energy_norm", "titchmarsh_check",
+    "solve_trace", "titchmarsh_check",
     "waves_at_omega", "waves_from_amplitude", "windowed_spectrum", "zero_state",
 ]
 

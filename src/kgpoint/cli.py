@@ -14,7 +14,8 @@ Subcommands:
 The config-reading subcommands (simulate, attract, sweep, compare) each take
 a required --config; simulate, attract and compare also take --set
 SEC.KEY=VAL overrides (the seed is run.seed).  solitary takes its model from
---mass, --u or --a only.  Every table goes through `output.format_table`.
+--mass and at most one of --u and --a, and its waves from exactly one of --C
+and --omega.  Every table goes through `output.format_table`.
 
 Exit codes: 0 ok, 1 run failure, 2 input failure: an invalid config (including
 a dt too large for the trace solver's implicit node) or an invalid flag value
@@ -114,7 +115,10 @@ def _model_from_args(args) -> OscillatorModel:
     mass = args.mass if args.mass is not None else 1.0
     if args.a is not None:
         return OscillatorModel.linear(mass, args.a)
-    coeffs = [float(c) for c in (args.u or "0,-1,1").split(",")]
+    try:
+        coeffs = [float(c) for c in (args.u or "0,-1,1").split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--u {args.u}: {exc}") from None
     return OscillatorModel.polynomial(mass, coeffs)
 
 
@@ -124,14 +128,12 @@ def cmd_solitary(args) -> int:
     if args.C is not None:
         waves = waves_from_amplitude(model, args.C)
         rows = [(w.amplitude, w.kappa, w.omega) for w in waves]
-    elif args.omega is not None:
+    else:
         res = waves_at_omega(model, args.omega)
         if isinstance(res, LinearWaveFamily):
             print(f"continuous family: kappa = {res.kappa!r}, omega = {res.omega!r}, any C")
             return 0
         rows = [(w.amplitude, w.kappa, w.omega) for w in res]
-    else:
-        return _fail(2, "solitary needs --C or --omega")
     table = out.format_table(("C", "kappa", "omega"),
                              np.array(rows, dtype=float).reshape(-1, 3).T)
     print(table, end="")
@@ -334,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("solitary", help="solitary-wave table")
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--omega", type=float)
+    at = sp.add_mutually_exclusive_group(required=True)
+    at.add_argument("--C", type=float)
+    at.add_argument("--omega", type=float)
     sp.add_argument("--mass", type=float)
-    sp.add_argument("--u", help="comma-separated potential coefficients u_0..u_N")
-    sp.add_argument("--a", type=float, help="linear coupling")
+    coupling = sp.add_mutually_exclusive_group()
+    coupling.add_argument("--u", help="comma-separated potential coefficients u_0..u_N")
+    coupling.add_argument("--a", type=float, help="linear coupling")
     sp.add_argument("--write", action="store_true", help="also write solitary.csv")
     sp.set_defaults(func=cmd_solitary)
 

@@ -1,4 +1,4 @@
-"""Free Klein-Gordon machinery: Bessel kernel, Green function, propagator.
+"""Free Klein-Gordon machinery: Bessel kernel tables, propagator, free trace.
 
 The retarded Green function of psi_tt = psi_xx - m^2 psi in one dimension is
 
@@ -255,16 +255,6 @@ class KernelTables:
         return out[0], out[1]
 
 
-def green_g(x, t, m: float):
-    """Retarded Green function G(x, t) = theta(t - |x|) J0(m sqrt(t^2 - x^2)) / 2."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    inside = t > np.abs(x)
-    arg = m * np.sqrt(np.where(inside, t * t - x * x, 0.0))
-    out = np.where(inside, 0.5 * bessel_j0(arg), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _mode_data(state: FieldState):
     """FFT of (psi, pi) on the grid (periodic; last node dropped as the
     duplicate of the first) plus the mode frequencies and the phase aligning
@@ -292,18 +282,6 @@ def free_evolve(state: FieldState, dt_target: float, m: float) -> FieldState:
     psi = np.append(psi, psi[0])
     pi = np.append(pi, pi[0])
     return FieldState(state.grid, psi, pi, state.time + dt_target)
-
-
-def spectral_energy_norm(state: FieldState, m: float) -> float:
-    """Energy norm ||Psi||_E in the exact discrete-spectral metric.
-
-    This is the quantity each Fourier rotation of `free_evolve` preserves
-    identically; the physical-space quadrature norm differs from it by O(h^2).
-    """
-    psi_h, pi_h, k, n = _mode_data(state)
-    w2 = k * k + m * m
-    total = np.sum(np.abs(pi_h) ** 2 + w2 * np.abs(psi_h) ** 2)
-    return float(np.sqrt(total * state.grid.spacing / n))
 
 
 def convolve_j0(times: np.ndarray, f: np.ndarray, m: float,

@@ -1,4 +1,4 @@
-"""Conserved functionals and spectral parameter functions.
+"""Conserved functionals and energy norms.
 
 Energy, charge and the energy (semi)norms are trapezoid quadratures of the
 sampled densities.  The spatial derivative is centered except across x = 0,
@@ -76,31 +76,3 @@ def charge(state: FieldState) -> float:
     # the discarded real trapezoid is the Hermitian one by construction
     return float(val)
 
-
-def k_of_omega(omega, m: float):
-    """k(omega) = sqrt(omega^2 - m^2), boundary value from Im omega > 0.
-
-    Real omega: i sqrt(m^2 - omega^2) inside the gap, sign(omega) sqrt(omega^2 - m^2)
-    outside, so that Im k >= 0 and omega k(omega) > 0 on the continuous spectrum.
-    """
-    omega = np.asarray(omega, dtype=float)
-    inside = np.abs(omega) <= m
-    k = np.where(inside,
-                 1j * np.sqrt(np.maximum(m * m - omega ** 2, 0.0)),
-                 np.sign(omega) * np.sqrt(np.maximum(omega ** 2 - m * m, 0.0)))
-    return complex(k) if k.ndim == 0 else k
-
-
-def kappa_of_omega(omega, m: float):
-    """kappa(omega) = -i k(omega) = sqrt(m^2 - omega^2), Re kappa >= 0."""
-    k = k_of_omega(omega, m)
-    return -1j * k
-
-
-def ac_weight(omega, m: float):
-    """Spectral density weight n(omega) = omega k(omega) for |omega| > m, else 0."""
-    omega = np.asarray(omega, dtype=float)
-    n = np.where(np.abs(omega) > m,
-                 np.abs(omega) * np.sqrt(np.maximum(omega ** 2 - m * m, 0.0)),
-                 0.0)
-    return float(n) if n.ndim == 0 else n

@@ -34,24 +34,29 @@ The full field is recovered from the trace by the Duhamel representation
 
     psi(x, t) = psi_free(x, t) + int_0^{t - |x|} G(x, t - s) F(z(s)) ds,
 
-a quadrature restricted to the light cone: trapezoid over the trace nodes
-with an exact closure at the cone edge, switching to a Gauss rule in the
-r = sqrt((t-s)^2 - x^2) variable over the last cells, where the kernel's
-square-root turning point makes any s-grid under-resolved.  pi adds the
-Leibniz time derivative of the Duhamel term, whose delta ridge integrates
-to the sharp analytic boundary value f(t - |x|)/2, to the free part's
-exact spectral derivative.
+a quadrature restricted to the light cone.  Each row x sums a bulk, the
+trapezoid over the trace nodes up to a cut node, and closes it with a short
+end stencil: the cut node's half weight, an exact partial cell up to the
+cone edge, or a Gauss rule in the r = sqrt((t-s)^2 - x^2) variable over the
+last cells, where the kernel's square-root turning point makes any s-grid
+under-resolved.  pi adds the Leibniz time derivative of the Duhamel term,
+whose delta ridge integrates to the sharp analytic boundary value
+f(t - |x|)/2, to the free part's exact spectral derivative.
 
-Both cone sums come from one pass over panels of 128 source nodes.  Away
-from the cone edge each row of the kernels is smooth across a panel (they
-are entire in u = tau^2 - x^2), so the pass evaluates it at 24 Chebyshev
-points only and multiplies against the panel's moments of the source
-histories.  The near-edge band, the last partial panel and the row x = 0
-are summed entry by entry, in blocks of about 2^15 kernel entries, small
-enough that a block's arrays stay in the per-core cache; each block computes
-the cone geometry m sqrt(tau^2 - x^2) and the cubic table-interpolation
-weights once, gathers J0 (the psi kernel) and J1/x (the pi kernel) with
-them, and multiplies both against the source histories in a single matmul.
+Both cone sums come from one pass.  Every kernel value is taken at the
+distance d = tau - |x| = (t - |x|) - s to the cone edge, with
+r^2 = d (d + 2|x|), so no cancellation of tau^2 - x^2 enters near the edge
+(`_kernels`).  The bulk runs over panels of 128 source nodes.  Away from
+the cone edge each row of the kernels is smooth across a panel (they are
+entire in u = tau^2 - x^2), so the pass evaluates it at 24 Chebyshev points
+only and multiplies against the panel's moments of the source histories.
+The near-edge band, the last partial panel and the row x = 0 are summed
+entry by entry, in blocks of about 2^15 kernel entries, small enough that a
+block's arrays stay in the per-core cache; each block computes the cone
+geometry and the cubic table-interpolation weights once, gathers J0 (the
+psi kernel) and J1/x (the pi kernel) with them, and multiplies both against
+the source histories in a single matmul.  The end stencils of all rows take
+one kernel lookup and one einsum.
 """
 
 from __future__ import annotations
@@ -384,12 +389,24 @@ def _panel_rule(n_nodes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
 _PANEL_NODES, _PANEL_WEIGHTS = _panel_rule(_PANEL, _PANEL_POINTS)
 
 
-def _point_kernels(tables: KernelTables, m: float, xa: np.ndarray, tau: np.ndarray):
-    """(K_psi, K_pi) at the points (xa, tau), clipped to the cone edge value
-    outside it: K_psi = J0(m r)/2 and K_pi = -(m^2/2) tau J1(m r)/(m r),
-    r = sqrt(tau^2 - x^2)."""
-    j0, j1x = tables(m * np.sqrt(np.maximum(tau * tau - xa * xa, 0.0)))
-    return 0.5 * j0, -0.5 * m * m * tau * j1x
+def _kernels(tables: KernelTables, m: float, x, d: np.ndarray) -> np.ndarray:
+    """(K_psi, K_pi) = (J0(m r)/2, -(m^2/2) tau J1(m r)/(m r)), stacked, at
+    rows x and distances d = tau - |x| to the cone edge (x broadcasts
+    against d).  r^2 is formed as d (d + 2|x|): tau^2 - x^2 from a rounded
+    tau would carry a relative error of about ulp(tau^2)/r^2 near the edge.
+    A d rounded below zero counts as the edge, d = 0."""
+    u = d + 2.0 * x
+    u *= d
+    np.maximum(u, 0.0, out=u)
+    np.sqrt(u, out=u)
+    u *= m
+    kern = np.empty((2,) + u.shape)
+    tables(u, out=kern)
+    kern[0] *= 0.5
+    tau = d + x
+    tau *= -0.5 * m * m
+    kern[1] *= tau
+    return kern
 
 
 def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float,
@@ -402,18 +419,22 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     `f_cols` has shape (n_times, k): each column is one source history and
     gets its own output column; the result is the pair (psi, pi) of
     (len(grid_x), k) complex arrays.  The kernels are even in x and the grid
-    is symmetric, so only the right half is summed and mirrored.
+    is symmetric, so only the right half is summed and mirrored; its rows
+    inside the cone are a prefix, and the rest stay zero.  Every kernel
+    value comes from `_kernels` at d = (t - |x|) - s.
 
-    The trapezoid sums run over panels of _PANEL consecutive source nodes.
-    Both kernels depend on a row x only through u = tau^2 - x^2, and
-    J0(m sqrt(u)) and J1(m sqrt(u))/(m sqrt(u)) are entire in u, so away
-    from the cone edge a row is a smooth function of tau across a panel.
-    There it is replaced by its interpolant at _PANEL_POINTS Chebyshev
-    points (`_panel_rule`): the panel's sum becomes K(x, tau_q) @ g with the
-    panel moments g = W f, computed once per call for every panel and
-    source column, and 24 kernel lookups per row replace 128.  A (row,
-    panel) pair takes this rule when the row's trapezoid region covers the
-    whole panel and the kernel's phase across it,
+    Each row is a bulk plus an end stencil.  The bulk sums K f dt over the
+    source nodes up to the row's cut node s_cut, with f_0 halved (the s = 0
+    trapezoid weight, folded as in `solve_trace`), over panels of _PANEL
+    consecutive nodes.  Both kernels depend on a row x only through
+    u = tau^2 - x^2, and J0(m sqrt(u)) and J1(m sqrt(u))/(m sqrt(u)) are
+    entire in u, so away from the cone edge a row is a smooth function of
+    tau across a panel.  There it is replaced by its interpolant at
+    _PANEL_POINTS Chebyshev points (`_panel_rule`): the panel's sum becomes
+    K(x, tau_q) @ g with the panel moments g = W f, computed once per call
+    for every panel and source column, and 24 kernel lookups per row
+    replace 128.  A (row, panel) pair takes this rule when the row's bulk
+    covers the whole panel and the kernel's phase across it,
     m tau_lo (_PANEL - 1) dt / sqrt(tau_lo^2 - x^2) at the panel's smallest
     tau, is at most _PANEL_PHASE (Trefethen, Approximation Theory and
     Approximation Practice, SIAM 2013, ch. 8).  On rows at that bound the
@@ -421,65 +442,56 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     sum |K| over the panel in the l1 norm, for both kernels and
     dt = 1e-3 .. 0.05 (4e-15 at dt = 1e-3; tests/test_cone_fused.py), and
     whole reconstructions stay within 5.1e-14 max|field| of the direct pass.
-    The rest is summed entry by entry, in blocks of whole rows with about
-    _BLOCK_ENTRIES kernel entries that share the cone geometry and the
-    interpolation weights between both kernels: the near-edge band of each
-    panel, the last partial panel, and the row x = 0.  Each block
-    multiplies both kernels against the sources in one matmul.
+    The rest of the bulk is summed entry by entry, in blocks of whole rows
+    with about _BLOCK_ENTRIES kernel entries that share the cone geometry
+    and the interpolation weights between both kernels: the near-edge band
+    of each panel, the last partial panel, and the row x = 0, which thereby
+    stays the exact mirror of the trace solver's weights.
 
     Near the cone edge the kernels turn as functions of r = sqrt(tau^2-x^2)
     with d(phase)/ds ~ m sqrt(x/(2u)) diverging at the edge (u = distance to
     it), so a trapezoid in s is under-resolved there once 2 m^2 x dt > 1/2.
-    Those last cells are integrated in the r variable instead, where the
-    kernel oscillates uniformly: a fixed Gauss rule on
-    int K(x, tau) (r / tau) f(t - tau) dr is then exact to roundoff.
-    The trapezoid region always ends on a node with half weight; for x
-    without an edge zone the final partial cell is closed with the kernel's
-    edge-limit value (which `_point_kernels` returns at tau = |x|); a row
-    on the front t = |x| has an empty region and sums to zero.  The x = 0
-    column has no edge zone and, summed entry by entry, stays the exact
-    mirror of the trace solver's product-integration weights.
+    Such a row cuts its bulk n_e nodes early and integrates the rest in the
+    r variable, where the kernel oscillates uniformly: a fixed Gauss rule
+    on int K(x, tau) (r / tau) f(t - tau) dr is then exact to roundoff.
+    The end stencil holds per row the entries (d, weight, node, fraction),
+    f read by linear interpolation, for one kernel lookup and one einsum:
+    the cut node's other half, -dt/2 (so a bulk that ends at s = 0 cancels
+    and the front row t = |x| sums to exactly zero); on rows without an
+    edge zone the partial cell [s_cut, t - |x|] by a trapezoid, whose cut
+    end adds to that entry and whose edge end is the kernels' edge-limit
+    value at d = 0; and the Gauss points of the edge zone.
     """
     n_half = (len(grid_x) + 1) // 2
     xa = grid_x[n_half - 1:]  # 0 .. L ascending
-    x_sq = xa * xa
     n_times, n_cols = f_cols.shape
-    half_m_sq = 0.5 * m * m
+    ji = np.floor((t - xa) / dt + 1e-12).astype(np.intp)
+    rows = int(np.count_nonzero(ji >= 0))  # ji does not increase with |x|
+    xa = xa[:rows]
     reach = t - xa
-    ji = np.floor(reach / dt + 1e-12).astype(np.intp)
-    inside = ji >= 0
-    ji_c = np.clip(ji, 0, n_times - 1)
-    delta = np.where(inside, reach - ji_c * dt, 0.0)
-    delta = np.maximum(delta, 0.0)
+    ji = np.minimum(ji[:rows], n_times - 1)
+    delta = np.maximum(reach - ji * dt, 0.0)
     delta[delta < 1e-9 * dt] = 0.0  # snap fp residue so on-node cones use the limit value
 
-    use_gauss = inside & (2.0 * m * m * xa * dt > 0.5) & (ji_c >= 1)
-    n_e = np.where(use_gauss,
-                   np.ceil(2.0 * m * m * xa * dt).astype(np.intp) + 1, 0)
-    n_e = np.minimum(n_e, ji_c)
-    j_cut = np.where(inside, ji_c - n_e, -1)
+    use_gauss = (2.0 * m * m * xa * dt > 0.5) & (ji >= 1)
+    n_e = np.where(use_gauss, np.ceil(2.0 * m * m * xa * dt).astype(np.intp) + 1, 0)
+    j_cut = ji - np.minimum(n_e, ji)
 
     # acc[kernel, x, (re | im) of each source column]
     acc = np.zeros((2, n_half, 2 * n_cols))
-    n_nodes = int(np.max(j_cut)) + 1 if np.any(inside) else 0
+    n_nodes = int(j_cut[0]) + 1  # the row x = 0 reaches furthest
     f_ri = np.concatenate([f_cols.real, f_cols.imag], axis=1)
+    g = f_ri.copy()  # the bulk's sources
+    g[0] *= 0.5
 
-    def add(r0: int, r1: int, tau: np.ndarray, src: np.ndarray, nodes=None):
-        """acc[:, r0:r1] += K(x, tau) @ src in blocks of whole rows.  With
-        `nodes` (the source node of each tau), entries past a row's
-        trapezoid end are dropped."""
-        rows = max(1, _BLOCK_ENTRIES // len(tau))
-        tau_sq = tau * tau
-        for a in range(r0, r1, rows):
-            b = min(a + rows, r1)
-            arg = tau_sq[None, :] - x_sq[a:b, None]
-            np.maximum(arg, 0.0, out=arg)
-            np.sqrt(arg, out=arg)
-            arg *= m
-            kern = np.empty((2,) + arg.shape)
-            tables(arg, out=kern)
-            kern[0] *= 0.5
-            kern[1] *= -half_m_sq * tau[None, :]
+    def add(r0: int, r1: int, s: np.ndarray, src: np.ndarray, nodes=None):
+        """acc[:, r0:r1] += K(x, t - s) @ src in blocks of whole rows.  With
+        `nodes` (the source node of each s), entries past a row's bulk are
+        dropped."""
+        step = max(1, _BLOCK_ENTRIES // len(s))
+        for a in range(r0, r1, step):
+            b = min(a + step, r1)
+            kern = _kernels(tables, m, xa[a:b, None], reach[a:b, None] - s)
             if nodes is not None:
                 short = np.flatnonzero(j_cut[a:b] < nodes[-1])
                 if short.size:
@@ -488,78 +500,60 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
             acc[:, a:b] += (kern.reshape(2 * (b - a), -1) @ src).reshape(2, b - a, -1)
 
     n_full = n_nodes // _PANEL
-    moments = _PANEL_WEIGHTS @ f_ri[:n_full * _PANEL].reshape(n_full, _PANEL, f_ri.shape[1])
-    # a row compresses on a panel when its trapezoid covers the panel (no
-    # partial cell or Gauss zone inside) and x^2 <= tau_lo^2 (1 - ratio^2)
+    moments = _PANEL_WEIGHTS @ g[:n_full * _PANEL].reshape(n_full, _PANEL, g.shape[1])
+    # a row compresses on a panel when its bulk covers the panel (no partial
+    # cell or Gauss zone inside) and x^2 <= tau_lo^2 (1 - ratio^2)
     ratio = m * (_PANEL - 1) * dt / _PANEL_PHASE
     for k, start in enumerate(range(0, n_nodes, _PANEL)):
         nodes = np.arange(start, min(start + _PANEL, n_nodes))
-        tau = t - nodes * dt
+        s = nodes * dt
         nx = int(np.flatnonzero(j_cut >= start)[-1]) + 1  # up to the last row reaching it
         split = 1  # rows 1 .. split-1 take the panel rule
         if k < n_full:
+            tau_lo = t - s[-1]
             ok = ((j_cut[1:nx] >= nodes[-1])
-                  & (x_sq[1:nx] <= tau[-1] * tau[-1] * (1.0 - ratio * ratio)))
+                  & (xa[1:nx] ** 2 <= tau_lo * tau_lo * (1.0 - ratio * ratio)))
             bad = np.flatnonzero(~ok)
             split += int(bad[0]) if bad.size else ok.size
-            add(1, split, t - (start + _PANEL_NODES) * dt, moments[k])
-        src = f_ri[start:start + len(nodes)]
-        add(0, 1, tau, src, nodes)
-        add(split, nx, tau, src, nodes)
-    sums = (acc[..., :n_cols] + 1j * acc[..., n_cols:]) * dt
+            add(1, split, (start + _PANEL_NODES) * dt, moments[k])
+        src = g[start:start + len(nodes)]
+        add(0, 1, s, src, nodes)
+        add(split, nx, s, src, nodes)
+    acc *= dt
 
-    inside_c = inside[:, None]
-    delta_c = delta[:, None]
-    gauss_c = use_gauss[:, None]
-    f0 = f_cols[0][None, :]
+    # the end stencil: entries 0 (cut node), 1 (edge) and 2.. (Gauss points)
+    shape = (rows, 2 + len(_GAUSS_X))
+    d, weight, frac = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    node = np.zeros(shape, dtype=np.intp)
+    half_cell = np.where(use_gauss, 0.0, 0.5 * delta)  # partial cell trapezoid
+    d[:, 0] = reach - j_cut * dt
+    weight[:, 0] = half_cell - 0.5 * dt
+    node[:, 0] = j_cut
+    weight[:, 1] = half_cell
+    node[:, 1] = ji
+    frac[:, 1] = delta / dt
+    # Gauss rule in r over the edge zone, K ds = K (r / tau) dr, from
+    # r_b = r(s_cut); d = r^2 / (tau + |x|) carries no cancellation
+    z = np.flatnonzero(use_gauss)
+    xz = xa[z, None]
+    d_b = d[z, :1]
+    r_b = np.sqrt(d_b * (d_b + 2.0 * xz))
+    r = r_b * _GAUSS_X
+    tau = np.sqrt(xz * xz + r * r)
+    d[z, 2:] = r * r / (tau + xz)
+    weight[z, 2:] = r_b * _GAUSS_W * r / tau
+    s_g = (reach[z, None] - d[z, 2:]) / dt
+    node[z, 2:] = s_g
+    frac[z, 2:] = s_g - node[z, 2:]
 
-    # trapezoid endpoint weights: halve s = 0 and the cut node; an empty
-    # trapezoid region (j_cut = 0) drops its node fully, so the front row
-    # t = |x| gets no sum at all
-    k_tau0 = _point_kernels(tables, m, xa, np.full_like(xa, t))
-    w0 = np.where(j_cut[:, None] >= 1, 0.5 * dt, dt)
+    kern = _kernels(tables, m, xa[:, None], d)
+    kern *= weight
+    f_node = f_ri[node]
+    f_node += (f_ri[np.minimum(node + 1, n_times - 1)] - f_node) * frac[..., None]
+    acc[:, :rows] += np.einsum("crn,rnk->crk", kern, f_node)
 
-    j_cut_c = np.maximum(j_cut, 0)
-    k_cut = _point_kernels(tables, m, xa, t - j_cut_c * dt)
-    f_cut = f_cols[j_cut_c, :]
-    keep_j = inside_c & (j_cut[:, None] >= 1)
-
-    # partial cell [s_ji, t - |x|] for x without an edge zone
-    ji_next = np.minimum(ji_c + 1, n_times - 1)
-    f_ji = f_cols[ji_c, :]
-    f_edge = f_ji + (f_cols[ji_next, :] - f_ji) * (delta_c / dt)
-    k_lim = _point_kernels(tables, m, xa, xa)
-    keep_p = inside_c & ~gauss_c & (delta_c > 0)
-
-    halves = []
-    for c in range(2):
-        sub0 = np.where(inside_c, w0 * k_tau0[c][:, None] * f0, 0.0)
-        sub_j = np.where(keep_j, 0.5 * dt * k_cut[c][:, None] * f_cut, 0.0)
-        # the partial cell starts on the row's cut node s_ji (no edge zone)
-        partial = np.where(keep_p, 0.5 * delta_c * (k_cut[c][:, None] * f_ji
-                                                    + k_lim[c][:, None] * f_edge), 0.0)
-        halves.append(sums[c] - sub0 - sub_j + partial)
-
-    if np.any(use_gauss):
-        idx = np.nonzero(use_gauss)[0]
-        xg = xa[idx]
-        tau_b = t - j_cut[idx] * dt
-        r_b = np.sqrt(np.maximum(tau_b ** 2 - xg ** 2, 0.0))
-        r = r_b[:, None] * _GAUSS_X[None, :]
-        tau_g = np.sqrt(xg[:, None] ** 2 + r ** 2)
-        s_g = t - tau_g
-        # K ds = K (r / tau) dr: 0.5 J0(m r) (r / tau) dr for psi and
-        # (-m^2/2) J1x(m r) r dr for pi
-        j0, j1x = tables(m * r)  # (n_idx, G)
-        vals = (0.5 * j0 * r / tau_g, -half_m_sq * j1x * r)
-        jj = np.clip((s_g / dt).astype(np.intp), 0, n_times - 2)
-        frac = np.clip(s_g / dt - jj, 0.0, 1.0)
-        fg = f_cols[jj, :] + (f_cols[jj + 1, :] - f_cols[jj, :]) * frac[..., None]
-        for c in range(2):
-            w = r_b[:, None] * _GAUSS_W[None, :] * vals[c]  # (n_idx, G)
-            halves[c][idx] += np.einsum("ig,igk->ik", w, fg)
-
-    return tuple(np.concatenate([half[:0:-1], half], axis=0) for half in halves)
+    return tuple(np.concatenate([half[:0:-1], half], axis=0)
+                 for half in acc[..., :n_cols] + 1j * acc[..., n_cols:])
 
 
 def _tables_for(m: float, t: float, dt: float) -> KernelTables:

@@ -344,12 +344,23 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv,text", [
         (["--u", "0,1", "--C", "0.5"], "degree N >= 2"),
-        (["--u", "0,-1,abc", "--C", "0.5"], "'abc'"),
+        (["--u", "0,-1,abc", "--C", "0.5"], "--u 0,-1,abc: could not convert string to float: 'abc'"),
         (["--C", "-1"], "amplitude must be positive"),
         (["--omega", "2"], "|omega| < m"),
     ], ids=["degree", "coefficient", "amplitude", "omega"])
     def test_solitary_input_errors(self, tmp_path, capsys, argv, text):
         assert_input_error(run_cli(tmp_path, "solitary", *argv), capsys, text)
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "1", "--u", "0,-1,1", "--C", "0.3"],
+        ["--C", "0.3", "--omega", "0.5"],
+    ], ids=["u_and_a", "C_and_omega"])
+    def test_solitary_rejects_conflicting_flags(self, capsys, argv):
+        # argparse reports the conflict instead of dropping one of the flags
+        with pytest.raises(SystemExit) as exc:
+            main(["solitary", *argv])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,t_width,text", [
         ("trace.csv", "2.0", "window extends outside the trace"),

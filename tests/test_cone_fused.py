@@ -1,6 +1,9 @@
 """The fused psi/pi cone pass, with its Chebyshev panels, against the
 two-pass direct oracle in cone_oracle.py."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -206,6 +209,26 @@ def test_compressed_panel_at_the_phase_bound(dt):
         for direct, compressed in zip(kernels(x, d, lag_nodes), kernels(x, d, lag_points)):
             gap = np.sum(np.abs(direct - compressed @ volterra._PANEL_WEIGHTS))
             assert gap <= 3e-13 * np.sum(np.abs(direct))
+
+
+def test_kernels_carry_no_cancellation_at_the_cone_edge():
+    # rows at tau ~ 700 with d = tau - |x| in [0, 0.1] on the dt = 1e-3 grid,
+    # d formed as the pass forms it, (t - |x|) - s_j.  The reference takes r
+    # from exact rational arithmetic on the same t, x and s_j; r^2 formed as
+    # tau^2 - x^2 from the rounded tau = t - s_j is off by about ulp(tau^2)
+    # there, which moves the kernels by 4e-12 of sum |K| (1e-16 in the d form)
+    m, t, dt = 1.0, 1000.0, 1e-3
+    tables = KernelTables(m * t + 1.0)
+    for x in (700.0, 700.0123, 699.9507, 700.31):
+        reach = t - x
+        s = np.arange(math.ceil((reach - 0.1) / dt), math.floor(reach / dt) + 1) * dt
+        got = volterra._kernels(tables, m, x, reach - s)
+        tau = [Fraction(t) - Fraction(s_j) for s_j in s.tolist()]
+        r = np.sqrt([max(float(tau_j * tau_j - Fraction(x) ** 2), 0.0) for tau_j in tau])
+        j0, j1x = tables(m * r)
+        want = (0.5 * j0, -0.5 * m * m * np.array([float(tau_j) for tau_j in tau]) * j1x)
+        for g, w in zip(got, want):
+            assert np.sum(np.abs(g - w)) <= 1e-14 * np.sum(np.abs(w))
 
 
 @pytest.mark.parametrize("quadrature", [volterra._cone_quadrature, cone_oracle.cone_quadrature],

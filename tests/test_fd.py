@@ -11,7 +11,7 @@ from kgpoint.solitary import sample_profile
 class TestStep:
     def test_zero_stays_zero(self, cubic_model):
         grid = Grid(10.0, 501)
-        st = fd_step(cubic_model, zero_state(grid), 0.01)
+        st, _ = fd_step(cubic_model, zero_state(grid), 0.01)
         assert np.max(np.abs(st.psi)) == 0.0
         assert np.max(np.abs(st.pi)) == 0.0
 
@@ -28,11 +28,29 @@ class TestStep:
         grid = Grid(20.0, 801)
         st0 = gaussian_state(grid, GaussianSpec(amplitude=0.5, width=1.5, omega_bar=0.4))
         dt = 0.02
-        st1 = fd_step(cubic_model, st0, dt)
-        st2 = fd_step(cubic_model, st1, dt)
+        st1, _ = fd_step(cubic_model, st0, dt)
+        st2, _ = fd_step(cubic_model, st1, dt)
         lhs = st2.psi - 2.0 * st1.psi + st0.psi
         rhs = dt * dt * _accel(cubic_model, st1.psi, grid.spacing, grid.center_index)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+    @pytest.mark.parametrize("n, dt", [(2735, 0.032), (5469, 0.016), (10937, 0.008),
+                                       (21873, 0.004)])
+    def test_evolve_equals_step_loop(self, cubic_model, half_wave, n, dt):
+        # fd_evolve hands each step's second acceleration to the next step;
+        # a loop of fd_step calls recomputes it.  The criterion-7 levels, for
+        # 32 steps of the coarsest (T = 1.024)
+        init = sample_profile(half_wave, Grid(82.0, n), 0.0)
+        run = fd_evolve(cubic_model, init, 1.024, dt)
+        state = init
+        trace = [state.psi[init.grid.center_index]]
+        for _ in range(len(run.times) - 1):
+            state, _ = fd_step(cubic_model, state, dt)
+            trace.append(state.psi[init.grid.center_index])
+        assert np.array_equal(run.trace, trace)
+        assert np.array_equal(run.final.psi, state.psi)
+        assert np.array_equal(run.final.pi, state.pi)
 
 
 class TestDispersion:

@@ -8,11 +8,11 @@ from scipy.special import j1 as scipy_j1
 
 import cone_oracle
 import table_oracle
-from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, green_g, kernel
+from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, kernel, volterra
 from kgpoint.config import InitialSpec
 from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
-from kgpoint.kernel import (bessel_j1, bessel_j1_over_x, convolve_j0, kink_split,
-                            mass_shell_trace, spectral_energy_norm)
+from kgpoint.kernel import (KernelTables, bessel_j1, bessel_j1_over_x, convolve_j0, kink_split,
+                            mass_shell_trace)
 from kgpoint.observables import norm_e
 from kgpoint.solitary import sample_profile
 
@@ -113,23 +113,41 @@ class TestTwoLevelTableFill:
 
 
 class TestGreen:
+    """G = J0(m r)/2 and its interior time derivative -(m^2/2) tau J1(m r)/(m r)
+    as the cone sums evaluate them (`volterra._kernels`), at the distance
+    d = tau - |x| to the cone edge."""
+
+    tables = KernelTables(10.0)
+
     def test_outside_cone(self):
-        assert green_g(1.0, 0.5, 1.0) == 0.0
-        assert green_g(1.0, 1.0, 1.0) == 0.0
+        # the cone sums put nothing beyond |x| = t, nor on the front |x| = t
+        grid = Grid(4.0, 129)
+        t = 1.0
+        f = np.ones((17, 1), dtype=complex)
+        for field in volterra._cone_quadrature(t / 16, f, grid.x, t, self.tables, 1.0):
+            assert np.all(field[np.abs(grid.x) >= t - 1e-12] == 0.0)
 
     def test_vertex_limit(self):
-        assert green_g(0.0, 1e-12, 1.0) == pytest.approx(0.5, abs=1e-15)
+        # at the vertex, and along the edge d = 0 where r = 0 for every x
+        k_psi, k_pi = volterra._kernels(self.tables, 1.0, 0.0, np.array([1e-12]))
+        assert k_psi[0] == pytest.approx(0.5, abs=1e-15)
+        k_psi, k_pi = volterra._kernels(self.tables, 2.0, np.array([0.3, 1.5]), np.zeros(2))
+        assert np.array_equal(k_psi, [0.5, 0.5])
+        assert k_pi == pytest.approx(-0.5 * 4.0 * np.array([0.3, 1.5]) * 0.5, rel=1e-15)
 
     def test_interior_value_vs_series_oracle(self):
-        # x=0.6, t=1.0, m=2: sqrt(1 - 0.36) = 0.8
-        want = j0_power_series(2.0 * 0.8) / 2.0
-        assert green_g(0.6, 1.0, 2.0) == pytest.approx(float(want), abs=1e-14)
+        # x=0.6, tau=1.0, m=2: sqrt(1 - 0.36) = 0.8
+        k_psi, k_pi = volterra._kernels(self.tables, 2.0, 0.6, np.array([0.4]))
+        assert k_psi[0] == pytest.approx(float(j0_power_series(2.0 * 0.8)) / 2.0, abs=1e-14)
+        assert k_pi[0] == pytest.approx(-2.0 * scipy_j1(1.6) / 1.6, abs=1e-14)
 
     def test_array_broadcast(self):
         x = np.array([0.0, 0.3, 2.0])
-        out = green_g(x, 1.0, 1.0)
-        assert out.shape == (3,)
-        assert out[2] == 0.0
+        d = np.array([0.0, 0.25, 1.0, 3.0])
+        out = volterra._kernels(self.tables, 1.0, x[:, None], d)
+        assert out.shape == (2, 3, 4)
+        for i, x_i in enumerate(x):
+            assert np.array_equal(out[:, i], volterra._kernels(self.tables, 1.0, x_i, d))
 
 
 class TestFreeEvolve:
@@ -151,8 +169,16 @@ class TestFreeEvolve:
     def test_energy_isometry(self, small_grid):
         st = gaussian_state(small_grid, GaussianSpec(amplitude=0.7 + 0.2j, width=1.5,
                                                      momentum=0.8, omega_bar=0.4))
-        n0 = spectral_energy_norm(st, 1.0)
-        n1 = spectral_energy_norm(free_evolve(st, 7.3, 1.0), 1.0)
+        # the energy norm in the discrete-spectral metric, which each Fourier
+        # rotation preserves identically (the physical-space quadrature norm
+        # differs from it by O(h^2))
+        def spectral_norm(state):
+            psi_h, pi_h, k, n = kernel._mode_data(state)
+            total = np.sum(np.abs(pi_h) ** 2 + (k * k + 1.0) * np.abs(psi_h) ** 2)
+            return np.sqrt(total * state.grid.spacing / n)
+
+        n0 = spectral_norm(st)
+        n1 = spectral_norm(free_evolve(st, 7.3, 1.0))
         assert abs(n1 / n0 - 1.0) < 1e-12
 
     def test_composition(self, small_grid):

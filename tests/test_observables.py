@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kgpoint import (FieldState, Grid, OscillatorModel, ac_weight, charge, energy,
-                     k_of_omega, kappa_of_omega, norm_e)
+from kgpoint import FieldState, Grid, OscillatorModel, charge, energy, norm_e
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state
 from kgpoint.solitary import profile_norm_e_sq, sample_profile
@@ -72,36 +71,3 @@ class TestNormE:
         with pytest.raises(ValueError):
             norm_e(st, 1.0, R=100.0)
 
-
-class TestSpectralParameters:
-    def test_gap_center(self):
-        assert k_of_omega(0.0, 1.0) == pytest.approx(1j)
-        assert kappa_of_omega(0.0, 1.0) == pytest.approx(1.0)
-        assert ac_weight(0.0, 1.0) == 0.0
-
-    def test_branch_point(self):
-        assert k_of_omega(1.0, 1.0) == 0.0
-        assert kappa_of_omega(1.0, 1.0) == 0.0
-        assert ac_weight(1.0, 1.0) == 0.0
-
-    def test_above_gap(self):
-        m = 1.0
-        om = np.sqrt(2.0) * m
-        assert k_of_omega(om, m) == pytest.approx(m)
-        assert ac_weight(om, m) == pytest.approx(np.sqrt(2.0) * m * m)
-
-    def test_identities_dense(self):
-        m = 1.3
-        om = np.concatenate([np.linspace(-4, 4, 4001), [-m, m]])
-        k = k_of_omega(om, m)
-        kap = kappa_of_omega(om, m)
-        assert np.max(np.abs(k * k - (om ** 2 - m * m))) < 1e-13
-        assert np.max(np.abs(kap - (-1j) * k)) < 1e-14
-
-    def test_weight_positive_on_continuous_spectrum(self):
-        m = 1.0
-        om = np.concatenate([np.linspace(-9, -1.0001, 800), np.linspace(1.0001, 9, 800)])
-        n = ac_weight(om, m)
-        assert np.all(n > 0)
-        # matches omega * k(omega) there
-        assert np.max(np.abs(n - np.real(om * k_of_omega(om, m)))) < 1e-12
