@@ -158,6 +158,8 @@ def cmd_spectrum(args) -> int:
 def cmd_attract(args) -> int:
     if args.radius <= 0:
         return _fail(2, f"--radius must be positive, got {args.radius!r}")
+    if args.windows < 2:
+        return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
     cfg = _load_cfg(args)
     outdir = _outdir(args)
     initial = build_initial_state(cfg)
@@ -165,9 +167,8 @@ def cmd_attract(args) -> int:
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     trace = report.trace
-    n_windows = max(args.windows, 2)
-    width = max(cfg.T / (2 * n_windows), 64 * cfg.dt)
-    centers = np.linspace(width / 2, cfg.T - width / 2, n_windows)
+    width = max(cfg.T / (2 * args.windows), 64 * cfg.dt)
+    centers = np.linspace(width / 2, cfg.T - width / 2, args.windows)
     late = late_window(cfg.T, cfg.dt)
     # window centers, then the late window's, each at its nearest trace node
     states = reconstruct_fields(cfg.model, initial, trace,
@@ -268,6 +269,8 @@ def _sweep_one(payload: tuple[int, str]) -> tuple[int, tuple[str, ...]]:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        return _fail(2, f"--workers must be at least 1, got {args.workers!r}")
     base_text = _read(args.config)
     axes = []
     for spec in args.vary:
@@ -307,11 +310,11 @@ def cmd_compare(args) -> int:
     report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"volterra status {report.status.value}")
-    run = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)
-    diff = np.abs(report.trace.z - run.trace)
+    fd_trace = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)
+    diff = np.abs(report.trace.z - fd_trace)
     out.write_table(os.path.join(outdir, "compare.csv"),
                     ("t", "abs_z_volterra", "abs_z_fd", "abs_diff"),
-                    [report.trace.times, np.abs(report.trace.z), np.abs(run.trace), diff])
+                    [report.trace.times, np.abs(report.trace.z), np.abs(fd_trace), diff])
     out.write_report(os.path.join(outdir, "report.txt"), {
         "compare": {"sup_diff": repr(float(diff.max())),
                     "h": repr(h), "dt": repr(cfg.dt)},

@@ -129,13 +129,6 @@ def bessel_j1_over_x(x) -> float | np.ndarray:
     return _bessel_over_power(x, 1)
 
 
-def bessel_j1(x) -> float | np.ndarray:
-    """J1(x) = x * (J1(x)/x); odd in x."""
-    x = np.asarray(x, dtype=float)
-    out = x * bessel_j1_over_x(x)
-    return float(out) if out.ndim == 0 else out
-
-
 _TABLE_SPACING = 2.5e-4
 # fine table cells per coarse cell of the two-level fill; a power of two, so
 # that coarse node k lands on (_COARSE k) * spacing bit for bit

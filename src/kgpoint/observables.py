@@ -72,7 +72,5 @@ def charge(state: FieldState) -> float:
     """Charge (i/2) int (conj(psi) pi - conj(pi) psi) dx = -Im int conj(psi) pi dx."""
     integrand = np.conj(state.psi) * state.pi
     val = -np.trapezoid(integrand.imag, dx=state.grid.spacing)
-    # the real-valued reduction already discards the symmetric part; assert
-    # the discarded real trapezoid is the Hermitian one by construction
     return float(val)
 

@@ -220,9 +220,9 @@ def test_criterion_7_oracle_equivalence():
     for n, dt in levels:
         grid = Grid(82.0, n)
         init = sample_profile(HALF_WAVE, grid, 0.0)
-        fd_run = fd_evolve(CUBIC, init, 20.0, dt)
+        fd_trace = fd_evolve(CUBIC, init, 20.0, dt)
         vol = solve_trace(CUBIC, init, 20.0, dt)
-        sups.append(float(np.max(np.abs(fd_run.trace - vol.trace.z))))
+        sups.append(float(np.max(np.abs(fd_trace - vol.trace.z))))
     ratios = [sups[i] / sups[i + 1] for i in range(3)]
     print(f"\nACCEPTANCE 7: sup|z_volterra - z_fd| over t <= 20: "
           + " -> ".join(f"{s:.2e}" for s in sups)

@@ -5,13 +5,14 @@ import types
 import numpy as np
 import pytest
 
+import fd_oracle
 from kgpoint import cli, volterra
 from kgpoint.cli import _BLAS_THREAD_VARS, _map_single_thread_blas, main
 from kgpoint.config import ConfigError, build_initial_state, data_radius, parse_config_text
 from kgpoint.fields import FieldState, Grid
 from kgpoint.initial import (GaussianSpec, data_radius_gaussian, gaussian_state,
                              seeded_gaussian_spec, solitary_state)
-from kgpoint.output import (read_report, read_snapshot_csv, read_spectrum_csv,
+from kgpoint.output import (format_table, read_report, read_snapshot_csv, read_spectrum_csv,
                             read_trace_csv, write_report, write_snapshot_csv,
                             write_spectrum_csv, write_trace_csv)
 from kgpoint.spectral import SpectrumEstimate, Window, windowed_spectrum
@@ -382,6 +383,15 @@ class TestCommands:
         code = run_cli(tmp_path, "attract", "--config", str(cfg), "--radius", "-1")
         assert_input_error(code, capsys, "--radius must be positive")
 
+    @pytest.mark.parametrize("windows", ["1", "0", "-3"])
+    def test_attract_rejects_windows_before_solve(self, tmp_path, monkeypatch, capsys,
+                                                  windows):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        code = run_cli(tmp_path, "attract", "--config", str(cfg), "--windows", windows)
+        assert_input_error(code, capsys, "--windows must be at least 2")
+
     def test_solitary_table(self, capsys):
         code = main(["solitary", "--u", "0,-1,1", "--mass", "1", "--C", "0.5"])
         assert code == 0
@@ -452,6 +462,20 @@ class TestCommands:
             sups.append(float(rep["compare"]["sup_diff"]))
         assert sups[0] / sups[1] >= 2.0
 
+    def test_compare_table_matches_full_grid_oracle(self, tmp_path):
+        # compare.csv, rebuilt from the Volterra trace and the full-grid
+        # leapfrog loop's, byte for byte
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(SOLITARY_CFG)
+        assert run_cli(tmp_path, "compare", "--config", str(cfg_path)) == 0
+        cfg = parse_config_text(SOLITARY_CFG)
+        initial = build_initial_state(cfg)
+        vol = volterra.solve_trace(cfg.model, initial, cfg.T, cfg.dt).trace
+        fd = fd_oracle.fd_evolve(cfg.model, initial, cfg.T, cfg.dt).trace
+        want = format_table(("t", "abs_z_volterra", "abs_z_fd", "abs_diff"),
+                            [vol.times, np.abs(vol.z), np.abs(fd), np.abs(vol.z - fd)])
+        assert (tmp_path / "out" / "compare.csv").read_bytes() == want.encode()
+
     def test_compare_rejects_cfl_violation(self, tmp_path):
         cfg = tmp_path / "cfl.cfg"
         cfg.write_text(BASE_CFG.replace("dt = 0.01", "dt = 0.04").replace(
@@ -471,6 +495,16 @@ class TestCommands:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("run.seed,")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_sweep_rejects_workers_before_solve(self, tmp_path, monkeypatch, capsys,
+                                                workers):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        code = run_cli(tmp_path, "sweep", "--config", str(cfg), "--vary", "run.seed=1,2",
+                       "--workers", workers)
+        assert_input_error(code, capsys, "--workers must be at least 1")
 
     def test_sweep_workers_match_serial(self, tmp_path, monkeypatch):
         text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(

@@ -65,7 +65,7 @@ def test_center_column_is_summed_directly(cubic_model, solitary_run, monkeypatch
     lookup = KernelTables.__call__
 
     def recording(self, a, out=None):
-        args.append(np.ravel(a))
+        args.append(np.ravel(a).copy())
         return lookup(self, a, out)
 
     with monkeypatch.context() as mp:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import fd_oracle
 from kgpoint import FieldState, Grid, solve_trace
-from kgpoint.fd import _accel, fd_evolve, fd_step
+from kgpoint.fd import _accel, fd_evolve
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state
 from kgpoint.solitary import sample_profile
@@ -11,14 +12,14 @@ from kgpoint.solitary import sample_profile
 class TestStep:
     def test_zero_stays_zero(self, cubic_model):
         grid = Grid(10.0, 501)
-        st, _ = fd_step(cubic_model, zero_state(grid), 0.01)
+        st, _ = fd_oracle.fd_step(cubic_model, zero_state(grid), 0.01)
         assert np.max(np.abs(st.psi)) == 0.0
         assert np.max(np.abs(st.pi)) == 0.0
 
     def test_cfl_rejected(self, cubic_model):
         grid = Grid(10.0, 501)  # h = 0.04
         with pytest.raises(ValueError):
-            fd_step(cubic_model, zero_state(grid), 0.05)
+            fd_oracle.fd_step(cubic_model, zero_state(grid), 0.05)
         with pytest.raises(ValueError):
             fd_evolve(cubic_model, zero_state(grid), 1.0, 0.05)
 
@@ -28,29 +29,27 @@ class TestStep:
         grid = Grid(20.0, 801)
         st0 = gaussian_state(grid, GaussianSpec(amplitude=0.5, width=1.5, omega_bar=0.4))
         dt = 0.02
-        st1, _ = fd_step(cubic_model, st0, dt)
-        st2, _ = fd_step(cubic_model, st1, dt)
+        st1, _ = fd_oracle.fd_step(cubic_model, st0, dt)
+        st2, _ = fd_oracle.fd_step(cubic_model, st1, dt)
         lhs = st2.psi - 2.0 * st1.psi + st0.psi
         rhs = dt * dt * _accel(cubic_model, st1.psi, grid.spacing, grid.center_index)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-    @pytest.mark.parametrize("n, dt", [(2735, 0.032), (5469, 0.016), (10937, 0.008),
-                                       (21873, 0.004)])
-    def test_evolve_equals_step_loop(self, cubic_model, half_wave, n, dt):
-        # fd_evolve hands each step's second acceleration to the next step;
-        # a loop of fd_step calls recomputes it.  The criterion-7 levels, for
-        # 32 steps of the coarsest (T = 1.024)
-        init = sample_profile(half_wave, Grid(82.0, n), 0.0)
-        run = fd_evolve(cubic_model, init, 1.024, dt)
-        state = init
-        trace = [state.psi[init.grid.center_index]]
-        for _ in range(len(run.times) - 1):
-            state, _ = fd_step(cubic_model, state, dt)
-            trace.append(state.psi[init.grid.center_index])
-        assert np.array_equal(run.trace, trace)
-        assert np.array_equal(run.final.psi, state.psi)
-        assert np.array_equal(run.final.pi, state.pi)
+    @pytest.mark.parametrize("half_extent, n, dt, T", [
+        (82.0, 2735, 0.032, 1.024), (82.0, 5469, 0.016, 1.024),
+        (82.0, 10937, 0.008, 1.024), (82.0, 21873, 0.004, 1.024),
+        (30.0, 1501, 0.02, 10.0),   # cone narrower than the grid
+        (5.0, 101, 0.05, 8.0)])     # cone wider than the grid: no node is shed
+    def test_cone_trace_equals_full_grid_loop(self, cubic_model, half_wave,
+                                              half_extent, n, dt, T):
+        # fd_evolve steps only the dependence cone of x = 0; the oracle steps
+        # every node.  The first four are the criterion-7 levels, for 32 steps
+        # of the coarsest
+        init = sample_profile(half_wave, Grid(half_extent, n), 0.0)
+        trace = fd_evolve(cubic_model, init, T, dt)
+        assert trace.shape == (int(round(T / dt)) + 1,)
+        assert np.array_equal(trace, fd_oracle.fd_evolve(cubic_model, init, T, dt).trace)
 
 
 class TestDispersion:
@@ -71,7 +70,7 @@ class TestDispersion:
         om_d = self.von_neumann_omega(k, 1.0, grid.spacing, dt)
         psi = np.sin(k * grid.x).astype(complex)
         st = FieldState(grid, psi, -1j * (np.sin(om_d * dt) / dt) * psi)
-        run = fd_evolve(cubic_model, st, T, dt)
+        run = fd_oracle.fd_evolve(cubic_model, st, T, dt)
         probe = grid.center_index + n // 8  # boundary influence needs t > 15
         want = psi[probe] * np.exp(-1j * om_d * T)
         assert abs(run.final.psi[probe] - want) < 1e-10
@@ -92,15 +91,15 @@ class TestSolitaryOracle:
         for n, dt in ((1501, 0.02), (3001, 0.01)):
             grid = Grid(30.0, n)
             init = sample_profile(half_wave, grid, 0.0)
-            run = fd_evolve(cubic_model, init, 10.0, dt)
-            exact = 0.5 * np.exp(-1j * half_wave.omega * run.times)
-            errs.append(np.max(np.abs(run.trace - exact)))
+            trace = fd_evolve(cubic_model, init, 10.0, dt)
+            exact = 0.5 * np.exp(-1j * half_wave.omega * dt * np.arange(len(trace)))
+            errs.append(np.max(np.abs(trace - exact)))
         assert errs[0] / errs[1] >= 2.0  # second order in practice (ratio ~ 4)
 
     def test_discrete_energy_bounded_non_accumulating(self, cubic_model, half_wave):
         grid = Grid(112.0, 3201)  # h = 0.07, horizon-safe to T = 50
         init = sample_profile(half_wave, grid, 0.0)
-        run = fd_evolve(cubic_model, init, 50.0, 0.025, record_energy=True)
+        run = fd_oracle.fd_evolve(cubic_model, init, 50.0, 0.025, record_energy=True)
         drift = np.abs(run.energy - run.energy[0]) / abs(run.energy[0])
         assert drift.max() < 1e-5
         half = len(drift) // 2
@@ -116,7 +115,7 @@ class TestAgainstVolterra:
         for n, dt in ((2735, 0.032), (5469, 0.016)):
             grid = Grid(82.0, n)
             init = sample_profile(half_wave, grid, 0.0)
-            fd_run = fd_evolve(cubic_model, init, 8.0, dt)
+            fd_trace = fd_evolve(cubic_model, init, 8.0, dt)
             vol = solve_trace(cubic_model, init, 8.0, dt)
-            sups.append(np.max(np.abs(fd_run.trace - vol.trace.z)))
+            sups.append(np.max(np.abs(fd_trace - vol.trace.z)))
         assert sups[0] / sups[1] >= 2.0
