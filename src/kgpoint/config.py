@@ -76,10 +76,7 @@ def data_radius(cfg: RunConfig) -> float:
     if init.kind == "zero":
         return 0.0
     if init.kind == "solitary":
-        kappa = 0.5 * float(alpha(cfg.model, init.C ** 2))
-        if kappa <= 0:
-            return cfg.half_extent  # no wave; flagged separately
-        return data_radius_exponential(kappa)
+        return data_radius_exponential(0.5 * float(alpha(cfg.model, init.C ** 2)))
     if init.kind == "gaussian":
         return data_radius_gaussian(GaussianSpec(init.amplitude, init.width,
                                                  init.center, init.momentum,
@@ -87,8 +84,7 @@ def data_radius(cfg: RunConfig) -> float:
     if init.kind == "seeded_gaussian":
         return data_radius_gaussian(seeded_gaussian_spec(cfg.seed))
     if init.kind == "solitary_plus_bump":
-        kappa = 0.5 * float(alpha(cfg.model, init.C ** 2))
-        r1 = data_radius_exponential(kappa) if kappa > 0 else cfg.half_extent
+        r1 = data_radius_exponential(0.5 * float(alpha(cfg.model, init.C ** 2)))
         r2 = data_radius_gaussian(GaussianSpec(init.bump_amplitude, init.bump_width,
                                                init.bump_center, 0.0, 0.0))
         return max(r1, r2)
@@ -213,12 +209,12 @@ def parse_config_text(text: str) -> RunConfig:
     )
     if init.branch not in ("plus", "minus"):
         errors.append(f"initial.branch must be plus or minus, got {init.branch!r}")
-    if init.kind == "solitary" and init.C <= 0:
-        errors.append(f"initial.C must be positive, got {init.C}")
     if init.kind == "from_file" and not init.path:
         errors.append("initial.path required for from_file data")
-    if init.kind == "solitary" and model is not None and init.C > 0:
-        if 0.5 * float(alpha(model, init.C ** 2)) <= 0:
+    if init.kind in ("solitary", "solitary_plus_bump"):
+        if init.C <= 0:
+            errors.append(f"initial.C must be positive, got {init.C}")
+        elif model is not None and 0.5 * float(alpha(model, init.C ** 2)) <= 0:
             errors.append(f"no solitary wave exists at C={init.C} for this model")
 
     cfg = RunConfig(

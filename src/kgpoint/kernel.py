@@ -339,22 +339,40 @@ def _kink_jump(values: np.ndarray, c: int, h: float, floor: float) -> complex:
 class KinkSplit:
     """Decomposition of initial data into an exponential kink pair plus a C1 rest.
 
-    psi0 = a g + psi_s and pi0 = b g + pi_s with g = e^{-kappa1 |x|} chosen to
-    carry the derivative jumps at x = 0.  The pair (a g, b g) has a free
-    evolution known in closed form through the mass-shell identity (see
-    `mass_shell_trace`), while the remainder is kink-free and safe to push
+    psi0 = a g + rest.psi and pi0 = b g + rest.pi with g = e^{-kappa1 |x|}
+    chosen to carry the derivative jumps at x = 0.  As
+    g'' = kappa1^2 g - 2 kappa1 delta and kappa1^2 + omega1^2 = m^2 (the mass
+    shell), the standing field g A(t), A = a cos(omega1 t) +
+    (b / omega1) sin(omega1 t), solves the equation with the point source
+    2 kappa1 A(t) at x = 0.  The pair's free evolution is therefore that
+    standing field (`standing`) plus the Duhamel field of the point source
+    -2 kappa1 A (`source`): the form of the coupled field, whose point
+    source is F(z).  The remainder `rest` is kink-free and safe to push
     through the grid's Fourier propagator: sampling a kink puts O(1/k^2)
     spectral tails beyond the Nyquist wavenumber, and their aliases would
     otherwise re-enter at wrong frequencies with O(h) amplitude.
     """
 
-    def __init__(self, a: complex, b: complex, kappa1: float, omega1: float,
-                 g: np.ndarray):
+    def __init__(self, initial: FieldState, a: complex, b: complex, kappa1: float,
+                 omega1: float):
         self.a = a
         self.b = b
         self.kappa1 = kappa1
         self.omega1 = omega1
-        self.g = g
+        self.g = np.exp(-kappa1 * np.abs(initial.grid.x))
+        self.rest = FieldState(initial.grid, initial.psi - a * self.g,
+                               initial.pi - b * self.g, initial.time)
+
+    def source(self, t) -> np.ndarray:
+        """The pair's point source -2 kappa1 A(t) at the times t."""
+        w = self.omega1
+        return -2.0 * self.kappa1 * (self.a * np.cos(w * t) + (self.b / w) * np.sin(w * t))
+
+    def standing(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, pi) = (g A(t), g A'(t)) of the pair's standing field."""
+        w = self.omega1
+        c, s = np.cos(w * t), np.sin(w * t)
+        return (self.a * c + (self.b / w) * s) * self.g, (self.b * c - self.a * w * s) * self.g
 
 
 def kink_split(initial: FieldState, m: float) -> KinkSplit:
@@ -369,32 +387,13 @@ def kink_split(initial: FieldState, m: float) -> KinkSplit:
     grid = initial.grid
     c = grid.center_index
     kappa1 = 0.75 * m
-    omega1 = float(np.sqrt(m * m - kappa1 * kappa1))
-    g = np.exp(-kappa1 * np.abs(grid.x))
-    split = KinkSplit(a=0j, b=0j, kappa1=kappa1, omega1=omega1, g=g)
-    if c < 4 or grid.n_points - c <= 4:
-        return split
-    h = grid.spacing
-    floor = 1e-5 * max(np.max(np.abs(initial.psi)), np.max(np.abs(initial.pi)), 1e-30)
-    split.a = _kink_jump(initial.psi, c, h, floor) / (-2.0 * kappa1)
-    split.b = _kink_jump(initial.pi, c, h, floor) / (-2.0 * kappa1)
-    return split
-
-
-def mass_shell_trace(times: np.ndarray, m: float, kappa: float, omega: float,
-                     kern: np.ndarray | None = None) -> np.ndarray:
-    """Exact free trace of the pair (e^{-kappa|x|}, -i omega e^{-kappa|x|}).
-
-    On the mass shell kappa^2 = m^2 - omega^2 the field
-    e^{-kappa|x|} e^{-i omega t} solves the equation with point source
-    2 kappa e^{-i omega t}, so Duhamel gives the free part in closed form:
-
-        h(t) = e^{-i omega t} - kappa int_0^t J0(m (t - s)) e^{-i omega s} ds.
-
-    `kern` is passed on to `convolve_j0`.
-    """
-    osc = np.exp(-1j * omega * times)
-    return osc - kappa * convolve_j0(times, osc, m, kern)
+    a = b = 0j
+    if c >= 4 and grid.n_points - c > 4:
+        h = grid.spacing
+        floor = 1e-5 * max(np.max(np.abs(initial.psi)), np.max(np.abs(initial.pi)), 1e-30)
+        a = _kink_jump(initial.psi, c, h, floor) / (-2.0 * kappa1)
+        b = _kink_jump(initial.pi, c, h, floor) / (-2.0 * kappa1)
+    return KinkSplit(initial, a, b, kappa1, float(np.sqrt(m * m - kappa1 * kappa1)))
 
 
 # entries per temporary of the free-trace mode sum, so that a chunk's phase
@@ -478,11 +477,11 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float,
     Sampled data with a derivative kink at x = 0 (every solitary profile)
     put O(1/k^2) tails beyond the grid's Nyquist wavenumber; the aliased
     part re-enters the trace at wrong frequencies with O(h) amplitude at
-    early times.  The kink content is therefore split off (`kink_split`) as
-    a multiple of e^{-kappa1 |x|} pairs whose free traces are known in
-    closed form (`mass_shell_trace`), and only the kink-free remainder goes
-    through the grid propagator.  `kern`, when given, must be
-    bessel_j0(m * times); the kink part's convolution then reuses it.
+    early times.  The kink pair is therefore split off (`kink_split`) and
+    only the kink-free remainder goes through the grid propagator.  The
+    pair's trace is its standing field at x = 0 plus the Duhamel trace
+    (1/2) int_0^t J0(m (t - s)) source(s) ds of its point source.  `kern`,
+    when given, must be bessel_j0(m * times); that convolution reuses it.
     """
     initial.require_finite()
     times = np.asarray(times, dtype=float)
@@ -491,16 +490,13 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float,
         raise ValueError("free_trace needs at least two uniform times starting at 0")
     check_horizon(initial, float(np.max(times)), "free_trace")
     split = kink_split(initial, m)
-    work = FieldState(initial.grid, initial.psi - split.a * split.g,
-                      initial.pi - split.b * split.g, initial.time)
-    amp_cos, amp_sin, w = _folded_modes(work, m)
+    amp_cos, amp_sin, w = _folded_modes(split.rest, m)
     # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
     inner = int(np.ceil(np.sqrt(len(times))))
     tau = np.arange(inner) * (times[1] - times[0])
     out = _mode_sum(amp_cos, amp_sin, w, tau, times[::inner])[:len(times)]
     if split.a or split.b:
-        # the trace of the real-coefficient pair (g, i omega1 g): its real part
-        # is the trace of (g, 0) and its imaginary part omega1 times that of (0, g)
-        h_g = mass_shell_trace(times, m, split.kappa1, -split.omega1, kern)
-        out += split.a * h_g.real + split.b * (h_g.imag / split.omega1)
+        # g(0) = 1, so the standing field at x = 0 is the source over -2 kappa1
+        src = split.source(times)
+        out += src / (-2.0 * split.kappa1) + 0.5 * convolve_j0(times, src, m, kern)
     return out

@@ -574,11 +574,12 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
 
     so the delta ridge of dG/dt becomes a sharp analytic boundary term and
     the light-cone front of pi is exact rather than smeared by differencing.
-    The initial data get the same kink split as `free_trace`: the kink
-    pair's free field is produced by the identical cone machinery (its
-    source is the mass-shell harmonic), keeping the center column consistent
-    with the trace to roundoff and the pi front consistent with the smooth
-    spectral remainder.
+    The initial data get the same kink split as `free_trace`: only the
+    kink-free remainder goes through the spectral propagator, and the kink
+    pair adds its standing field plus the Duhamel field of its point source.
+    That source joins F(z) in the one source column of the cone sums, which
+    keeps the center column consistent with the trace to roundoff; its
+    boundary term is exact, the trace's is interpolated.
     """
     if trace.f is None:
         raise ValueError("trace carries no source values; rebuild with TraceSeries.from_z")
@@ -596,34 +597,17 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
         raise ValueError(f"kernel tables cover arguments up to {tables.a_max:.6g}, "
                          f"reconstruction at t = {t:.6g} needs m t = {m * t:.6g}")
     grid = initial.grid
-    x = grid.x
-    reach = t - np.abs(x)
+    reach = t - np.abs(grid.x)
     inside = reach >= 0.0
 
     split = kink_split(initial, m)
-    work = FieldState(grid, initial.psi - split.a * split.g,
-                      initial.pi - split.b * split.g, initial.time)
-    free = free_evolve(work, t, m)
-    k1, w1 = split.kappa1, split.omega1
-    # The kink pair (a g, b g) is a sum of mass-shell harmonics
-    # A g cos(w1 t - phase), (A, phase) = (a, 0) and (b / w1, pi / 2).  Each
-    # evolves freely as that standing field plus the Duhamel field of the
-    # source -2 kappa1 A cos(w1 s - phase), whose boundary term is exact.  A
-    # zero amplitude gets no column: smooth data send only the trace through
-    # the cone sums.
-    harmonics = [(amp, phase) for amp, phase in ((split.a, 0.0), (split.b / w1, 0.5 * np.pi))
-                 if amp]
-    times = np.arange(len(trace.f)) * dt
-    f_cols = np.column_stack([trace.f] + [np.cos(w1 * times - phase) for _, phase in harmonics])
-    coef = np.array([1.0] + [-2.0 * k1 * amp for amp, _ in harmonics])
-    d_psi_cols, d_pi_cols = _cone_quadrature(dt, f_cols, x, t, tables, m)
-    psi = free.psi + d_psi_cols @ coef
-    # boundary term of the trace source, interpolated
-    pi = free.pi + d_pi_cols @ coef + 0.5 * _interp_history(trace.f, reach, dt, inside)
-    for (amp, phase), c in zip(harmonics, coef[1:]):
-        psi += amp * np.cos(w1 * t - phase) * split.g
-        pi += (-amp * w1 * np.sin(w1 * t - phase)) * split.g
-        pi += np.where(inside, 0.5 * c * np.cos(w1 * reach - phase), 0.0)
+    free = free_evolve(split.rest, t, m)
+    psi_pair, pi_pair = split.standing(t)
+    f = trace.f + split.source(trace.times)
+    d_psi, d_pi = _cone_quadrature(dt, f[:, None], grid.x, t, tables, m)
+    psi = free.psi + d_psi[:, 0] + psi_pair
+    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * _interp_history(trace.f, reach, dt, inside)
+          + np.where(inside, 0.5 * split.source(reach), 0.0))
     return FieldState(grid, psi, pi, t)
 
 
@@ -663,7 +647,7 @@ def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
     H(initial) by more than energy_tol.
     """
     report = solve_trace(model, initial, T, dt)
-    if report.status is not SolveStatus.COMPLETED or snapshot_times is None:
+    if report.status is not SolveStatus.COMPLETED:
         return report, []
     snapshot_times = list(snapshot_times)
     snapshots = reconstruct_fields(model, initial, report.trace, snapshot_times)

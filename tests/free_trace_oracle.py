@@ -27,7 +27,7 @@ def free_trace_oracle(initial: FieldState, times: np.ndarray, m: float,
     part re-enters the trace at wrong frequencies with O(h) amplitude at
     early times.  With `kink_correction` the kink content is split off as
     a multiple of e^{-kappa1 |x|} pairs whose free traces are known in
-    closed form (`mass_shell_trace` combinations), and only the kink-free
+    closed form by the mass-shell identity, and only the kink-free
     remainder goes through the grid propagator.  Requires uniform times
     starting at 0; otherwise the plain mode sum is used.
     """

@@ -82,6 +82,10 @@ CONFIG_VIOLATIONS = [
     ([(GAUSSIAN_INITIAL, "kind = solitary\nC = 0.5"),
       ("coefficients = 0, -1, 1", "coefficients = 0, 1, 1")],
      "no solitary wave exists at C=0.5"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.0")],
+     "initial.C must be positive, got 0.0"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 3.0")],
+     "no solitary wave exists at C=3.0"),
     ([("T = 4.0", "T = 60.0")], "horizon rule violated"),
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.0, 5.0")], "snapshot time 5.0 outside [0, T]"),
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.005")],
@@ -417,6 +421,15 @@ class TestCommands:
         assert code == 0
         assert "continuous family" in capsys.readouterr().out
 
+    def test_solitary_at_omega_on_a_polynomial_model(self, capsys):
+        # U(s) = -s/2 - 3 s^2 + s^3 (s = |psi|^2) has two waves at omega = 0.8,
+        # both with kappa = sqrt(1 - 0.8^2)
+        code = main(["solitary", "--omega", "0.8", "--u", "0,-0.5,-3,1"])
+        assert code == 0
+        assert capsys.readouterr().out == ("C,kappa,omega\n"
+                                           "0.1296453614666771,0.5999999999999999,0.8\n"
+                                           "1.408258527490665,0.5999999999999999,0.8\n")
+
     def test_spectrum_command(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SOLITARY_CFG)
@@ -591,6 +604,13 @@ class TestCommands:
         assert float(wave["omega_a"]) == pytest.approx(np.sqrt(0.75), rel=1e-15)
         assert abs(complex(wave["c_plus"])) > 0.0 and abs(complex(wave["c_minus"])) > 0.0
         assert 0.0 < float(rep["omega_limit"]["rho"]) < np.inf
+
+    def test_attract_zero_data(self, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(ZERO_CFG)
+        out = tmp_path / "att_zero"
+        assert main(["--out", str(out), "attract", "--config", str(cfg), "--windows", "2"]) == 0
+        assert read_report(str(out / "report.txt"))["matched_wave"] == {"kind": "zero"}
 
     def test_set_override(self, tmp_path):
         cfg = tmp_path / "o.cfg"

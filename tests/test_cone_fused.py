@@ -50,7 +50,7 @@ def _cone_rectangle(init, trace, t):
 
 def test_kinked_solitary(cubic_model, solitary_run, monkeypatch):
     init, trace = solitary_run
-    assert kink_split(init, cubic_model.mass).a != 0  # the kink columns carry weight
+    assert kink_split(init, cubic_model.mass).a != 0  # the kink pair's source carries weight
     _assert_matches_oracle(cubic_model, init, trace, 6.0, monkeypatch)
 
 
@@ -83,8 +83,8 @@ def test_center_column_is_summed_directly(cubic_model, solitary_run, monkeypatch
 
 @pytest.mark.parametrize("spacing", [0.419921875, 0.615234375])
 def test_solitary_probe_geometry(cubic_model, monkeypatch, spacing):
-    # the benchmark's accuracy probe: kinked solitary data (three source
-    # columns) at T = 50, dt = 0.02 on the attract_seed and long_sweep spacings
+    # the benchmark's accuracy probe: kinked solitary data (the pair's source
+    # in the one source column) at T = 50, dt = 0.02 on the attract_seed and long_sweep spacings
     grid = Grid(111.0, 2 * round(111.0 / spacing) + 1)
     init = solitary_state(cubic_model, grid, 0.5)
     trace = solve_trace(cubic_model, init, 50.0, 0.02).trace
@@ -157,10 +157,10 @@ def test_table_built_in_chunks_is_bitwise(fn):
     assert values.tobytes() == fn(np.arange(n) * _TABLE_SPACING).tobytes()
 
 
-@pytest.mark.parametrize("run, n_cols", [("solitary_run", 3), ("coarse_gaussian_run", 1)])
-def test_one_source_column_per_kink_harmonic(cubic_model, request, monkeypatch, run, n_cols):
-    # the trace plus one mass-shell harmonic per nonzero kink amplitude; smooth
-    # data send only the trace through the cone pass
+@pytest.mark.parametrize("run", ["solitary_run", "coarse_gaussian_run"])
+def test_one_source_column_for_any_data(cubic_model, request, monkeypatch, run):
+    # the kink pair's point source joins F(z) in a single column; smooth data
+    # add a zero source
     init, trace = request.getfixturevalue(run)
     widths = []
     fused = volterra._cone_quadrature
@@ -171,7 +171,7 @@ def test_one_source_column_per_kink_harmonic(cubic_model, request, monkeypatch, 
 
     monkeypatch.setattr(volterra, "_cone_quadrature", spy)
     reconstruct_field(cubic_model, init, trace, 5.0)
-    assert widths == [n_cols]
+    assert widths == [1]
 
 
 def test_panel_rule_reproduces_polynomials():

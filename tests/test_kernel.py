@@ -11,8 +11,7 @@ import table_oracle
 from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, kernel, volterra
 from kgpoint.config import InitialSpec
 from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
-from kgpoint.kernel import (KernelTables, bessel_j1_over_x, convolve_j0, kink_split,
-                            mass_shell_trace)
+from kgpoint.kernel import KernelTables, bessel_j1_over_x, convolve_j0, kink_split
 from kgpoint.observables import norm_e
 from kgpoint.solitary import sample_profile
 
@@ -251,7 +250,8 @@ class TestFreeTrace:
         assert abs(h[2] - want) / abs(want) < 1e-6
 
     def test_mass_shell_closed_form(self):
-        # data on the shell kappa^2 = m^2 - omega^2 has a closed-form trace
+        # data on the shell kappa^2 = m^2 - omega^2 have the closed-form trace
+        # e^{-i omega t} - kappa int_0^t J0(m (t - s)) e^{-i omega s} ds
         grid = Grid(56.0, 2 ** 12 + 1)
         kappa, m = 0.6, 1.0
         omega = np.sqrt(m * m - kappa * kappa)
@@ -259,7 +259,8 @@ class TestFreeTrace:
         st = FieldState(grid, g.astype(complex), -1j * omega * g)
         times = np.arange(0, 8.0, 0.004)
         h = free_trace(st, times, m)
-        want = mass_shell_trace(times, m, kappa, omega)
+        osc = np.exp(-1j * omega * times)
+        want = osc - kappa * convolve_j0(times, osc, m)
         assert np.max(np.abs(h - want)) < 1e-5
 
     def test_passed_kernel_gives_the_same_trace(self, half_wave):
@@ -290,6 +291,8 @@ class TestFreeTrace:
         assert split is not None
         # psi' jump of C e^{-kappa|x|} is -2 kappa C = -0.5
         assert split.a * (-2 * split.kappa1) == pytest.approx(-0.5, abs=1e-8)
+        rest = kink_split(split.rest, 1.0)  # the remainder is kink-free
+        assert rest.a == 0 and rest.b == 0
         smooth = gaussian_state(small_grid, GaussianSpec(amplitude=1.0, width=2.0))
         split = kink_split(smooth, 1.0)
         assert split.a == 0 and split.b == 0
