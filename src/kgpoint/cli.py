@@ -8,7 +8,7 @@ Subcommands:
 * attract   -- attraction diagnostics: per-window distance series plus the
                late-window omega-limit report
 * sweep     -- run a config template over parameter ranges (cartesian), one
-               report row per run, optionally in parallel
+               report row per run
 * compare   -- volterra vs finite-difference oracle on identical data
 
 The config-reading subcommands (simulate, attract, sweep, compare) each take
@@ -30,7 +30,6 @@ import argparse
 import configparser
 import io
 import itertools
-import multiprocessing
 import os
 import sys
 
@@ -53,21 +52,17 @@ def _fail(code: int, *messages: str) -> int:
     return code
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_cfg(args) -> RunConfig:
     """Config from --config with its --set overrides."""
-    return parse_config_text(_override_text(_read(args.config), args.set))
+    return parse_config_text(_config_text(args.config, args.set))
 
 
-def _override_text(text: str, overrides: list[str]) -> str:
-    """Config text with each section.key=value override set (sections added
-    as needed)."""
+def _config_text(path: str, overrides: list[str]) -> str:
+    """Text of the config file at path with each section.key=value override
+    set (sections added as needed)."""
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(text)
+    with open(path, "r", encoding="utf-8") as fh:
+        cp.read_file(fh)  # an INI error names the file
     for item in overrides:
         key, eq, value = item.partition("=")
         section, _, option = key.strip().partition(".")
@@ -209,69 +204,25 @@ def cmd_attract(args) -> int:
     return 0
 
 
-# thread-count variables of the BLAS builds numpy may load
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _spawn_can_import_main() -> bool:
-    """Whether `spawn` children can re-import the main module.
-
-    A child imports the main module by its name when it was run with -m,
-    otherwise from its __file__.  A __file__ naming no file, as for a script
-    read from standard input, makes every child fail at start-up, and the
-    pool would replace them forever.
-    """
-    main = sys.modules["__main__"]
-    if getattr(getattr(main, "__spec__", None), "name", None) is not None:
-        return True
-    path = getattr(main, "__file__", None)
-    return path is None or os.path.isfile(path)
-
-
-def _map_single_thread_blas(fn, payloads: list, workers: int) -> list:
-    """`pool.map` over `workers` spawned processes whose BLAS runs one thread.
-
-    N workers each running a multi-threaded BLAS would oversubscribe the
-    cores.  Spawned children import numpy afresh, so they read the thread
-    variables set here; the parent's environment is restored afterwards.
-    """
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            return pool.map(fn, payloads)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 _SWEEP_COLUMNS = ("status", "in_gap_fraction", "omega_plus", "modulus_variation",
                   "late_max_abs_z")
 
 
-def _sweep_one(payload: tuple[int, str]) -> tuple[int, tuple[str, ...]]:
-    """(index, cells of the _SWEEP_COLUMNS) of one sweep run."""
-    idx, text = payload
-    cfg = parse_config_text(text)
+def _sweep_one(cfg: RunConfig) -> tuple[str, ...]:
+    """Cells of the _SWEEP_COLUMNS of one sweep run."""
     initial = build_initial_state(cfg)
     report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
-        return idx, (report.status.value, "", "", "", "")
+        return (report.status.value, "", "", "", "")
     w = late_window(cfg.T, cfg.dt)
     spec = windowed_spectrum(report.trace, 0.5 * (w[0] + w[1]), w[1] - w[0], Window.HANN)
     tail = np.abs(report.trace.z[len(report.trace.z) // 2:])
     values = (gap_mass_fraction(spec, cfg.model.mass), dominant_frequency(spec),
               modulus_variation(report.trace, w[0], w[1]), tail.max())
-    return idx, ("completed", *(repr(float(v)) for v in values))
+    return ("completed", *(repr(float(v)) for v in values))
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        return _fail(2, f"--workers must be at least 1, got {args.workers!r}")
-    base_text = _read(args.config)
     axes = []
     for spec in args.vary:
         key, _, values = spec.partition("=")
@@ -279,25 +230,14 @@ def cmd_sweep(args) -> int:
             return _fail(2, f"--vary {spec!r} is not section.key=v1,v2,...")
         axes.append((key.strip(), [v.strip() for v in values.split(",")]))
     combos = list(itertools.product(*[vals for _, vals in axes])) or [()]
-    payloads = []
-    for idx, combo in enumerate(combos):
-        text = _override_text(base_text, [f"{key}={value}"
-                                          for (key, _), value in zip(axes, combo)])
-        parse_config_text(text)  # a ConfigError exits 2 through main
-        payloads.append((idx, text))
-
-    if args.workers > 1:
-        if not _spawn_can_import_main():
-            return _fail(2, "sweep --workers needs a main module that worker processes "
-                            "can import (a script file, python -m or the kgpoint "
-                            "command); use --workers 1")
-        results = _map_single_thread_blas(_sweep_one, payloads, args.workers)
-    else:
-        results = [_sweep_one(p) for p in payloads]
-    results.sort()
+    # every combination is validated before the first solve; a ConfigError
+    # exits 2 through main
+    cfgs = [parse_config_text(_config_text(
+                args.config, [f"{key}={value}" for (key, _), value in zip(axes, combo)]))
+            for combo in combos]
     out.write_table(os.path.join(_outdir(args), "sweep.csv"),
                     (*(key for key, _ in axes), *_SWEEP_COLUMNS),
-                    [*zip(*combos), *zip(*(cells for _, cells in results))])
+                    [*zip(*combos), *zip(*map(_sweep_one, cfgs))])
     return 0
 
 
@@ -365,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="parameter sweep over a config template")
     sp.add_argument("--config", required=True, help="config template path")
     sp.add_argument("--vary", action="append", default=[], metavar="SEC.KEY=V1,V2")
-    sp.add_argument("--workers", type=int, default=1, help="parallel sweep processes")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("compare", help="volterra vs finite-difference oracle")
@@ -380,7 +319,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(2, *exc.errors)
-    except (ValueError, FileNotFoundError) as exc:
+    except configparser.Error as exc:
+        # a missing section header or a parsing error spans several lines
+        return _fail(2, " ".join(line.strip() for line in str(exc).splitlines()))
+    except (ValueError, OSError) as exc:
         return _fail(2, str(exc))
 
 

@@ -15,6 +15,7 @@ wrap-around are excluded by construction instead of by absorbing layers.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldState, Grid, zero_state
@@ -66,9 +67,15 @@ class RunConfig:
         return Grid(self.half_extent, self.n_points)
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     items = [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
-    return [float(p) for p in items]
+    return [_finite(float(p)) for p in items]
 
 
 def data_radius(cfg: RunConfig) -> float:
@@ -137,15 +144,16 @@ def parse_config_text(text: str) -> RunConfig:
                 errors.append(f"missing {section}.{key}")
             return default
         try:
-            return conv(raw)
-        except (ValueError, ConfigError):
+            value = conv(raw)
+            return _finite(value) if isinstance(value, float) else value
+        except ValueError:
             errors.append(f"cannot parse {section}.{key} = {raw!r}")
             return default
 
     as_bool = lambda s: s.strip().lower() in ("1", "true", "yes", "on")
 
     kind = get("model", "kind", str, "polynomial")
-    mass = get("model", "mass", float, 1.0, required=True)
+    mass = get("model", "mass", float, required=True)
     model = None
     if mass is not None and mass <= 0:
         errors.append(f"model.mass must be positive, got {mass}")
@@ -217,35 +225,33 @@ def parse_config_text(text: str) -> RunConfig:
         elif model is not None and 0.5 * float(alpha(model, init.C ** 2)) <= 0:
             errors.append(f"no solitary wave exists at C={init.C} for this model")
 
-    cfg = RunConfig(
-        model=model if model is not None else OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0)),
-        half_extent=half_extent or 1.0,
-        n_points=n_points or 3,
-        T=T or 1.0,
-        dt=dt or 0.1,
-        initial=init,
-        seed=get("run", "seed", int, 0),
-        energy_tol=get("run", "energy_tol", float, 1e-4),
-        out_trace=get("outputs", "trace", as_bool, True),
-        snapshots=get("outputs", "snapshots", _parse_floats, []),
-        spectrum_windows=get("outputs", "spectrum_windows", _parse_windows, []),
-        out_report=get("outputs", "report", as_bool, True),
-    )
+    seed = get("run", "seed", int, 0)
+    if not 0 <= seed < 2 ** 64:  # the seeded stream's counter is a uint64
+        errors.append(f"run.seed must be in [0, 2**64), got {seed}")
+    energy_tol = get("run", "energy_tol", float, 1e-4)
+    out_trace = get("outputs", "trace", as_bool, True)
+    snapshots = get("outputs", "snapshots", _parse_floats, [])
+    spectrum_windows = get("outputs", "spectrum_windows", _parse_windows, [])
+    out_report = get("outputs", "report", as_bool, True)
+    if errors:
+        raise ConfigError(errors)
 
-    if not errors:
-        radius = data_radius(cfg)
-        if cfg.half_extent < radius + cfg.T + 1.0:
-            errors.append(
-                f"horizon rule violated: half_extent = {cfg.half_extent} < "
-                f"data_radius + T + 1 = {radius + cfg.T + 1.0:.3f}")
-        for t in cfg.snapshots:
-            if not (0.0 <= t <= cfg.T):
-                errors.append(f"snapshot time {t} outside [0, T]")
-            elif abs(t - round(t / cfg.dt) * cfg.dt) > 1e-9 * max(1.0, cfg.T):
-                errors.append(f"snapshot time {t} not on the dt grid")
-        for (w0, w1) in cfg.spectrum_windows:
-            if not (0.0 <= w0 < w1 <= cfg.T):
-                errors.append(f"spectrum window {w0}:{w1} not inside [0, T]")
+    cfg = RunConfig(model=model, half_extent=half_extent, n_points=n_points, T=T, dt=dt,
+                    initial=init, seed=seed, energy_tol=energy_tol, out_trace=out_trace,
+                    snapshots=snapshots, spectrum_windows=spectrum_windows,
+                    out_report=out_report)
+    radius = data_radius(cfg)
+    if half_extent < radius + T + 1.0:
+        errors.append(f"horizon rule violated: half_extent = {half_extent} < "
+                      f"data_radius + T + 1 = {radius + T + 1.0:.3f}")
+    for t in snapshots:
+        if not (0.0 <= t <= T):
+            errors.append(f"snapshot time {t} outside [0, T]")
+        elif abs(t - round(t / dt) * dt) > 1e-9 * max(1.0, T):
+            errors.append(f"snapshot time {t} not on the dt grid")
+    for (w0, w1) in spectrum_windows:
+        if not (0.0 <= w0 < w1 <= T):
+            errors.append(f"spectrum window {w0}:{w1} not inside [0, T]")
     if errors:
         raise ConfigError(errors)
     return cfg

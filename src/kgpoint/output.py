@@ -45,11 +45,15 @@ def _sample_cells(samples, dt: float, n: int) -> list[str]:
     return cells
 
 
+_TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "energy", "charge")
+_SNAPSHOT_COLUMNS = ("x", "re_psi", "im_psi", "re_pi", "im_pi")
+
+
 def write_trace_csv(path: str, trace: TraceSeries,
                     energy_samples=None, charge_samples=None) -> None:
     n = len(trace.z)
     # abs() of each Python complex: np.abs differs in the last digit on some rows
-    write_table(path, ("t", "re_z", "im_z", "abs_z", "energy", "charge"),
+    write_table(path, _TRACE_COLUMNS,
                 [trace.times, trace.z.real, trace.z.imag,
                  [repr(abs(z)) for z in trace.z.tolist()],
                  _sample_cells(energy_samples, trace.dt, n),
@@ -60,11 +64,13 @@ def read_trace_csv(path: str):
     """Returns (times, z, energy_rows, charge_rows)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "t,re_z,im_z,abs_z,energy,charge":
+        if header != ",".join(_TRACE_COLUMNS):
             raise ValueError(f"not a trace file: {path}")
         times, zs, e_rows, q_rows = [], [], [], []
         for line in fh:
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(_TRACE_COLUMNS):
+                raise ValueError(f"not a trace file: {path}")
             t = float(parts[0])
             times.append(t)
             zs.append(complex(float(parts[1]), float(parts[2])))
@@ -76,7 +82,7 @@ def read_trace_csv(path: str):
 
 
 def write_snapshot_csv(path: str, state: FieldState) -> None:
-    write_table(path, ("x", "re_psi", "im_psi", "re_pi", "im_pi"),
+    write_table(path, _SNAPSHOT_COLUMNS,
                 [state.grid.x, state.psi.real, state.psi.imag, state.pi.real, state.pi.imag],
                 [f"time = {float(state.time)!r}"])
 
@@ -88,9 +94,11 @@ def read_snapshot_csv(path: str) -> FieldState:
         if line.startswith("# time = "):
             time = float(line[len("# time = "):])
             line = fh.readline()
-        if line.strip() != "x,re_psi,im_psi,re_pi,im_pi":
+        if line.strip() != ",".join(_SNAPSHOT_COLUMNS):
             raise ValueError(f"not a snapshot file: {path}")
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    if not rows or any(len(r) != len(_SNAPSHOT_COLUMNS) for r in rows):
+        raise ValueError(f"not a snapshot file: {path}")
     x = np.array([float(r[0]) for r in rows])
     psi = np.array([complex(float(r[1]), float(r[2])) for r in rows])
     pi = np.array([complex(float(r[3]), float(r[4])) for r in rows])

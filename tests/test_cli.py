@@ -1,13 +1,11 @@
 import os
-import sys
-import types
 
 import numpy as np
 import pytest
 
 import fd_oracle
 from kgpoint import cli, volterra
-from kgpoint.cli import _BLAS_THREAD_VARS, _map_single_thread_blas, main
+from kgpoint.cli import main
 from kgpoint.config import ConfigError, build_initial_state, data_radius, parse_config_text
 from kgpoint.fields import FieldState, Grid
 from kgpoint.initial import (GaussianSpec, data_radius_gaussian, gaussian_state,
@@ -64,6 +62,8 @@ CONFIG_VIOLATIONS = [
     ([("mass = 1.0\n", "")], "missing model.mass"),
     ([("n_points = 2049", "n_points = many")], "cannot parse grid.n_points = 'many'"),
     ([("mass = 1.0", "mass = -1.0")], "model.mass must be positive"),
+    ([("mass = 1.0", "mass = nan"), ("coefficients = 0, -1, 1", "coefficients = 0, -2, 0, 1")],
+     "cannot parse model.mass = 'nan'"),
     ([("coefficients = 0, -1, 1", "coefficients = 0, 1")], "needs u_0..u_N with N >= 2"),
     ([("coefficients = 0, -1, 1", "coefficients = 0, 1, -1")],
      "leading coefficient u_N must be positive"),
@@ -72,7 +72,9 @@ CONFIG_VIOLATIONS = [
     ([("kind = polynomial", "kind = quartic")], "model.kind must be polynomial or linear"),
     ([("n_points = 2049", "n_points = 2048")], "grid.n_points must be odd and >= 3"),
     ([("half_extent = 40.0", "half_extent = -40.0")], "grid.half_extent must be positive"),
+    ([("half_extent = 40.0", "half_extent = inf")], "cannot parse grid.half_extent = 'inf'"),
     ([("T = 4.0", "T = -4.0")], "time.T must be positive"),
+    ([("T = 4.0", "T = inf")], "cannot parse time.T = 'inf'"),
     ([("dt = 0.01", "dt = -0.01")], "time.dt must be positive"),
     ([("dt = 0.01", "dt = 0.013")], "is not an integer multiple of dt"),
     ([("kind = gaussian", "kind = sine")], "initial.kind must be one of"),
@@ -86,6 +88,8 @@ CONFIG_VIOLATIONS = [
      "initial.C must be positive, got 0.0"),
     ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 3.0")],
      "no solitary wave exists at C=3.0"),
+    ([(GAUSSIAN_INITIAL, "kind = seeded_gaussian"), ("seed = 7", "seed = -1")],
+     "run.seed must be in [0, 2**64), got -1"),
     ([("T = 4.0", "T = 60.0")], "horizon rule violated"),
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.0, 5.0")], "snapshot time 5.0 outside [0, T]"),
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.005")],
@@ -315,6 +319,40 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,text", [
+        ("[model]\n", "", "File contains no section headers. file: '{cfg}', line: 2 "
+                          "'kind = polynomial\\n'"),
+        ("mass = 1.0", "mass = 1.0\nmass = 2.0",
+         "While reading from '{cfg}' [line  5]: option 'mass' in section 'model' already exists"),
+    ], ids=["no_section_header", "duplicate_option"])
+    def test_config_not_ini(self, tmp_path, monkeypatch, capsys, old, new, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE_CFG.replace(old, new, 1))
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        for command in ("simulate", "attract", "compare", "sweep"):
+            code = run_cli(tmp_path, command, "--config", str(cfg))
+            assert_input_error(code, capsys, text.format(cfg=cfg))
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "simulate", "--config", str(tmp_path))
+        assert_input_error(code, capsys, "Is a directory")
+
+    @pytest.mark.parametrize("rows", ["-1.0,0.0,0.0,0.0\n", ""], ids=["short_row", "no_rows"])
+    def test_from_file_rejects_bad_snapshot(self, tmp_path, capsys, rows):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("# time = 0.0\nx,re_psi,im_psi,re_pi,im_pi\n" + rows)
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(BASE_CFG.replace(GAUSSIAN_INITIAL, f"kind = from_file\npath = {snap}"))
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg))
+        assert_input_error(code, capsys, f"not a snapshot file: {snap}")
+
+    def test_override_without_equals(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        code = run_cli(tmp_path, "attract", "--config", str(cfg), "--set", "run.seed")
+        assert_input_error(code, capsys, "override 'run.seed' is not section.key=value")
+
     def test_step_too_large_for_implicit_node(self, tmp_path, capsys):
         # the a priori cap of this data gives L ~ 15, so dt may be ~0.14 at most
         cfg = tmp_path / "dt.cfg"
@@ -370,12 +408,20 @@ class TestCommands:
     @pytest.mark.parametrize("name,t_width,text", [
         ("trace.csv", "2.0", "window extends outside the trace"),
         ("report.txt", "1.0", "not a trace file"),
-    ], ids=["window", "not_a_trace"])
+        ("short_row.csv", "1.0", "not a trace file"),
+        ("one_row.csv", "1.0", "trace file too short"),
+        ("directory", "1.0", "Is a directory"),
+    ], ids=["window", "not_a_trace", "short_row", "one_row", "directory"])
     def test_spectrum_input_errors(self, tmp_path, capsys, name, t_width, text):
-        # a 1 s trace, and a report file beside it
+        # a 1 s trace, a report file, a trace with a two-cell row, a one-row
+        # trace and a directory beside it
         write_trace_csv(str(tmp_path / "trace.csv"),
                         TraceSeries(dt=0.1, z=np.ones(11, dtype=complex), f=None))
         write_report(str(tmp_path / "report.txt"), {"solve": {"status": "completed"}})
+        (tmp_path / "short_row.csv").write_text("t,re_z,im_z,abs_z,energy,charge\n0.0,1.0\n")
+        write_trace_csv(str(tmp_path / "one_row.csv"),
+                        TraceSeries(dt=0.1, z=np.ones(1, dtype=complex), f=None))
+        (tmp_path / "directory").mkdir()
         code = run_cli(tmp_path, "spectrum", "--trace", str(tmp_path / name),
                        "--t-center", "0.5", "--t-width", t_width)
         assert_input_error(code, capsys, text)
@@ -496,88 +542,34 @@ class TestCommands:
         code = run_cli(tmp_path, "compare", "--config", str(cfg))
         assert code == 2
 
-    def test_sweep(self, tmp_path):
+    def test_sweep(self, tmp_path, monkeypatch):
         text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
             "spectrum_windows = 1.0:4.0", "spectrum_windows =")
         cfg = tmp_path / "t.cfg"
         cfg.write_text(text)
+        parsed = []
+        parse = cli.parse_config_text
+        monkeypatch.setattr(cli, "parse_config_text",
+                            lambda text: parsed.append(text) or parse(text))
         out = tmp_path / "sweep_out"
         code = main(["--out", str(out), "sweep", "--config", str(cfg),
-                     "--vary", "run.seed=1,2", "--workers", "1"])
+                     "--vary", "run.seed=1,2"])
         assert code == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("run.seed,")
         assert len(lines) == 3
+        assert len(parsed) == 2  # each combination is parsed once
 
-    @pytest.mark.parametrize("workers", ["0", "-4"])
-    def test_sweep_rejects_workers_before_solve(self, tmp_path, monkeypatch, capsys,
-                                                workers):
+    @pytest.mark.parametrize("vary,text", [
+        ("run.seed", "--vary 'run.seed' is not section.key=v1,v2,..."),
+        ("time.dt=0.01,0.013", "time.T = 4.0 is not an integer multiple of dt = 0.013"),
+    ], ids=["no_values", "second_combination_invalid"])
+    def test_sweep_rejects_input_before_solve(self, tmp_path, monkeypatch, capsys, vary, text):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(BASE_CFG)
         monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
-        code = run_cli(tmp_path, "sweep", "--config", str(cfg), "--vary", "run.seed=1,2",
-                       "--workers", workers)
-        assert_input_error(code, capsys, "--workers must be at least 1")
-
-    def test_sweep_workers_match_serial(self, tmp_path, monkeypatch):
-        text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
-            "spectrum_windows = 1.0:4.0", "spectrum_windows =")
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(text)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        before = dict(os.environ)
-        csv = {}
-        for workers in (1, 2):
-            out = tmp_path / f"sweep_{workers}"
-            assert main(["--out", str(out), "sweep", "--config", str(cfg), "--vary",
-                         "initial.amplitude_re=0.3,0.4,0.5", "--workers", str(workers)]) == 0
-            csv[workers] = (out / "sweep.csv").read_bytes()
-        assert csv[2] == csv[1]
-        assert dict(os.environ) == before
-        pinned = _map_single_thread_blas(os.getenv, list(_BLAS_THREAD_VARS), 2)
-        assert pinned == ["1"] * len(_BLAS_THREAD_VARS)
-        assert dict(os.environ) == before
-
-    def test_sweep_workers_need_importable_main(self, tmp_path, monkeypatch, capsys):
-        text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
-            "spectrum_windows = 1.0:4.0", "spectrum_windows =")
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(text)
-        contexts = []
-
-        class SerialPool:
-            def __init__(self, workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return [fn(p) for p in payloads]
-
-        def get_context(method):
-            contexts.append(method)
-            return types.SimpleNamespace(Pool=SerialPool)
-
-        monkeypatch.setattr(cli.multiprocessing, "get_context", get_context)
-        main_module = sys.modules["__main__"]
-        monkeypatch.setattr(main_module, "__spec__", None, raising=False)
-        argv = ["--out", str(tmp_path / "out"), "sweep", "--config", str(cfg),
-                "--vary", "run.seed=1,2", "--workers", "2"]
-        # a script read from standard input: spawned children could not import it
-        monkeypatch.setattr(main_module, "__file__", str(tmp_path / "<stdin>"), raising=False)
-        assert main(argv) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert contexts == []
-        # the same sweep from a script file reaches the pool
-        monkeypatch.setattr(main_module, "__file__", str(cfg))
-        assert main(argv) == 0
-        assert contexts == ["spawn"]
+        code = run_cli(tmp_path, "sweep", "--config", str(cfg), "--vary", vary)
+        assert_input_error(code, capsys, text)
 
     def test_attract(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -622,3 +614,12 @@ class TestCommands:
         assert code == 0
         times, _, _, _ = read_trace_csv(str(out / "trace.csv"))
         assert times[-1] == pytest.approx(2.0)
+
+    def test_set_adds_missing_section(self, tmp_path):
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(ZERO_CFG[:ZERO_CFG.index("[outputs]")])
+        out = tmp_path / "ovr"
+        assert main(["--out", str(out), "simulate", "--config", str(cfg),
+                     "--set", "outputs.snapshots=2.0"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt", "snapshot_t2.000000.csv",
+                                                         "trace.csv"]
