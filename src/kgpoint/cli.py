@@ -30,6 +30,7 @@ import argparse
 import configparser
 import io
 import itertools
+import math
 import os
 import sys
 
@@ -118,6 +119,9 @@ def _model_from_args(args) -> OscillatorModel:
 
 
 def cmd_solitary(args) -> int:
+    for flag, value in (("--C", args.C), ("--omega", args.omega)):
+        if value is not None and not math.isfinite(value):
+            return _fail(2, f"{flag} must be finite, got {value!r}")
     model = _model_from_args(args)
     rows = []
     if args.C is not None:
@@ -138,6 +142,10 @@ def cmd_solitary(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not math.isfinite(args.t_center):
+        return _fail(2, f"--t-center must be finite, got {args.t_center!r}")
+    if not 0 < args.t_width < math.inf:
+        return _fail(2, f"--t-width must be positive and finite, got {args.t_width!r}")
     times, z, _, _ = out.read_trace_csv(args.trace)
     if len(times) < 2:
         return _fail(2, "trace file too short")
@@ -151,8 +159,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_attract(args) -> int:
-    if args.radius <= 0:
-        return _fail(2, f"--radius must be positive, got {args.radius!r}")
+    if not 0 < args.radius < math.inf:
+        return _fail(2, f"--radius must be positive and finite, got {args.radius!r}")
     if args.windows < 2:
         return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
     cfg = _load_cfg(args)
@@ -249,7 +257,7 @@ def cmd_compare(args) -> int:
     initial = build_initial_state(cfg)
     report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
-        return _fail(1, f"volterra status {report.status.value}")
+        return _fail(1, f"run status {report.status.value}: {report.message}")
     fd_trace = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)
     diff = np.abs(report.trace.z - fd_trace)
     out.write_table(os.path.join(outdir, "compare.csv"),

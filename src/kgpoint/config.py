@@ -10,6 +10,11 @@ including the horizon rule
 which sizes the domain so that no signal (group speed < 1) launched from the
 data support can touch the boundary within the run; reflections and periodic
 wrap-around are excluded by construction instead of by absorbing layers.
+
+The [initial] section is described once, at load, by its parts: an optional
+solitary wave and Gaussian packets, or a snapshot path for from_file data.
+The data radius is the largest of the parts' radii, the initial state the sum
+of their states.
 """
 
 from __future__ import annotations
@@ -33,18 +38,9 @@ class ConfigError(Exception):
 @dataclass
 class InitialSpec:
     kind: str  # zero | solitary | gaussian | seeded_gaussian | solitary_plus_bump | from_file
-    C: float = 0.5
-    theta: float = 0.0
-    branch: str = "plus"
-    amplitude: complex = 0.5 + 0.0j
-    width: float = 2.0
-    center: float = 0.0
-    momentum: float = 0.0
-    omega_bar: float = 0.0
-    bump_amplitude: complex = 0.1 + 0.0j
-    bump_width: float = 1.0
-    bump_center: float = 3.0
-    path: str = ""
+    wave: tuple[float, float, str] | None  # solitary wave (C, theta, branch)
+    packets: tuple[GaussianSpec, ...]
+    path: str  # snapshot file of from_file data
 
 
 @dataclass
@@ -80,42 +76,17 @@ def _parse_floats(text: str) -> list[float]:
 
 def data_radius(cfg: RunConfig) -> float:
     init = cfg.initial
-    if init.kind == "zero":
-        return 0.0
-    if init.kind == "solitary":
-        return data_radius_exponential(0.5 * float(alpha(cfg.model, init.C ** 2)))
-    if init.kind == "gaussian":
-        return data_radius_gaussian(GaussianSpec(init.amplitude, init.width,
-                                                 init.center, init.momentum,
-                                                 init.omega_bar))
-    if init.kind == "seeded_gaussian":
-        return data_radius_gaussian(seeded_gaussian_spec(cfg.seed))
-    if init.kind == "solitary_plus_bump":
-        r1 = data_radius_exponential(0.5 * float(alpha(cfg.model, init.C ** 2)))
-        r2 = data_radius_gaussian(GaussianSpec(init.bump_amplitude, init.bump_width,
-                                               init.bump_center, 0.0, 0.0))
-        return max(r1, r2)
-    return cfg.half_extent * 0.5  # from_file: no analytic radius; rely on the margin
+    if init.kind == "from_file":
+        return cfg.half_extent * 0.5  # no analytic radius; rely on the margin
+    radii = [data_radius_gaussian(p) for p in init.packets]
+    if init.wave:
+        radii.append(data_radius_exponential(0.5 * float(alpha(cfg.model, init.wave[0] ** 2))))
+    return max(radii, default=0.0)
 
 
 def build_initial_state(cfg: RunConfig) -> FieldState:
     init = cfg.initial
     grid = cfg.grid
-    if init.kind == "zero":
-        return zero_state(grid)
-    if init.kind == "solitary":
-        return solitary_state(cfg.model, grid, init.C, init.theta, init.branch)
-    if init.kind == "gaussian":
-        return gaussian_state(grid, GaussianSpec(init.amplitude, init.width,
-                                                 init.center, init.momentum,
-                                                 init.omega_bar))
-    if init.kind == "seeded_gaussian":
-        return gaussian_state(grid, seeded_gaussian_spec(cfg.seed))
-    if init.kind == "solitary_plus_bump":
-        base = solitary_state(cfg.model, grid, init.C, init.theta, init.branch)
-        bump = gaussian_state(grid, GaussianSpec(init.bump_amplitude, init.bump_width,
-                                                 init.bump_center, 0.0, 0.0))
-        return FieldState(grid, base.psi + bump.psi, base.pi + bump.pi, 0.0)
     if init.kind == "from_file":
         from .output import read_snapshot_csv
         state = read_snapshot_csv(init.path)
@@ -123,11 +94,22 @@ def build_initial_state(cfg: RunConfig) -> FieldState:
                 abs(state.grid.half_extent - grid.half_extent) > 1e-9:
             raise ConfigError([f"grid of {init.path} does not match the [grid] section"])
         return FieldState(grid, state.psi, state.pi, 0.0)
-    raise ConfigError([f"unknown initial kind {init.kind!r}"])
+    parts = [solitary_state(cfg.model, grid, *init.wave)] if init.wave else []
+    parts += [gaussian_state(grid, p) for p in init.packets]
+    # summed onto the first part, not onto zeros: 0.0 + -0.0 would lose the sign
+    first, *rest = parts or [zero_state(grid)]
+    return FieldState(grid, sum((p.psi for p in rest), first.psi),
+                      sum((p.pi for p in rest), first.pi), 0.0)
 
 
 _KNOWN_INITIAL = ("zero", "solitary", "gaussian", "seeded_gaussian",
                   "solitary_plus_bump", "from_file")
+_WAVE_KINDS = ("solitary", "solitary_plus_bump")
+# the numeric [initial] keys and their defaults
+_INITIAL_NUMBERS = (("C", 0.5), ("theta", 0.0), ("amplitude_re", 0.5), ("amplitude_im", 0.0),
+                    ("width", 2.0), ("center", 0.0), ("momentum", 0.0), ("omega_bar", 0.0),
+                    ("bump_amplitude_re", 0.1), ("bump_amplitude_im", 0.0),
+                    ("bump_width", 1.0), ("bump_center", 3.0))
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -190,45 +172,41 @@ def parse_config_text(text: str) -> RunConfig:
     if dt is not None and dt <= 0:
         errors.append(f"time.dt must be positive, got {dt}")
     if T and dt and dt > 0:
-        n_steps = round(T / dt)
-        if abs(T - n_steps * dt) > 1e-9 * max(1.0, T):
+        if not math.isfinite(T / dt):
+            errors.append(f"time.T / time.dt = {T} / {dt} overflows")
+        elif abs(T - round(T / dt) * dt) > 1e-9 * max(1.0, T):
             errors.append(f"time.T = {T} is not an integer multiple of dt = {dt}")
 
     ikind = get("initial", "kind", str, "zero")
     if ikind not in _KNOWN_INITIAL:
         errors.append(f"initial.kind must be one of {_KNOWN_INITIAL}, got {ikind!r}")
         ikind = "zero"
-    init = InitialSpec(
-        kind=ikind,
-        C=get("initial", "C", float, 0.5),
-        theta=get("initial", "theta", float, 0.0),
-        branch=get("initial", "branch", str, "plus"),
-        amplitude=complex(get("initial", "amplitude_re", float, 0.5),
-                          get("initial", "amplitude_im", float, 0.0)),
-        width=get("initial", "width", float, 2.0),
-        center=get("initial", "center", float, 0.0),
-        momentum=get("initial", "momentum", float, 0.0),
-        omega_bar=get("initial", "omega_bar", float, 0.0),
-        bump_amplitude=complex(get("initial", "bump_amplitude_re", float, 0.1),
-                               get("initial", "bump_amplitude_im", float, 0.0)),
-        bump_width=get("initial", "bump_width", float, 1.0),
-        bump_center=get("initial", "bump_center", float, 3.0),
-        path=get("initial", "path", str, ""),
-    )
-    if init.branch not in ("plus", "minus"):
-        errors.append(f"initial.branch must be plus or minus, got {init.branch!r}")
-    if init.kind == "from_file" and not init.path:
+    num = {key: get("initial", key, float, default) for key, default in _INITIAL_NUMBERS}
+    branch = get("initial", "branch", str, "plus")
+    path = get("initial", "path", str, "")
+    if branch not in ("plus", "minus"):
+        errors.append(f"initial.branch must be plus or minus, got {branch!r}")
+    if ikind == "from_file" and not path:
         errors.append("initial.path required for from_file data")
-    if init.kind in ("solitary", "solitary_plus_bump"):
-        if init.C <= 0:
-            errors.append(f"initial.C must be positive, got {init.C}")
-        elif model is not None and 0.5 * float(alpha(model, init.C ** 2)) <= 0:
-            errors.append(f"no solitary wave exists at C={init.C} for this model")
+    C = num["C"]
+    if ikind in _WAVE_KINDS:
+        if C <= 0:
+            errors.append(f"initial.C must be positive, got {C}")
+        elif not math.isfinite(C * C):
+            errors.append(f"initial.C = {C} is too large: C**2 overflows")
+        elif model is not None and 0.5 * float(alpha(model, C ** 2)) <= 0:
+            errors.append(f"no solitary wave exists at C={C} for this model")
+    # the width of the packet this kind reads
+    width_key = {"gaussian": "width", "solitary_plus_bump": "bump_width"}.get(ikind)
+    if width_key and num[width_key] <= 0:
+        errors.append(f"initial.{width_key} must be positive, got {num[width_key]}")
 
     seed = get("run", "seed", int, 0)
     if not 0 <= seed < 2 ** 64:  # the seeded stream's counter is a uint64
         errors.append(f"run.seed must be in [0, 2**64), got {seed}")
     energy_tol = get("run", "energy_tol", float, 1e-4)
+    if energy_tol <= 0:
+        errors.append(f"run.energy_tol must be positive, got {energy_tol}")
     out_trace = get("outputs", "trace", as_bool, True)
     snapshots = get("outputs", "snapshots", _parse_floats, [])
     spectrum_windows = get("outputs", "spectrum_windows", _parse_windows, [])
@@ -236,6 +214,17 @@ def parse_config_text(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
+    wave = (C, num["theta"], branch) if ikind in _WAVE_KINDS else None
+    packets = ()
+    if ikind == "gaussian":
+        packets = (GaussianSpec(complex(num["amplitude_re"], num["amplitude_im"]), num["width"],
+                                num["center"], num["momentum"], num["omega_bar"]),)
+    elif ikind == "seeded_gaussian":
+        packets = (seeded_gaussian_spec(seed),)
+    elif ikind == "solitary_plus_bump":
+        packets = (GaussianSpec(complex(num["bump_amplitude_re"], num["bump_amplitude_im"]),
+                                num["bump_width"], num["bump_center"]),)
+    init = InitialSpec(ikind, wave, packets, path)
     cfg = RunConfig(model=model, half_extent=half_extent, n_points=n_points, T=T, dt=dt,
                     initial=init, seed=seed, energy_tol=energy_tol, out_trace=out_trace,
                     snapshots=snapshots, spectrum_windows=spectrum_windows,

@@ -7,9 +7,10 @@ import fd_oracle
 from kgpoint import cli, volterra
 from kgpoint.cli import main
 from kgpoint.config import ConfigError, build_initial_state, data_radius, parse_config_text
-from kgpoint.fields import FieldState, Grid
-from kgpoint.initial import (GaussianSpec, data_radius_gaussian, gaussian_state,
-                             seeded_gaussian_spec, solitary_state)
+from kgpoint.fields import FieldState, Grid, zero_state
+from kgpoint.initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
+                             gaussian_state, seeded_gaussian_spec, solitary_state)
+from kgpoint.model import alpha
 from kgpoint.output import (format_table, read_report, read_snapshot_csv, read_spectrum_csv,
                             read_trace_csv, write_report, write_snapshot_csv,
                             write_spectrum_csv, write_trace_csv)
@@ -98,7 +99,32 @@ CONFIG_VIOLATIONS = [
      "spectrum window 3.0:5.0 not inside [0, T]"),
     ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 1.0-4.0")],
      "cannot parse outputs.spectrum_windows"),
+    ([("width = 1.5", "width = 0")], "initial.width must be positive, got 0.0"),
+    ([("width = 1.5", "width = -1")], "initial.width must be positive, got -1.0"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.5\nbump_width = 0"),
+      ("half_extent = 40.0", "half_extent = 66.0")],
+     "initial.bump_width must be positive, got 0.0"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary\nC = 1e200")],
+     "initial.C = 1e+200 is too large: C**2 overflows"),
+    ([("T = 4.0", "T = 1e300"), ("dt = 0.01", "dt = 1e-300")],
+     "time.T / time.dt = 1e+300 / 1e-300 overflows"),
+    ([("energy_tol = 0.01", "energy_tol = -1")], "run.energy_tol must be positive, got -1.0"),
 ]
+
+# [initial] sections with a non-default value for every key each kind reads;
+# the wave keys and the bump keys ride along where the kind ignores them
+WAVE_KEYS = "C = 0.4\ntheta = 0.3\nbranch = minus"
+BUMP_KEYS = ("bump_amplitude_re = 0.05\nbump_amplitude_im = 0.02\nbump_width = 1.2\n"
+             "bump_center = -4.0")
+INITIAL_KINDS = {
+    "zero": "kind = zero",
+    "solitary": "kind = solitary\n" + WAVE_KEYS,
+    "gaussian": "kind = gaussian\namplitude_re = 0.3\namplitude_im = -0.2\nwidth = 1.2\n"
+                "center = 0.5\nmomentum = 0.4\nomega_bar = 0.3\n" + WAVE_KEYS + "\n" + BUMP_KEYS,
+    "seeded_gaussian": "kind = seeded_gaussian",
+    "solitary_plus_bump": "kind = solitary_plus_bump\n" + WAVE_KEYS + "\n" + BUMP_KEYS,
+    "from_file": "kind = from_file\npath = {path}",
+}
 
 
 class TestConfig:
@@ -167,6 +193,31 @@ class TestConfig:
         bump = gaussian_state(cfg.grid, GaussianSpec(amplitude=0.05, width=1.2, center=4.0))
         assert np.array_equal(state.psi, wave.psi + bump.psi)
         assert np.array_equal(state.pi, wave.pi + bump.pi)
+
+    @pytest.mark.parametrize("kind", INITIAL_KINDS)
+    def test_initial_data_are_the_sum_of_their_parts(self, tmp_path, kind):
+        path = tmp_path / "snap.csv"
+        grid = Grid(66.0, 4097)
+        write_snapshot_csv(str(path), gaussian_state(grid, GaussianSpec(0.2j, 3.0, 1.0, 0.7)))
+        cfg = parse_config_text(SOLITARY_CFG.replace(
+            "kind = solitary\nC = 0.5\ntheta = 0.0\nbranch = plus",
+            INITIAL_KINDS[kind].format(path=path)))
+        assert cfg.grid == grid and cfg.seed == 7
+        waves = [solitary_state(cfg.model, grid, 0.4, 0.3, "minus")] if "solitary" in kind else []
+        packets = {"gaussian": [GaussianSpec(0.3 - 0.2j, 1.2, 0.5, 0.4, 0.3)],
+                   "seeded_gaussian": [seeded_gaussian_spec(7)],
+                   "solitary_plus_bump": [GaussianSpec(0.05 + 0.02j, 1.2, -4.0)]}.get(kind, [])
+        radii = [data_radius_gaussian(p) for p in packets]
+        if waves:
+            radii.append(data_radius_exponential(0.5 * alpha(cfg.model, 0.4 ** 2)))
+        parts = waves + [gaussian_state(grid, p) for p in packets] or [zero_state(grid)]
+        if kind == "from_file":
+            radii, parts = [33.0], [read_snapshot_csv(str(path))]
+        assert data_radius(cfg) == max(radii, default=0.0)
+        state = build_initial_state(cfg)
+        want = parts[0] if len(parts) == 1 else FieldState(
+            grid, parts[0].psi + parts[1].psi, parts[0].pi + parts[1].pi)
+        assert np.array_equal(state.psi, want.psi) and np.array_equal(state.pi, want.pi)
 
 
 class TestRoundTrips:
@@ -384,6 +435,48 @@ class TestCommands:
         assert len(read_trace_csv(str(tmp_path / "out" / "trace.csv"))[0]) == 1
         assert not (tmp_path / "out" / "spectrum_0.csv").exists()
         assert read_report(str(tmp_path / "out" / "report.txt"))["solve"]["steps"] == "0"
+
+    @pytest.mark.parametrize("command", ["attract", "compare"])
+    def test_run_failure_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(volterra, "_MAX_ITERATIONS", 1)  # as in test_non_finite_node
+        path = tmp_path / "g.cfg"
+        path.write_text(BASE_CFG)
+        assert run_cli(tmp_path, command, "--config", str(path)) == 1
+        assert capsys.readouterr().err == ("error: run status non_finite: "
+                                           "implicit node failed to converge at t=0.01\n")
+
+    def test_sweep_keeps_failed_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(volterra, "_MAX_ITERATIONS", 1)
+        path = tmp_path / "g.cfg"
+        path.write_text(BASE_CFG)
+        assert run_cli(tmp_path, "sweep", "--config", str(path), "--vary", "run.seed=1,2") == 0
+        assert (tmp_path / "out" / "sweep.csv").read_text() == (
+            "run.seed,status,in_gap_fraction,omega_plus,modulus_variation,late_max_abs_z\n"
+            "1,non_finite,,,,\n"
+            "2,non_finite,,,,\n")
+
+    @pytest.mark.parametrize("argv,text", [
+        (["solitary", "--C", "nan"], "--C must be finite, got nan"),
+        (["solitary", "--C", "inf"], "--C must be finite, got inf"),
+        (["solitary", "--omega", "nan"], "--omega must be finite, got nan"),
+        (["spectrum", "--t-center", "nan", "--t-width", "1.0"], "--t-center must be finite"),
+        (["spectrum", "--t-center", "0.5", "--t-width", "-2"],
+         "--t-width must be positive and finite, got -2.0"),
+        (["spectrum", "--t-center", "0.5", "--t-width", "0"],
+         "--t-width must be positive and finite, got 0.0"),
+        (["attract", "--radius", "nan"], "--radius must be positive and finite, got nan"),
+    ], ids=["C_nan", "C_inf", "omega_nan", "t_center_nan", "t_width_negative", "t_width_zero",
+            "radius_nan"])
+    def test_flags_checked_up_front(self, tmp_path, monkeypatch, capsys, argv, text):
+        # a 1 s trace and a valid config, so only the flag is wrong
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(str(trace), TraceSeries(dt=0.1, z=np.ones(11, dtype=complex), f=None))
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        files = {"spectrum": ["--trace", str(trace)], "attract": ["--config", str(cfg)]}
+        code = run_cli(tmp_path, argv[0], *files.get(argv[0], []), *argv[1:])
+        assert_input_error(code, capsys, text)
 
     @pytest.mark.parametrize("argv,text", [
         (["--u", "0,1", "--C", "0.5"], "degree N >= 2"),

@@ -9,7 +9,6 @@ from scipy.special import j1 as scipy_j1
 import cone_oracle
 import table_oracle
 from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, kernel, volterra
-from kgpoint.config import InitialSpec
 from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
 from kgpoint.kernel import KernelTables, bessel_j1_over_x, convolve_j0, kink_split
 from kgpoint.observables import norm_e
@@ -321,9 +320,7 @@ class TestKinkSplitOnCoarseGrids:
         # bare profile and 1.2% with the default bump; b within 0.11%
         def splits(grid):
             base = solitary_state(cubic_model, grid, 0.5)
-            spec = InitialSpec("solitary_plus_bump")
-            bump = gaussian_state(grid, GaussianSpec(spec.bump_amplitude, spec.bump_width,
-                                                     spec.bump_center))
+            bump = gaussian_state(grid, GaussianSpec(0.1, 1.0, 3.0))  # the config's default
             bumped = FieldState(grid, base.psi + bump.psi, base.pi + bump.pi)
             return [kink_split(st, 1.0) for st in (base, bumped)]
 
