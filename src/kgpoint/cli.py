@@ -18,10 +18,10 @@ SEC.KEY=VAL overrides (the seed is run.seed).  solitary takes its model from
 and --omega.  Every table goes through `output.format_table`.
 
 Exit codes: 0 ok, 1 run failure, 2 input failure: an invalid config (including
-a dt too large for the trace solver's implicit node) or an invalid flag value
-or input file.  All outputs are deterministic functions of (config, seed);
-errors are printed to stderr as `error: ...` lines, one per input failure
-(one per violated rule of a config).
+a dt too large for the trace solver's implicit node), an invalid flag value or
+input file, or inputs too large for memory.  All outputs are deterministic
+functions of (config, seed); errors are printed to stderr as `error: ...`
+lines, one per input failure (one per violated rule of a config).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .fd import check_cfl, fd_evolve
 from .model import OscillatorModel
 from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
-from .spectral import (Window, dominant_frequency, gap_mass_fraction, late_window,
-                       modulus_variation, omega_limit_report, windowed_spectrum)
+from .spectral import (Window, dominant_frequency, late_window, omega_limit_report,
+                       window_diagnostics, windowed_spectrum)
 from .volterra import SolveStatus, TraceSeries, reconstruct_fields, solve_full, solve_trace
 
 
@@ -89,9 +89,8 @@ def cmd_simulate(args) -> int:
     report, snapshots = solve_full(cfg.model, initial, cfg.T, cfg.dt,
                                    snapshot_times=cfg.snapshots,
                                    energy_tol=cfg.energy_tol)
-    if cfg.out_trace:
-        out.write_trace_csv(os.path.join(outdir, "trace.csv"), report.trace,
-                            report.energy_samples, report.charge_samples)
+    out.write_trace_csv(os.path.join(outdir, "trace.csv"), report.trace,
+                        report.energy_samples, report.charge_samples)
     for state in snapshots:
         out.write_snapshot_csv(os.path.join(outdir, f"snapshot_t{state.time:.6f}.csv"), state)
     # a trace the solver stopped early gets no spectra, as it gets no snapshots
@@ -99,12 +98,16 @@ def cmd_simulate(args) -> int:
     for i, (w0, w1) in enumerate([] if stopped else cfg.spectrum_windows):
         spec = windowed_spectrum(report.trace, 0.5 * (w0 + w1), w1 - w0, Window.HANN)
         out.write_spectrum_csv(os.path.join(outdir, f"spectrum_{i}.csv"), spec)
-    if cfg.out_report:
-        out.write_report(os.path.join(outdir, "report.txt"),
-                         out.report_sections_from_solve(report))
+    out.write_report(os.path.join(outdir, "report.txt"), out.report_sections_from_solve(report))
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     return 0
+
+
+def _solve(cfg: RunConfig):
+    """The initial state of cfg and the trace solve from it."""
+    initial = build_initial_state(cfg)
+    return initial, solve_trace(cfg.model, initial, cfg.T, cfg.dt)
 
 
 def _model_from_args(args) -> OscillatorModel:
@@ -165,8 +168,7 @@ def cmd_attract(args) -> int:
         return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
     cfg = _load_cfg(args)
     outdir = _outdir(args)
-    initial = build_initial_state(cfg)
-    report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
+    initial, report = _solve(cfg)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     trace = report.trace
@@ -177,12 +179,9 @@ def cmd_attract(args) -> int:
     states = reconstruct_fields(cfg.model, initial, trace,
                                 [trace.dt * round(tc / trace.dt)
                                  for tc in (*centers, 0.5 * (late[0] + late[1]))])
-    rows = []
-    for tc, state in zip(centers, states):
-        spec = windowed_spectrum(trace, tc, width, Window.HANN)
-        rows.append((tc, distance_to_manifold(cfg.model, state, args.radius).rho,
-                     gap_mass_fraction(spec, cfg.model.mass), dominant_frequency(spec),
-                     modulus_variation(trace, tc - width / 2, tc + width / 2)))
+    rows = [(tc, distance_to_manifold(cfg.model, state, args.radius).rho,
+             *window_diagnostics(trace, (tc - width / 2, tc + width / 2), cfg.model.mass))
+            for tc, state in zip(centers, states)]
     out.write_table(os.path.join(outdir, "attract_windows.csv"),
                     ("t_center", "rho", "in_gap_fraction", "omega_plus", "modulus_variation"),
                     np.array(rows, dtype=float).T)
@@ -218,15 +217,12 @@ _SWEEP_COLUMNS = ("status", "in_gap_fraction", "omega_plus", "modulus_variation"
 
 def _sweep_one(cfg: RunConfig) -> tuple[str, ...]:
     """Cells of the _SWEEP_COLUMNS of one sweep run."""
-    initial = build_initial_state(cfg)
-    report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
+    _, report = _solve(cfg)
     if report.status is not SolveStatus.COMPLETED:
         return (report.status.value, "", "", "", "")
-    w = late_window(cfg.T, cfg.dt)
-    spec = windowed_spectrum(report.trace, 0.5 * (w[0] + w[1]), w[1] - w[0], Window.HANN)
     tail = np.abs(report.trace.z[len(report.trace.z) // 2:])
-    values = (gap_mass_fraction(spec, cfg.model.mass), dominant_frequency(spec),
-              modulus_variation(report.trace, w[0], w[1]), tail.max())
+    values = (*window_diagnostics(report.trace, late_window(cfg.T, cfg.dt), cfg.model.mass),
+              tail.max())
     return ("completed", *(repr(float(v)) for v in values))
 
 
@@ -254,8 +250,7 @@ def cmd_compare(args) -> int:
     h = cfg.grid.spacing
     check_cfl(h, cfg.dt)
     outdir = _outdir(args)
-    initial = build_initial_state(cfg)
-    report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
+    initial, report = _solve(cfg)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     fd_trace = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)
@@ -332,6 +327,9 @@ def main(argv=None) -> int:
         return _fail(2, " ".join(line.strip() for line in str(exc).splitlines()))
     except (ValueError, OSError) as exc:
         return _fail(2, str(exc))
+    except MemoryError as exc:
+        # numpy's message names the array that did not fit
+        return _fail(2, f"out of memory: {exc}" if str(exc) else "out of memory")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ import configparser
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .fields import FieldState, Grid, zero_state
 from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
                       gaussian_state, seeded_gaussian_spec, solitary_state)
@@ -53,10 +55,8 @@ class RunConfig:
     initial: InitialSpec
     seed: int = 0
     energy_tol: float = 1e-4
-    out_trace: bool = True
     snapshots: list[float] = dc_field(default_factory=list)
     spectrum_windows: list[tuple[float, float]] = dc_field(default_factory=list)
-    out_report: bool = True
 
     @property
     def grid(self) -> Grid:
@@ -132,8 +132,6 @@ def parse_config_text(text: str) -> RunConfig:
             errors.append(f"cannot parse {section}.{key} = {raw!r}")
             return default
 
-    as_bool = lambda s: s.strip().lower() in ("1", "true", "yes", "on")
-
     kind = get("model", "kind", str, "polynomial")
     mass = get("model", "mass", float, required=True)
     model = None
@@ -158,12 +156,15 @@ def parse_config_text(text: str) -> RunConfig:
     else:
         errors.append(f"model.kind must be polynomial or linear, got {kind!r}")
 
+    grid_errors = len(errors)
     half_extent = get("grid", "half_extent", float, required=True)
     n_points = get("grid", "n_points", int, required=True)
     if n_points is not None and (n_points < 3 or n_points % 2 == 0):
         errors.append(f"grid.n_points must be odd and >= 3, got {n_points}")
     if half_extent is not None and half_extent <= 0:
         errors.append(f"grid.half_extent must be positive, got {half_extent}")
+    # 0.0 on an invalid grid, which skips the packet width check
+    spacing = Grid(half_extent, n_points).spacing if len(errors) == grid_errors else 0.0
 
     T = get("time", "T", float, required=True)
     dt = get("time", "dt", float, required=True)
@@ -194,12 +195,20 @@ def parse_config_text(text: str) -> RunConfig:
             errors.append(f"initial.C must be positive, got {C}")
         elif not math.isfinite(C * C):
             errors.append(f"initial.C = {C} is too large: C**2 overflows")
-        elif model is not None and 0.5 * float(alpha(model, C ** 2)) <= 0:
-            errors.append(f"no solitary wave exists at C={C} for this model")
-    # the width of the packet this kind reads
+        elif model is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                alpha_c = float(alpha(model, C ** 2))
+            if not math.isfinite(alpha_c):
+                errors.append(f"initial.C = {C} is too large: alpha(C**2) is not finite")
+            elif alpha_c <= 0:
+                errors.append(f"no solitary wave exists at C={C} for this model")
+    # the width of the packet this kind reads, at least one grid spacing
     width_key = {"gaussian": "width", "solitary_plus_bump": "bump_width"}.get(ikind)
     if width_key and num[width_key] <= 0:
         errors.append(f"initial.{width_key} must be positive, got {num[width_key]}")
+    elif width_key and num[width_key] < spacing:
+        errors.append(f"initial.{width_key} = {num[width_key]} is below the grid spacing "
+                      f"{spacing!r}")
 
     seed = get("run", "seed", int, 0)
     if not 0 <= seed < 2 ** 64:  # the seeded stream's counter is a uint64
@@ -207,10 +216,8 @@ def parse_config_text(text: str) -> RunConfig:
     energy_tol = get("run", "energy_tol", float, 1e-4)
     if energy_tol <= 0:
         errors.append(f"run.energy_tol must be positive, got {energy_tol}")
-    out_trace = get("outputs", "trace", as_bool, True)
     snapshots = get("outputs", "snapshots", _parse_floats, [])
     spectrum_windows = get("outputs", "spectrum_windows", _parse_windows, [])
-    out_report = get("outputs", "report", as_bool, True)
     if errors:
         raise ConfigError(errors)
 
@@ -226,9 +233,8 @@ def parse_config_text(text: str) -> RunConfig:
                                 num["bump_width"], num["bump_center"]),)
     init = InitialSpec(ikind, wave, packets, path)
     cfg = RunConfig(model=model, half_extent=half_extent, n_points=n_points, T=T, dt=dt,
-                    initial=init, seed=seed, energy_tol=energy_tol, out_trace=out_trace,
-                    snapshots=snapshots, spectrum_windows=spectrum_windows,
-                    out_report=out_report)
+                    initial=init, seed=seed, energy_tol=energy_tol, snapshots=snapshots,
+                    spectrum_windows=spectrum_windows)
     radius = data_radius(cfg)
     if half_extent < radius + T + 1.0:
         errors.append(f"horizon rule violated: half_extent = {half_extent} < "

@@ -6,7 +6,8 @@ Two kinds are supported:
 
 * polynomial: u(s) = sum_n u_n s^n with u_N > 0 and N >= 2 (strictly
   nonlinear by construction, since alpha is then a nonconstant polynomial);
-* linear: F(psi) = a psi, i.e. U(psi) = -a |psi|^2 / 2.
+* linear: F(psi) = a psi, i.e. u(s) = -a s / 2, the degree-one potential
+  with coefficients (0, -a/2).
 
 The linear kind is well posed only for a < 2m; larger couplings admit
 secularly growing modes, so construction merely warns and downstream checks
@@ -31,16 +32,14 @@ class ModelKind(enum.Enum):
 class OscillatorModel:
     """Field mass plus the oscillator potential at the coupling point.
 
-    ``coefficients`` are the u_0..u_N of the polynomial kind (u_0 shifts the
-    energy only and never enters the force; it is kept for bookkeeping).
-    For the linear kind ``linear_a`` holds the coupling a and ``coefficients``
-    is empty.
+    ``coefficients`` are the u_0..u_N of u(s) (u_0 shifts the energy only
+    and never enters the force; it is kept for bookkeeping): N >= 2 for the
+    polynomial kind, N = 1 with u_1 = -a/2 for the linear kind.
     """
 
     mass: float
     kind: ModelKind
     coefficients: tuple[float, ...] = field(default=())
-    linear_a: float = 0.0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.mass) or self.mass <= 0:
@@ -54,14 +53,24 @@ class OscillatorModel:
             if u[-1] <= 0:
                 raise ValueError(f"leading coefficient u_N must be positive, got {u[-1]}")
         else:
-            if not np.isfinite(self.linear_a):
-                raise ValueError("non-finite linear coupling")
+            if len(self.coefficients) != 2 or not np.isfinite(self.linear_a):
+                raise ValueError("linear kind needs coefficients (0, -a/2) with a finite")
             if self.linear_a >= 2 * self.mass:
                 warnings.warn(
                     f"linear coupling a={self.linear_a} >= 2m={2 * self.mass}: "
                     "outside the well-posedness window, solutions may grow",
                     stacklevel=2,
                 )
+
+    @property
+    def linear_a(self) -> float:
+        """The coupling a of the linear kind, -2 u_1."""
+        return -2.0 * self.coefficients[1]
+
+    @property
+    def alpha_coefficients(self) -> tuple[float, ...]:
+        """c_0..c_(N-1) of alpha(s) = sum_k c_k s^k, c_k = -2 (k+1) u_(k+1)."""
+        return tuple(-2.0 * n * u for n, u in enumerate(self.coefficients) if n >= 1)
 
     @classmethod
     def polynomial(cls, mass: float, coefficients) -> "OscillatorModel":
@@ -70,14 +79,13 @@ class OscillatorModel:
 
     @classmethod
     def linear(cls, mass: float, a: float) -> "OscillatorModel":
-        return cls(mass=float(mass), kind=ModelKind.LINEAR, linear_a=float(a))
+        return cls(mass=float(mass), kind=ModelKind.LINEAR,
+                   coefficients=(0.0, -0.5 * float(a)))
 
 
 def potential(model: OscillatorModel, psi: complex) -> float:
-    """U(psi); for the linear kind -a |psi|^2 / 2."""
+    """U(psi) = u(|psi|^2)."""
     s = float(np.real(psi * np.conj(psi)))
-    if model.kind is ModelKind.LINEAR:
-        return -0.5 * model.linear_a * s
     acc = 0.0
     for u_n in reversed(model.coefficients):
         acc = acc * s + u_n
@@ -90,13 +98,9 @@ def alpha(model: OscillatorModel, s) -> float | np.ndarray:
     Constant (= a) for the linear kind.  Accepts scalars or arrays.
     """
     s = np.asarray(s, dtype=float)
-    if model.kind is ModelKind.LINEAR:
-        out = np.full(s.shape, model.linear_a)
-        return float(out) if out.ndim == 0 else out
-    u = model.coefficients
     acc = np.zeros(s.shape)
-    for n in range(len(u) - 1, 0, -1):
-        acc = acc * s - 2.0 * n * u[n]
+    for c in reversed(model.alpha_coefficients):
+        acc = acc * s + c
     return float(acc) if acc.ndim == 0 else acc
 
 
@@ -116,12 +120,9 @@ def force_lipschitz(model: OscillatorModel, r: float) -> float:
     which grows with r, so no maximisation over the disc is needed.  |a| for
     the linear kind.
     """
-    if model.kind is ModelKind.LINEAR:
-        return abs(model.linear_a)
     s = r * r
-    # c_k = -2 (k+1) u_(k+1)
-    return float(sum(2.0 * (k + 1) * abs(u) * (2 * k + 1) * s ** k
-                     for k, u in enumerate(model.coefficients[1:])))
+    return float(sum(abs(c) * (2 * k + 1) * s ** k
+                     for k, c in enumerate(model.alpha_coefficients)))
 
 
 def _poly_min_nonneg(coeffs: tuple[float, ...]) -> float:

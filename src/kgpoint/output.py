@@ -158,11 +158,11 @@ def report_sections_from_solve(report: SolveReport) -> dict[str, dict[str, str]]
         "steps": str(len(report.trace.z) - 1),
         "dt": repr(report.trace.dt),
     }
-    e0, q0 = report.energy_initial, report.charge_initial
-    if len(report.energy_samples) and e0 is not None:
-        e = report.energy_samples[:, 1]
-        sec["energy_initial"] = repr(float(e0))
-        sec["energy_drift_max_rel"] = repr(float(np.max(np.abs(e - e0)) / max(abs(e0), 1e-30)))
+    drift = report.energy_drift
+    if drift is not None:
+        sec["energy_initial"] = repr(float(report.energy_initial))
+        sec["energy_drift_max_rel"] = repr(drift)
+    q0 = report.charge_initial
     if len(report.charge_samples) and q0 is not None:
         q = report.charge_samples[:, 1]
         sec["charge_initial"] = repr(float(q0))

@@ -122,6 +122,16 @@ def modulus_variation(trace: TraceSeries, t0: float, t1: float) -> float:
     return float((top - mags.min()) / top)
 
 
+def window_diagnostics(trace: TraceSeries, window: tuple[float, float], m: float
+                       ) -> tuple[float, float, float]:
+    """(in_gap_fraction, omega_plus, modulus_variation) of the trace over
+    window = (t0, t1): the Hann spectrum's share in |omega| <= m and its
+    dominant frequency, and the variation of |z|."""
+    t0, t1 = window
+    spec = windowed_spectrum(trace, 0.5 * (t0 + t1), t1 - t0, Window.HANN)
+    return gap_mass_fraction(spec, m), dominant_frequency(spec), modulus_variation(trace, t0, t1)
+
+
 @dataclass
 class OmegaLimitReport:
     omega_plus: float
@@ -159,10 +169,7 @@ def omega_limit_report(model: OscillatorModel, trace: TraceSeries, state: FieldS
     if abs(state.time - t_mid) > 0.5 * trace.dt + 1e-9 * max(1.0, abs(t_mid)):
         raise ValueError(f"state at t = {state.time:.6g} is not at the window center "
                          f"{t_mid:.6g} (within dt/2)")
-    spec = windowed_spectrum(trace, t_mid, t1 - t0, Window.HANN)
-    gap = gap_mass_fraction(spec, model.mass)
-    omega_plus = dominant_frequency(spec)
-    mvar = modulus_variation(trace, t0, t1)
+    gap, omega_plus, mvar = window_diagnostics(trace, window, model.mass)
     dist: ManifoldDistance = distance_to_manifold(model, state, R)
     return OmegaLimitReport(omega_plus=omega_plus, in_gap_fraction=gap,
                             modulus_variation=mvar, matched_wave=dist.best,

@@ -70,8 +70,7 @@ import numpy as np
 from .fields import FieldState
 from .kernel import (KernelTables, bessel_j0, check_horizon, free_evolve,
                      free_trace, kink_split)
-from .model import (ModelKind, OscillatorModel, alpha, check_bound_below, force,
-                    force_lipschitz)
+from .model import OscillatorModel, alpha, check_bound_below, force, force_lipschitz
 from .observables import charge as charge_of
 from .observables import energy as energy_of
 
@@ -148,20 +147,19 @@ class SolveReport:
     node_iterations: int = 0
     node_iterations_max: int = 0
 
-
-def _alpha_coefficients(model: OscillatorModel) -> list[float]:
-    """Coefficients of alpha(s), highest power first, for a real Horner loop
-    (the single constant a for the linear kind)."""
-    if model.kind is ModelKind.LINEAR:
-        return [model.linear_a]
-    # alpha(s) = c[0] + c[1] s + ... (ascending), c[n-1] = -2 n u_n
-    coefs = [-2.0 * n * u for n, u in enumerate(model.coefficients) if n >= 1]
-    coefs.reverse()
-    return coefs
+    @property
+    def energy_drift(self) -> float | None:
+        """max |H - H0| / max(|H0|, 1e-30) over the energy samples, H0 =
+        `energy_initial`; None when nothing was sampled."""
+        e0 = self.energy_initial
+        if not len(self.energy_samples) or e0 is None:
+            return None
+        return float(np.max(np.abs(self.energy_samples[:, 1] - e0)) / max(abs(e0), 1e-30))
 
 
-def _node(coefs: list[float], quarter_dt: float, b: complex, mu: float):
-    """Solve the implicit node z = b + (dt/4) F(z) from the guess mu.
+def _node(coefs: tuple[float, ...], quarter_dt: float, b: complex, mu: float):
+    """Solve the implicit node z = b + (dt/4) F(z) from the guess mu; `coefs`
+    are the model's alpha coefficients, highest power first.
 
     F(z) = alpha(|z|^2) z with alpha real, so z = b / mu with mu real, and
     the node becomes the scalar fixed point mu = 1 - (dt/4) alpha(|b|^2 / mu^2).
@@ -295,7 +293,7 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     lags = bessel_j0(m * (np.arange(_NEAR - 1, 0, -1) * dt)).astype(complex)
     near_lags = [lags[_NEAR - 1 - r:] for r in range(_NEAR)]
 
-    coefs = _alpha_coefficients(model)
+    coefs = model.alpha_coefficients[::-1]
     quarter_dt = 0.25 * dt
     half_dt = 0.5 * dt
 
@@ -654,20 +652,14 @@ def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
     if not snapshots:
         return report, snapshots
 
-    e0 = energy_of(model, initial)
-    report.energy_initial = e0
+    report.energy_initial = energy_of(model, initial)
     report.charge_initial = charge_of(initial)
-    e_rows, q_rows = [], []
-    worst = 0.0
-    for t, state in zip(snapshot_times, snapshots):
-        e_t = energy_of(model, state)
-        q_t = charge_of(state)
-        e_rows.append((t, e_t))
-        q_rows.append((t, q_t))
-        worst = max(worst, abs(e_t - e0) / max(abs(e0), 1e-30))
-    report.energy_samples = np.array(e_rows)
-    report.charge_samples = np.array(q_rows)
-    if worst > energy_tol:
+    report.energy_samples = np.array([(t, energy_of(model, state))
+                                      for t, state in zip(snapshot_times, snapshots)])
+    report.charge_samples = np.array([(t, charge_of(state))
+                                      for t, state in zip(snapshot_times, snapshots)])
+    drift = report.energy_drift
+    if drift > energy_tol:
         report.status = SolveStatus.ENERGY_DRIFT_EXCEEDED
-        report.message = f"relative energy drift {worst:.3g} exceeded tol {energy_tol:.3g}"
+        report.message = f"relative energy drift {drift:.3g} exceeded tol {energy_tol:.3g}"
     return report, snapshots

@@ -17,8 +17,7 @@ import numpy as np
 from kgpoint.fields import FieldState
 from kgpoint.kernel import bessel_j0, free_trace
 from kgpoint.model import OscillatorModel, alpha, force
-from kgpoint.volterra import (SolveReport, SolveStatus, TraceSeries, _alpha_coefficients,
-                              _node, _trace_cap)
+from kgpoint.volterra import SolveReport, SolveStatus, TraceSeries, _node, _trace_cap
 
 
 def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt: float
@@ -46,7 +45,7 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
     kern = bessel_j0(m * times)
     kern_rev = kern[::-1].copy()
 
-    coefs = _alpha_coefficients(model)
+    coefs = model.alpha_coefficients[::-1]
     cap = _trace_cap(model, initial)
 
     z = np.empty(n, dtype=complex)

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -41,10 +42,8 @@ seed = 7
 energy_tol = 0.01
 
 [outputs]
-trace = true
 snapshots = 0.0, 2.0, 4.0
 spectrum_windows = 1.0:4.0
-report = true
 """
 
 SOLITARY_CFG = BASE_CFG.replace("kind = gaussian", "kind = solitary").replace(
@@ -109,6 +108,11 @@ CONFIG_VIOLATIONS = [
     ([("T = 4.0", "T = 1e300"), ("dt = 0.01", "dt = 1e-300")],
      "time.T / time.dt = 1e+300 / 1e-300 overflows"),
     ([("energy_tol = 0.01", "energy_tol = -1")], "run.energy_tol must be positive, got -1.0"),
+    ([("width = 1.5", "width = 1e-200")],
+     "initial.width = 1e-200 is below the grid spacing 0.0390625"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.5\nbump_width = 0.06"),
+      ("half_extent = 40.0", "half_extent = 66.0")],
+     "initial.bump_width = 0.06 is below the grid spacing 0.064453125"),
 ]
 
 # [initial] sections with a non-default value for every key each kind reads;
@@ -164,9 +168,25 @@ class TestConfig:
             parse_config_text(bad)
         assert any("well-posedness" in m for m in err.value.errors)
 
-    def test_removed_run_keys_still_load(self):
-        old = BASE_CFG.replace("seed = 7", "seed = 7\nfd_delta_width = 3\nworkers = 2")
+    def test_removed_run_keys_still_load(self, tmp_path):
+        old = BASE_CFG.replace("seed = 7", "seed = 7\nfd_delta_width = 3\nworkers = 2").replace(
+            "[outputs]", "[outputs]\ntrace = false\nreport = false")
         assert parse_config_text(old) == parse_config_text(BASE_CFG)
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(old)
+        assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 0
+        assert (tmp_path / "out" / "trace.csv").exists()
+        assert (tmp_path / "out" / "report.txt").exists()
+
+    def test_alpha_overflow_is_a_config_error(self):
+        # C**2 is finite, alpha(C**2) is not; no overflow warning may escape
+        text = BASE_CFG.replace(GAUSSIAN_INITIAL, "kind = solitary\nC = 1e100").replace(
+            "coefficients = 0, -1, 1", "coefficients = 0.1, -2, 0.5, 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+        assert err.value.errors == ["initial.C = 1e+100 is too large: alpha(C**2) is not finite"]
 
     def test_seeded_gaussian_initial_data(self):
         text = BASE_CFG.replace("kind = gaussian\namplitude_re = 0.5\nwidth = 1.5",
@@ -696,6 +716,48 @@ class TestCommands:
         out = tmp_path / "att_zero"
         assert main(["--out", str(out), "attract", "--config", str(cfg), "--windows", "2"]) == 0
         assert read_report(str(out / "report.txt"))["matched_wave"] == {"kind": "zero"}
+
+    @pytest.mark.parametrize("command,name", [("simulate", "build_initial_state"),
+                                              ("sweep", "solve_trace")])
+    def test_out_of_memory_is_an_input_error(self, tmp_path, monkeypatch, capsys, command, name):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000001,) and data type float64")
+
+        monkeypatch.setattr(cli, name, exhausted)
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(BASE_CFG)
+        code = run_cli(tmp_path, command, "--config", str(cfg))
+        assert_input_error(code, capsys, "out of memory: Unable to allocate 7.28 TiB")
+
+    # the benchmark's set-up probe and long_sweep hook these cli names
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "solve_full"), ("attract", "solve_trace"), ("compare", "solve_trace"),
+        ("sweep", "solve_trace")])
+    def test_commands_reach_the_bench_hooks(self, tmp_path, monkeypatch, command, name):
+        class Reached(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Reached(name)
+
+        monkeypatch.setattr(cli, name, stub)
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(BASE_CFG)
+        with pytest.raises(Reached):
+            run_cli(tmp_path, command, "--config", str(cfg))
+
+    def test_attract_and_sweep_share_the_window_recipe(self, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(BASE_CFG)
+        assert main(["--out", str(tmp_path / "a"), "attract", "--config", str(cfg),
+                     "--windows", "2"]) == 0
+        assert main(["--out", str(tmp_path / "s"), "sweep", "--config", str(cfg)]) == 0
+        omega_limit = read_report(str(tmp_path / "a" / "report.txt"))["omega_limit"]
+        header, row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        for key in ("in_gap_fraction", "omega_plus", "modulus_variation"):
+            assert omega_limit[key] == cells[key], key
 
     def test_set_override(self, tmp_path):
         cfg = tmp_path / "o.cfg"

@@ -14,7 +14,7 @@ from node_oracle import complex_node, scalar_force
 from kgpoint import Grid, OscillatorModel, SolveStatus, solve_trace
 from kgpoint.initial import gaussian_state, seeded_gaussian_spec
 from kgpoint.model import alpha, force_lipschitz
-from kgpoint.volterra import _RESIDUAL_TOL, _alpha_coefficients, _node, _trace_cap
+from kgpoint.volterra import _RESIDUAL_TOL, _node, _trace_cap
 
 CUBIC = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0))
 QUINTIC = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))
@@ -41,7 +41,7 @@ def test_nodes_agree_along_trajectory(seed):
     z = rep.trace.z
     b = z - q * rep.trace.f
     mu = 1.0 - q * alpha(CUBIC, np.abs(z) ** 2)
-    F, coefs = scalar_force(CUBIC), _alpha_coefficients(CUBIC)
+    F, coefs = scalar_force(CUBIC), CUBIC.alpha_coefficients[::-1]
     for j in range(1, len(z)):
         want, it_c = complex_node(F, q, complex(b[j]), complex(z[j - 1]))
         got, f, _, it = _node(coefs, q, complex(b[j]), float(mu[j - 1]))
@@ -59,7 +59,7 @@ def test_nodes_agree_in_cap_disc(name, contraction):
     assert q * lip <= 0.5
     rng = np.random.default_rng(7)
     b = cap * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
-    F, coefs = scalar_force(model), _alpha_coefficients(model)
+    F, coefs = scalar_force(model), model.alpha_coefficients[::-1]
     for bb in b.tolist():
         want, it_c = complex_node(F, q, bb, bb)
         got, _, _, it = _node(coefs, q, bb, 1.0)
@@ -74,7 +74,7 @@ def test_multiplier_map_contracts_by_half(name):
     <= 1/2 for mu >= 1 - A and |b| / mu <= cap."""
     model, cap = MODELS[name], CAPS[name]
     q = 0.4995 / force_lipschitz(model, cap)
-    coefs = _alpha_coefficients(model)[::-1]  # ascending
+    coefs = model.alpha_coefficients
     a_bound = q * sum(abs(c) * cap ** (2 * k) for k, c in enumerate(coefs))
     rng = np.random.default_rng(11)
     n = 20000
@@ -88,7 +88,7 @@ def test_multiplier_map_contracts_by_half(name):
 
 
 def test_zero_right_hand_side():
-    z, f, mu, it = _node(_alpha_coefficients(CUBIC), 0.005, 0j, 1.0)
+    z, f, mu, it = _node(CUBIC.alpha_coefficients[::-1], 0.005, 0j, 1.0)
     assert (z, f, it) == (0j, 0j, 1)
     assert mu == 1.0 - 0.005 * 2.0
 
@@ -96,4 +96,4 @@ def test_zero_right_hand_side():
 @pytest.mark.parametrize("b, guess", [(0.5 + 0.1j, 0.0), (complex("nan+0j"), 1.0)],
                          ids=["zero_guess", "nan"])
 def test_failed_node_reports_no_iterations(b, guess):
-    assert _node(_alpha_coefficients(CUBIC), 0.005, b, guess)[3] == 0
+    assert _node(CUBIC.alpha_coefficients[::-1], 0.005, b, guess)[3] == 0
