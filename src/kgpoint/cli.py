@@ -152,7 +152,12 @@ def cmd_spectrum(args) -> int:
     times, z, _, _ = out.read_trace_csv(args.trace)
     if len(times) < 2:
         return _fail(2, "trace file too short")
-    trace = TraceSeries(dt=float(times[1] - times[0]), z=z, f=None)
+    dt = float(times[1] - times[0])
+    if not (dt > 0 and np.allclose(np.diff(times), dt, rtol=1e-10, atol=0)):
+        return _fail(2, f"{args.trace}: trace times are not increasing and uniform")
+    if not np.all(np.isfinite(z)):
+        return _fail(2, f"{args.trace}: trace values are not finite")
+    trace = TraceSeries(dt=dt, z=z)
     window = Window(args.window)
     spec = windowed_spectrum(trace, args.t_center, args.t_width, window)
     outdir = _outdir(args)

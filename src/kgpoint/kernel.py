@@ -13,8 +13,8 @@ omega(k) = sqrt(k^2 + m^2): each mode undergoes the rotation
 `free_evolve` applies this on the periodic grid (spectrally accurate for
 data supported away from the boundary; callers enforce the no-wrap horizon
 rule).  `free_trace` evaluates the center-node trace psi1(0, t) of the same
-discrete propagator for many times at once, with an analytic correction for
-the exponential-kink content that a finite Fourier grid aliases.  Because
+discrete propagator for many times at once; `kink_split` takes off, as a
+point source, the x = 0 kink that a finite Fourier grid aliases.  Because
 omega is even, the modes +-k fold into one cosine and one sine amplitude
 per wavenumber k >= 0, and the trace at N uniform times t = (s L + l) dt,
 L ~ sqrt(N), becomes by angle addition one real matrix product per chunk of
@@ -277,29 +277,6 @@ def free_evolve(state: FieldState, dt_target: float, m: float) -> FieldState:
     return FieldState(state.grid, psi, pi, state.time + dt_target)
 
 
-def convolve_j0(times: np.ndarray, f: np.ndarray, m: float,
-                kern: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid product integration of int_0^t J0(m (t - s)) f(s) ds.
-
-    `times` must be uniform starting at 0.  One FFT linear convolution gives
-    all upper limits at once; the i = t node carries half weight.  `kern`,
-    when given, must be bessel_j0(m * times).
-    """
-    n = len(times)
-    dt = times[1] - times[0]
-    if kern is None:
-        kern = bessel_j0(m * times)
-    g = f.astype(complex).copy()
-    g[0] *= 0.5
-    npad = 1
-    while npad < 2 * n:
-        npad *= 2
-    conv = np.fft.ifft(np.fft.fft(kern, npad) * np.fft.fft(g, npad))[:n]
-    out = dt * (conv - kern[0] * g + 0.5 * kern[0] * f)
-    out[0] = 0.0
-    return out
-
-
 def _edge_derivative_jump(values: np.ndarray, c: int, h: float) -> complex:
     """Jump f'(0+) - f'(0-) from fourth-order one-sided stencils at node c."""
     st = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
@@ -461,42 +438,25 @@ def _mode_sum(amp_cos: np.ndarray, amp_sin: np.ndarray, w: np.ndarray,
     return acc[:n_out].ravel() + 1j * acc[n_out:].ravel()
 
 
-def free_trace(initial: FieldState, times: np.ndarray, m: float,
-               kern: np.ndarray | None = None) -> np.ndarray:
+def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
     """Center-node trace psi1(0, t_j) of the free evolution of `initial`.
 
-    `times` must be uniform and start at 0.  For data without an x = 0
-    kink the result equals `free_evolve(initial, t).psi[center]` at every
-    requested time (same discrete propagator, evaluated at one node).  The
-    modes +-k are folded into h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t)
-    over the n//2+1 wavenumbers k >= 0 and summed as a blocked real matrix
-    product (`_mode_sum`).  N times are split as t = (s L + l) dt with
+    `times` must be uniform and start at 0.  The result equals
+    `free_evolve(initial, t).psi[center]` at every requested time (same
+    discrete propagator, evaluated at one node).  The modes +-k are folded
+    into h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t) over the n//2+1
+    wavenumbers k >= 0 and summed as a blocked real matrix product
+    (`_mode_sum`).  N times are split as t = (s L + l) dt with
     L = ceil(sqrt(N)), so each mode needs the phases of L offsets and N/L
-    starts only.
-
-    Sampled data with a derivative kink at x = 0 (every solitary profile)
-    put O(1/k^2) tails beyond the grid's Nyquist wavenumber; the aliased
-    part re-enters the trace at wrong frequencies with O(h) amplitude at
-    early times.  The kink pair is therefore split off (`kink_split`) and
-    only the kink-free remainder goes through the grid propagator.  The
-    pair's trace is its standing field at x = 0 plus the Duhamel trace
-    (1/2) int_0^t J0(m (t - s)) source(s) ds of its point source.  `kern`,
-    when given, must be bessel_j0(m * times); that convolution reuses it.
+    starts only.  The caller checks the horizon and splits off any kink.
     """
     initial.require_finite()
     times = np.asarray(times, dtype=float)
     if not (len(times) >= 2 and abs(times[0]) < 1e-14
             and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10, atol=0)):
         raise ValueError("free_trace needs at least two uniform times starting at 0")
-    check_horizon(initial, float(np.max(times)), "free_trace")
-    split = kink_split(initial, m)
-    amp_cos, amp_sin, w = _folded_modes(split.rest, m)
+    amp_cos, amp_sin, w = _folded_modes(initial, m)
     # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
     inner = int(np.ceil(np.sqrt(len(times))))
     tau = np.arange(inner) * (times[1] - times[0])
-    out = _mode_sum(amp_cos, amp_sin, w, tau, times[::inner])[:len(times)]
-    if split.a or split.b:
-        # g(0) = 1, so the standing field at x = 0 is the source over -2 kappa1
-        src = split.source(times)
-        out += src / (-2.0 * split.kappa1) + 0.5 * convolve_j0(times, src, m, kern)
-    return out
+    return _mode_sum(amp_cos, amp_sin, w, tau, times[::inner])[:len(times)]

@@ -10,8 +10,8 @@ Two kinds are supported:
   with coefficients (0, -a/2).
 
 The linear kind is well posed only for a < 2m; larger couplings admit
-secularly growing modes, so construction merely warns and downstream checks
-(`check_bound_below`) report the failure.
+secularly growing modes, so `OscillatorModel.linear` merely warns and
+downstream checks (`check_bound_below`) report the failure.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class OscillatorModel:
         else:
             if len(self.coefficients) != 2 or not np.isfinite(self.linear_a):
                 raise ValueError("linear kind needs coefficients (0, -a/2) with a finite")
-            if self.linear_a >= 2 * self.mass:
-                warnings.warn(
-                    f"linear coupling a={self.linear_a} >= 2m={2 * self.mass}: "
-                    "outside the well-posedness window, solutions may grow",
-                    stacklevel=2,
-                )
 
     @property
     def linear_a(self) -> float:
@@ -79,8 +73,17 @@ class OscillatorModel:
 
     @classmethod
     def linear(cls, mass: float, a: float) -> "OscillatorModel":
-        return cls(mass=float(mass), kind=ModelKind.LINEAR,
-                   coefficients=(0.0, -0.5 * float(a)))
+        """F = a psi; a >= 2m leaves the well-posedness window and warns at
+        the caller's line."""
+        model = cls(mass=float(mass), kind=ModelKind.LINEAR,
+                    coefficients=(0.0, -0.5 * float(a)))
+        if model.linear_a >= 2 * model.mass:
+            warnings.warn(
+                f"linear coupling a={model.linear_a} >= 2m={2 * model.mass}: "
+                "outside the well-posedness window, solutions may grow",
+                stacklevel=2,
+            )
+        return model
 
 
 def potential(model: OscillatorModel, psi: complex) -> float:

@@ -5,14 +5,15 @@ the trace z(t) = psi(0, t):
 
     z(t) = h(t) + (1/2) int_0^t J0(m (t - s)) F(z(s)) ds,
 
-with h the free-field trace of the initial data.  Product integration with
-trapezoid weights discretizes the memory integral (the kernel is entire, so
-no singularity treatment is needed); the s = t node makes each step weakly
-implicit, z = b + (dt/4) F(z) with b known.  F(z) = alpha(|z|^2) z with
-alpha real (U(1) invariance), so the solution is a real multiple z = b / mu
-of b, and the node reduces to the real fixed point
-mu = 1 - (dt/4) alpha(|b|^2 / mu^2), warm-started by extrapolating mu from
-the previous steps.  The linear part of F is thereby solved exactly.
+with h the free-field trace of the initial data; the data's kink pair
+(`kink_split`) is one more point source at x = 0 beside F(z).  Product
+integration with trapezoid weights discretizes the memory integral (the
+kernel is entire, so no singularity treatment is needed); the s = t node
+makes each step weakly implicit, z = b + (dt/4) F(z) with b known.
+F(z) = alpha(|z|^2) z with alpha real (U(1) invariance), so the solution is
+a real multiple z = b / mu of b, and the node reduces to the real fixed
+point mu = 1 - (dt/4) alpha(|b|^2 / mu^2), warm-started by extrapolating mu
+from the previous steps.  The linear part of F is thereby solved exactly.
 The memory sum of step n, sum_{i<n} g_i J0(m (n - i) dt), is split into a
 near part and a far part.  The sources in the current aligned block of
 _NEAR nodes take one direct dot per step.  Every other (target, source)
@@ -103,20 +104,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class TraceSeries:
-    """Trace z_k = psi(0, k dt) and its source f_k = F(z_k).
-
-    f is None only for diagnostic traces loaded from disk without a model;
-    solver-built series always carry it, exactly equal to force(z_k).
-    """
+    """Trace z_k = psi(0, k dt)."""
 
     dt: float
     z: np.ndarray
-    f: np.ndarray | None
-
-    @classmethod
-    def from_z(cls, model: OscillatorModel, dt: float, z: np.ndarray) -> "TraceSeries":
-        z = np.asarray(z, dtype=complex)
-        return cls(dt=dt, z=z, f=np.asarray(force(model, z), dtype=complex))
 
     @property
     def times(self) -> np.ndarray:
@@ -264,8 +255,9 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     2.8-3.9 for degree 1 and about 5 for the complex iteration it replaced;
     degree 6 took more again (1.29 at seed 1).  The linear model takes one.
     The report counts the iterations (`node_iterations`, and the most in
-    one step, `node_iterations_max`).  J0(m t_k) is evaluated once, for the
-    far-field spectra and the kink part of the free trace.
+    one step, `node_iterations_max`).  The kink pair's point source src
+    joins F(z) in g_0, in each block's `known` row (the s = t node's
+    (dt/4) src) and in every g_j, so the history sum gives its Duhamel trace.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -284,9 +276,12 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     m = model.mass
     times = np.arange(n) * dt
 
-    kern = bessel_j0(m * times)
-    h = free_trace(initial, times, m, kern)
-    spectra = _square_spectra(kern, n)
+    check_horizon(initial, T, "solve_trace")
+    split = kink_split(initial, m)
+    src = split.source(times)
+    # g(0) = 1, so the pair's standing field at x = 0 is its source over -2 kappa1
+    h = free_trace(split.rest, times, m) + src / (-2.0 * split.kappa1)
+    spectra = _square_spectra(bessel_j0(m * times), n)
     # near_lags[r] holds kernel lags r .. 1, the weights of the r sources
     # g[start:start+r] in the block at target start + r; complex, so that
     # the near dot casts nothing
@@ -298,12 +293,12 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     half_dt = 0.5 * dt
 
     z = np.empty(n, dtype=complex)
-    # f with the j=0 trapezoid half-weight folded in
+    # the sources F(z) + src, with the j=0 trapezoid half-weight folded in
     g = np.empty(n, dtype=complex)
     # far-field memory sums, completed for a block when the march reaches it
     far = np.zeros(n, dtype=complex)
     z[0] = complex(initial.psi[initial.grid.center_index])
-    g[0] = 0.5 * force(model, z[0])
+    g[0] = 0.5 * (force(model, z[0]) + src[0])
     # the multiplier z_0 would have as a node, mu = 1 - (dt/4) alpha(|z|^2),
     # seeds the predictor's history mu_1 .. mu_6 (mu_k from step j - k)
     mu_0 = 1.0 - quarter_dt * float(alpha(model, abs(z[0]) ** 2))
@@ -316,13 +311,15 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     for start in range(0, n, _NEAR):
         if start:
             _add_square(far, g, start, spectra)
-        known = (h[start:start + _NEAR] + half_dt * far[start:start + _NEAR]).tolist()
+        block = slice(start, start + _NEAR)
+        known = (h[block] + half_dt * far[block] + quarter_dt * src[block]).tolist()
+        src_block = src[block].tolist()
         for r in range(1 if start == 0 else 0, len(known)):
             j = start + r
             b = known[r] + half_dt * complex(np.dot(g[start:j], near_lags[r]))
             # degree-5 extrapolation of mu over the previous six steps
             guess = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
-            zj, g[j], mu, it = _node(coefs, quarter_dt, b, guess)
+            zj, fj, mu, it = _node(coefs, quarter_dt, b, guess)
             if not it:
                 status = SolveStatus.NON_FINITE
                 message = f"implicit node failed to converge at t={times[j]:.6g}"
@@ -332,6 +329,7 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
             if it > iterations_max:
                 iterations_max = it
             z[j] = zj
+            g[j] = fj + src_block[r]
             mu_6, mu_5, mu_4, mu_3, mu_2, mu_1 = mu_5, mu_4, mu_3, mu_2, mu_1, mu
             if abs(zj) > cap:
                 status = SolveStatus.TRACE_BOUND_EXCEEDED
@@ -342,10 +340,7 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
         if last < n:
             break
 
-    # rebuild the source through the public force path so f = force(z) holds
-    # bitwise (the in-loop scalar Horner may differ in the last ulp)
-    trace = TraceSeries.from_z(model, dt, z[:last])
-    return SolveReport(trace=trace, status=status, message=message,
+    return SolveReport(trace=TraceSeries(dt=dt, z=z[:last]), status=status, message=message,
                        node_iterations=iterations, node_iterations_max=iterations_max)
 
 
@@ -572,15 +567,13 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
 
     so the delta ridge of dG/dt becomes a sharp analytic boundary term and
     the light-cone front of pi is exact rather than smeared by differencing.
-    The initial data get the same kink split as `free_trace`: only the
+    The initial data get the same kink split as in `solve_trace`: only the
     kink-free remainder goes through the spectral propagator, and the kink
     pair adds its standing field plus the Duhamel field of its point source.
-    That source joins F(z) in the one source column of the cone sums, which
-    keeps the center column consistent with the trace to roundoff; its
-    boundary term is exact, the trace's is interpolated.
+    That source joins F(z) in the one source column of the cone sums, as in
+    the trace solve, which keeps the center column consistent with the
+    trace to roundoff; its boundary term is exact, the trace's interpolated.
     """
-    if trace.f is None:
-        raise ValueError("trace carries no source values; rebuild with TraceSeries.from_z")
     j = trace.index_of(t)
     if j == 0:
         out = initial.copy()
@@ -601,10 +594,11 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
     split = kink_split(initial, m)
     free = free_evolve(split.rest, t, m)
     psi_pair, pi_pair = split.standing(t)
-    f = trace.f + split.source(trace.times)
-    d_psi, d_pi = _cone_quadrature(dt, f[:, None], grid.x, t, tables, m)
+    f = force(model, trace.z)
+    d_psi, d_pi = _cone_quadrature(dt, (f + split.source(trace.times))[:, None], grid.x, t,
+                                   tables, m)
     psi = free.psi + d_psi[:, 0] + psi_pair
-    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * _interp_history(trace.f, reach, dt, inside)
+    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * _interp_history(f, reach, dt, inside)
           + np.where(inside, 0.5 * split.source(reach), 0.0))
     return FieldState(grid, psi, pi, t)
 

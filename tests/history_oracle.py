@@ -3,11 +3,12 @@
 Each step sums the whole history in one complex-by-float dot against the
 reversed kernel, where `solve_trace` splits the sum into a near dot and
 FFT-convolved far-field squares.  The free trace comes from the current
-`free_trace`, and each step solves its implicit node with the current
-`_node` from the same degree-5 predictor of mu, so a comparison with
-`solve_trace` isolates the history loop.  The node must be the same: the
-trace dynamics amplify node differences of 1e-14 per step into gaps of
-1e-10 over T = 600, which would swamp the history sum's 1e-12.
+`free_trace` of the kink-free remainder, the kink pair's point source joins
+F(z) in the sum as in `solve_trace`, and each step solves its implicit node
+with the current `_node` from the same degree-5 predictor of mu, so a
+comparison with `solve_trace` isolates the history loop.  The node must be
+the same: the trace dynamics amplify node differences of 1e-14 per step
+into gaps of 1e-10 over T = 600, which would swamp the history sum's 1e-12.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from kgpoint.fields import FieldState
-from kgpoint.kernel import bessel_j0, free_trace
+from kgpoint.kernel import bessel_j0, free_trace, kink_split
 from kgpoint.model import OscillatorModel, alpha, force
 from kgpoint.volterra import SolveReport, SolveStatus, TraceSeries, _node, _trace_cap
 
@@ -41,7 +42,9 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
     m = model.mass
     times = np.arange(n) * dt
 
-    h = free_trace(initial, times, m)
+    split = kink_split(initial, m)
+    src = split.source(times)
+    h = free_trace(split.rest, times, m) + src / (-2.0 * split.kappa1)
     kern = bessel_j0(m * times)
     kern_rev = kern[::-1].copy()
 
@@ -49,9 +52,10 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
     cap = _trace_cap(model, initial)
 
     z = np.empty(n, dtype=complex)
-    g = np.empty(n, dtype=complex)  # f with the j=0 trapezoid half-weight folded in
+    # the sources F(z) + src, with the j=0 trapezoid half-weight folded in
+    g = np.empty(n, dtype=complex)
     z[0] = initial.psi[initial.grid.center_index]
-    g[0] = 0.5 * force(model, z[0])
+    g[0] = 0.5 * (force(model, z[0]) + src[0])
 
     status = SolveStatus.COMPLETED
     message = ""
@@ -61,16 +65,17 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
     last = n
     for j in range(1, n):
         mem = np.dot(g[:j], kern_rev[n - 1 - j:n - 1])
-        b = complex(h[j] + 0.5 * dt * mem)
+        b = complex(h[j] + 0.5 * dt * mem + quarter_dt * src[j])
         mu_1, mu_2, mu_3, mu_4, mu_5, mu_6 = mu_hist
         guess = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
-        zj, g[j], mu, it = _node(coefs, quarter_dt, b, guess)
+        zj, fj, mu, it = _node(coefs, quarter_dt, b, guess)
         if not it:
             status = SolveStatus.NON_FINITE
             message = f"implicit node failed to converge at t={times[j]:.6g}"
             last = j
             break
         z[j] = zj
+        g[j] = fj + src[j]
         mu_hist = [mu] + mu_hist[:-1]
         if abs(zj) > cap:
             status = SolveStatus.TRACE_BOUND_EXCEEDED
@@ -79,7 +84,4 @@ def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt
             last = j + 1
             break
 
-    # rebuild the source through the public force path so f = force(z) holds
-    # bitwise (the node's real Horner may differ in the last ulp)
-    trace = TraceSeries.from_z(model, dt, z[:last])
-    return SolveReport(trace=trace, status=status, message=message)
+    return SolveReport(trace=TraceSeries(dt=dt, z=z[:last]), status=status, message=message)

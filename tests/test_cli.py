@@ -244,7 +244,7 @@ class TestRoundTrips:
     def test_trace_csv(self, tmp_path):
         dt = 0.1
         z = np.exp(-1j * 0.3 * np.arange(11) * dt) * 0.37
-        trace = TraceSeries(dt=dt, z=z, f=z.copy())
+        trace = TraceSeries(dt=dt, z=z)
         p = str(tmp_path / "trace.csv")
         write_trace_csv(p, trace, [(0.0, 1.25), (1.0, 1.2501)], [(0.0, 0.4)])
         times, z2, e_rows, q_rows = read_trace_csv(p)
@@ -267,7 +267,7 @@ class TestRoundTrips:
 
     def test_spectrum_csv(self, tmp_path):
         tt = np.arange(0, 20, 0.01)
-        trace = TraceSeries(dt=0.01, z=np.exp(-1j * tt), f=None)
+        trace = TraceSeries(dt=0.01, z=np.exp(-1j * tt))
         spec = windowed_spectrum(trace, 10.0, 15.0, Window.HANN)
         p = str(tmp_path / "spec.csv")
         write_spectrum_csv(p, spec)
@@ -282,7 +282,7 @@ class TestRoundTrips:
         # np.abs of an array gives 0.6499999999999999
         z = np.array([complex(-0.0, 1e-05), 0.25 + 0.6j, complex(1e16, -0.0)])
         p = tmp_path / "trace.csv"
-        write_trace_csv(str(p), TraceSeries(dt=0.1, z=z, f=None),
+        write_trace_csv(str(p), TraceSeries(dt=0.1, z=z),
                         [(0.0, 1e-05), (0.2, 0.5)], [(0.0, 1e16), (0.2, -0.0)])
         assert p.read_bytes() == (b"t,re_z,im_z,abs_z,energy,charge\n"
                                   b"0.0,-0.0,1e-05,1e-05,1e-05,1e+16\n"
@@ -317,7 +317,7 @@ class TestRoundTrips:
         # byte-stable under rewrite
         p2 = str(tmp_path / "report2.txt")
         write_report(p2, back)
-        assert open(p).read() == open(p2).read()
+        assert (tmp_path / "report.txt").read_bytes() == (tmp_path / "report2.txt").read_bytes()
 
 
 def run_cli(tmp_path, *args):
@@ -490,7 +490,7 @@ class TestCommands:
     def test_flags_checked_up_front(self, tmp_path, monkeypatch, capsys, argv, text):
         # a 1 s trace and a valid config, so only the flag is wrong
         trace = tmp_path / "trace.csv"
-        write_trace_csv(str(trace), TraceSeries(dt=0.1, z=np.ones(11, dtype=complex), f=None))
+        write_trace_csv(str(trace), TraceSeries(dt=0.1, z=np.ones(11, dtype=complex)))
         cfg = tmp_path / "g.cfg"
         cfg.write_text(BASE_CFG)
         monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
@@ -524,17 +524,27 @@ class TestCommands:
         ("short_row.csv", "1.0", "not a trace file"),
         ("one_row.csv", "1.0", "trace file too short"),
         ("directory", "1.0", "Is a directory"),
-    ], ids=["window", "not_a_trace", "short_row", "one_row", "directory"])
+        ("repeated.csv", "1.0", "repeated.csv: trace times are not increasing and uniform"),
+        ("gap.csv", "1.0", "gap.csv: trace times are not increasing and uniform"),
+        ("nan.csv", "1.0", "nan.csv: trace values are not finite"),
+    ], ids=["window", "not_a_trace", "short_row", "one_row", "directory", "repeated_time",
+            "time_gap", "nan_value"])
     def test_spectrum_input_errors(self, tmp_path, capsys, name, t_width, text):
         # a 1 s trace, a report file, a trace with a two-cell row, a one-row
-        # trace and a directory beside it
+        # trace and a directory beside it; traces with a repeated time, with
+        # the times 0, 0.1, 0.7, 0.8, and with a nan value
         write_trace_csv(str(tmp_path / "trace.csv"),
-                        TraceSeries(dt=0.1, z=np.ones(11, dtype=complex), f=None))
+                        TraceSeries(dt=0.1, z=np.ones(11, dtype=complex)))
         write_report(str(tmp_path / "report.txt"), {"solve": {"status": "completed"}})
-        (tmp_path / "short_row.csv").write_text("t,re_z,im_z,abs_z,energy,charge\n0.0,1.0\n")
+        header = "t,re_z,im_z,abs_z,energy,charge\n"
+        (tmp_path / "short_row.csv").write_text(header + "0.0,1.0\n")
         write_trace_csv(str(tmp_path / "one_row.csv"),
-                        TraceSeries(dt=0.1, z=np.ones(1, dtype=complex), f=None))
+                        TraceSeries(dt=0.1, z=np.ones(1, dtype=complex)))
         (tmp_path / "directory").mkdir()
+        for file, rows in (("repeated.csv", ("0.0,1.0", "0.0,1.0", "0.1,1.0")),
+                           ("gap.csv", ("0.0,1.0", "0.1,1.0", "0.7,1.0", "0.8,1.0")),
+                           ("nan.csv", ("0.0,1.0", "0.1,nan", "0.2,1.0"))):
+            (tmp_path / file).write_text(header + "".join(f"{r},0.0,1.0,,\n" for r in rows))
         code = run_cli(tmp_path, "spectrum", "--trace", str(tmp_path / name),
                        "--t-center", "0.5", "--t-width", t_width)
         assert_input_error(code, capsys, text)
@@ -603,7 +613,7 @@ class TestCommands:
     def test_spectrum_command_rect_window(self, tmp_path, capsys):
         dt = 0.01
         tt = np.arange(2001) * dt
-        trace = TraceSeries(dt=dt, z=np.exp(-1j * 0.8 * tt), f=None)
+        trace = TraceSeries(dt=dt, z=np.exp(-1j * 0.8 * tt))
         p = str(tmp_path / "trace.csv")
         write_trace_csv(p, trace, [], [])
         code = main(["--out", str(tmp_path / "spec_out"), "spectrum", "--trace", p,

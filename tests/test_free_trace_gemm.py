@@ -49,7 +49,6 @@ def test_rejects_times_not_uniform_from_zero(half_wave, times):
         free_trace(state, times, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:free_trace.*no-wrap horizon")
 def test_three_point_grid():
     grid = Grid(1.0, 3)
     state = FieldState(grid, np.array([0.2, 1.0 + 0.5j, -0.3j]),

@@ -8,9 +8,10 @@ from scipy.special import j1 as scipy_j1
 
 import cone_oracle
 import table_oracle
-from kgpoint import FieldState, Grid, bessel_j0, free_evolve, free_trace, kernel, volterra
+from kgpoint import (FieldState, Grid, OscillatorModel, bessel_j0, free_evolve, free_trace,
+                     kernel, volterra)
 from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
-from kgpoint.kernel import KernelTables, bessel_j1_over_x, convolve_j0, kink_split
+from kgpoint.kernel import KernelTables, bessel_j1_over_x, kink_split
 from kgpoint.observables import norm_e
 from kgpoint.solitary import sample_profile
 
@@ -250,27 +251,23 @@ class TestFreeTrace:
 
     def test_mass_shell_closed_form(self):
         # data on the shell kappa^2 = m^2 - omega^2 have the closed-form trace
-        # e^{-i omega t} - kappa int_0^t J0(m (t - s)) e^{-i omega s} ds
+        # e^{-i omega t} - kappa int_0^t J0(m (t - s)) e^{-i omega s} ds.  With
+        # F = 0 the trace solve returns the free trace, its kink pair's part
+        # summed by the history loop
         grid = Grid(56.0, 2 ** 12 + 1)
         kappa, m = 0.6, 1.0
         omega = np.sqrt(m * m - kappa * kappa)
         g = np.exp(-kappa * np.abs(grid.x))
         st = FieldState(grid, g.astype(complex), -1j * omega * g)
-        times = np.arange(0, 8.0, 0.004)
-        h = free_trace(st, times, m)
+        dt = 0.004
+        times = np.arange(2000) * dt
+        z = volterra.solve_trace(OscillatorModel.linear(m, 0.0), st, times[-1], dt).trace.z
         osc = np.exp(-1j * omega * times)
-        want = osc - kappa * convolve_j0(times, osc, m)
-        assert np.max(np.abs(h - want)) < 1e-5
-
-    def test_passed_kernel_gives_the_same_trace(self, half_wave):
-        # solve_trace hands its J0(m t) down to the kink part; kinked data must
-        # give the bitwise trace of the call that evaluates J0 itself
-        grid = Grid(64.0, 2 ** 12 + 1)
-        st = sample_profile(half_wave, grid, 0.0)
-        assert kink_split(st, 1.0).a != 0
-        times = np.arange(1001) * 5e-3
-        h = free_trace(st, times, 1.0, bessel_j0(times))
-        assert np.array_equal(h, free_trace(st, times, 1.0))
+        kern = scipy_j0(m * times)
+        # trapezoid over s = 0 .. t_j: the full node sum less half of both ends
+        conv = dt * (np.convolve(kern, osc)[:len(times)] - 0.5 * kern * osc[0]
+                     - 0.5 * kern[0] * osc)
+        assert np.max(np.abs(z - (osc - kappa * conv))) < 1e-5
 
     def test_matches_free_evolve_snapshots_without_correction(self, small_grid):
         # smooth data: the kink split is zero and the trace is the plain
@@ -349,14 +346,3 @@ class TestLocalDecay:
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert slope <= -0.8
 
-
-class TestConvolveJ0:
-    def test_against_direct_trapezoid(self):
-        times = np.arange(0, 3.0, 0.01)
-        f = np.exp(-1j * 0.7 * times) + 0.3 * times
-        fast = convolve_j0(times, f, 1.0)
-        j = 250
-        kern = scipy_j0(times)
-        direct = 0.01 * (np.sum(kern[j:0:-1] * f[:j]) - 0.5 * kern[j] * f[0]
-                         + 0.5 * kern[0] * f[j])
-        assert abs(fast[j] - direct) < 1e-12

@@ -88,12 +88,12 @@ class TestAlpha:
         assert alpha(cubic_model, 0.25) == pytest.approx(1.0)
 
     def test_linear_constant(self):
-        assert alpha(OscillatorModel.linear(1.0, 3.0), 10.0) == pytest.approx(3.0)
         # a = 3 >= 2m warns at construction, so silence it for this value check
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             m = OscillatorModel.linear(1.0, 3.0)
+        assert alpha(m, 10.0) == pytest.approx(3.0)
         assert alpha(m, 0.0) == 3.0
 
 
@@ -155,8 +155,10 @@ class TestConstruction:
             OscillatorModel.polynomial(0.0, (0.0, -1.0, 1.0))
 
     def test_linear_outside_window_warns(self):
-        with pytest.warns(UserWarning):
+        # reported at the caller's line, not in the dataclass's __init__
+        with pytest.warns(UserWarning) as rec:
             OscillatorModel.linear(1.0, 2.5)
+        assert rec[0].filename == __file__
 
 
 @given(re=st.floats(-2, 2), im=st.floats(-2, 2),

@@ -13,7 +13,7 @@ from node_oracle import complex_node, scalar_force
 
 from kgpoint import Grid, OscillatorModel, SolveStatus, solve_trace
 from kgpoint.initial import gaussian_state, seeded_gaussian_spec
-from kgpoint.model import alpha, force_lipschitz
+from kgpoint.model import alpha, force, force_lipschitz
 from kgpoint.volterra import _RESIDUAL_TOL, _node, _trace_cap
 
 CUBIC = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0))
@@ -39,7 +39,7 @@ def test_nodes_agree_along_trajectory(seed):
     assert rep.status is SolveStatus.COMPLETED
     q = 0.25 * DT
     z = rep.trace.z
-    b = z - q * rep.trace.f
+    b = z - q * force(CUBIC, z)
     mu = 1.0 - q * alpha(CUBIC, np.abs(z) ** 2)
     F, coefs = scalar_force(CUBIC), CUBIC.alpha_coefficients[::-1]
     for j in range(1, len(z)):

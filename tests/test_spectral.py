@@ -12,7 +12,7 @@ from kgpoint.volterra import reconstruct_field, solve_trace
 
 
 def make_trace(z, dt):
-    return TraceSeries(dt=dt, z=np.asarray(z, dtype=complex), f=None)
+    return TraceSeries(dt=dt, z=np.asarray(z, dtype=complex))
 
 
 def hann_transform_oracle(omega, t_width):

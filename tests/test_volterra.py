@@ -78,11 +78,6 @@ class TestSolveTrace:
         r1 = solve_trace(cubic_model, rot, 2.0, 2e-3)
         assert np.max(np.abs(r1.trace.z - np.exp(1j * th) * r0.trace.z)) < 1e-10
 
-    def test_source_values_match_force(self, cubic_model, solitary_run):
-        from kgpoint import force
-        _, rep = solitary_run
-        assert np.max(np.abs(rep.trace.f - force(cubic_model, rep.trace.z))) == 0.0
-
     def test_rejects_bad_steps(self, cubic_model, run_grid):
         init = zero_state(run_grid)
         with pytest.raises(ValueError):
