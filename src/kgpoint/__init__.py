@@ -7,7 +7,7 @@ global attraction of finite-energy solutions to that manifold.
 
 from .fields import FieldState, Grid, zero_state
 from .kernel import bessel_j0, free_evolve, free_trace
-from .model import ModelKind, OscillatorModel, alpha, check_bound_below, force, potential
+from .model import OscillatorModel, alpha, check_bound_below, force, potential
 from .observables import charge, energy, norm_e
 from .solitary import (LinearSpanFit, LinearWaveFamily, ManifoldDistance,
                        SolitaryWave, ZeroWave, distance_to_manifold, sample_profile,
@@ -21,7 +21,7 @@ from .volterra import (SolveReport, SolveStatus, TraceSeries, reconstruct_field,
 
 __all__ = [
     "FieldState", "Grid", "LinearSpanFit", "LinearWaveFamily",
-    "ManifoldDistance", "ModelKind", "OmegaLimitReport", "OscillatorModel",
+    "ManifoldDistance", "OmegaLimitReport", "OscillatorModel",
     "SolitaryWave", "SolveReport", "SolveStatus", "SpectrumEstimate",
     "TitchmarshResult", "TraceSeries", "Window", "ZeroWave",
     "alpha", "bessel_j0", "charge", "check_bound_below", "distance_to_manifold",

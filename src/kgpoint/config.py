@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .fields import FieldState, Grid, zero_state
 from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
                       gaussian_state, seeded_gaussian_spec, solitary_state)
 from .model import OscillatorModel, alpha
+from .spectral import node_span
 
 
 class ConfigError(Exception):
@@ -39,10 +40,9 @@ class ConfigError(Exception):
 
 @dataclass
 class InitialSpec:
-    kind: str  # zero | solitary | gaussian | seeded_gaussian | solitary_plus_bump | from_file
     wave: tuple[float, float, str] | None  # solitary wave (C, theta, branch)
     packets: tuple[GaussianSpec, ...]
-    path: str  # snapshot file of from_file data
+    path: str  # snapshot file of from_file data, "" for the other kinds
 
 
 @dataclass
@@ -53,10 +53,9 @@ class RunConfig:
     T: float
     dt: float
     initial: InitialSpec
-    seed: int = 0
-    energy_tol: float = 1e-4
-    snapshots: list[float] = dc_field(default_factory=list)
-    spectrum_windows: list[tuple[float, float]] = dc_field(default_factory=list)
+    energy_tol: float
+    snapshots: list[float]
+    spectrum_windows: list[tuple[float, float]]
 
     @property
     def grid(self) -> Grid:
@@ -76,7 +75,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def data_radius(cfg: RunConfig) -> float:
     init = cfg.initial
-    if init.kind == "from_file":
+    if init.path:
         return cfg.half_extent * 0.5  # no analytic radius; rely on the margin
     radii = [data_radius_gaussian(p) for p in init.packets]
     if init.wave:
@@ -87,7 +86,7 @@ def data_radius(cfg: RunConfig) -> float:
 def build_initial_state(cfg: RunConfig) -> FieldState:
     init = cfg.initial
     grid = cfg.grid
-    if init.kind == "from_file":
+    if init.path:
         from .output import read_snapshot_csv
         state = read_snapshot_csv(init.path)
         if state.grid.n_points != grid.n_points or \
@@ -231,9 +230,9 @@ def parse_config_text(text: str) -> RunConfig:
     elif ikind == "solitary_plus_bump":
         packets = (GaussianSpec(complex(num["bump_amplitude_re"], num["bump_amplitude_im"]),
                                 num["bump_width"], num["bump_center"]),)
-    init = InitialSpec(ikind, wave, packets, path)
+    init = InitialSpec(wave, packets, path if ikind == "from_file" else "")
     cfg = RunConfig(model=model, half_extent=half_extent, n_points=n_points, T=T, dt=dt,
-                    initial=init, seed=seed, energy_tol=energy_tol, snapshots=snapshots,
+                    initial=init, energy_tol=energy_tol, snapshots=snapshots,
                     spectrum_windows=spectrum_windows)
     radius = data_radius(cfg)
     if half_extent < radius + T + 1.0:
@@ -242,22 +241,19 @@ def parse_config_text(text: str) -> RunConfig:
     for t in snapshots:
         if not (0.0 <= t <= T):
             errors.append(f"snapshot time {t} outside [0, T]")
-        elif abs(t - round(t / dt) * dt) > 1e-9 * max(1.0, T):
+        elif abs(t - round(t / dt) * dt) > 1e-9 * max(1.0, t):  # as TraceSeries.index_of
             errors.append(f"snapshot time {t} not on the dt grid")
     for (w0, w1) in spectrum_windows:
+        lo, hi = node_span(w0, w1, dt)
         if not (0.0 <= w0 < w1 <= T):
             errors.append(f"spectrum window {w0}:{w1} not inside [0, T]")
+        elif hi <= lo:
+            errors.append(f"spectrum window {w0}:{w1} holds fewer than two trace samples")
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
 def _parse_windows(text: str) -> list[tuple[float, float]]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        lo, hi = part.split(":")
-        out.append((float(lo), float(hi)))
-    return out
+    pairs = [part.split(":") for part in text.split(",") if part.strip()]
+    return [(float(lo), float(hi)) for lo, hi in pairs]

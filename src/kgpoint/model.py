@@ -16,16 +16,10 @@ downstream checks (`check_bound_below`) report the failure.
 
 from __future__ import annotations
 
-import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-class ModelKind(enum.Enum):
-    POLYNOMIAL = "polynomial"
-    LINEAR = "linear"
 
 
 @dataclass(frozen=True)
@@ -38,23 +32,21 @@ class OscillatorModel:
     """
 
     mass: float
-    kind: ModelKind
-    coefficients: tuple[float, ...] = field(default=())
+    coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        u = self.coefficients
         if not np.isfinite(self.mass) or self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.kind is ModelKind.POLYNOMIAL:
-            u = self.coefficients
-            if len(u) < 3:
-                raise ValueError("polynomial potential needs degree N >= 2 (u_0..u_N)")
-            if not all(np.isfinite(c) for c in u):
-                raise ValueError("non-finite potential coefficient")
-            if u[-1] <= 0:
-                raise ValueError(f"leading coefficient u_N must be positive, got {u[-1]}")
-        else:
-            if len(self.coefficients) != 2 or not np.isfinite(self.linear_a):
-                raise ValueError("linear kind needs coefficients (0, -a/2) with a finite")
+        if len(u) < 2 or not np.all(np.isfinite(u)):
+            raise ValueError("potential needs finite coefficients u_0..u_N with N >= 1")
+        if not self.is_linear and u[-1] <= 0:
+            raise ValueError(f"leading coefficient u_N must be positive, got {u[-1]}")
+
+    @property
+    def is_linear(self) -> bool:
+        """The degree-one potential, F = a psi."""
+        return len(self.coefficients) == 2
 
     @property
     def linear_a(self) -> float:
@@ -68,15 +60,16 @@ class OscillatorModel:
 
     @classmethod
     def polynomial(cls, mass: float, coefficients) -> "OscillatorModel":
-        return cls(mass=float(mass), kind=ModelKind.POLYNOMIAL,
-                   coefficients=tuple(float(c) for c in coefficients))
+        u = tuple(float(c) for c in coefficients)
+        if len(u) < 3:
+            raise ValueError("polynomial potential needs degree N >= 2 (u_0..u_N)")
+        return cls(float(mass), u)
 
     @classmethod
     def linear(cls, mass: float, a: float) -> "OscillatorModel":
         """F = a psi; a >= 2m leaves the well-posedness window and warns at
         the caller's line."""
-        model = cls(mass=float(mass), kind=ModelKind.LINEAR,
-                    coefficients=(0.0, -0.5 * float(a)))
+        model = cls(float(mass), (0.0, -0.5 * float(a)))
         if model.linear_a >= 2 * model.mass:
             warnings.warn(
                 f"linear coupling a={model.linear_a} >= 2m={2 * model.mass}: "
@@ -153,7 +146,7 @@ def check_bound_below(model: OscillatorModel) -> tuple[float, float] | None:
     B = a/2 for a > 0 (so B < m) and B = 0 otherwise, with A = 0.
     None signals the model sits outside the well-posedness hypotheses.
     """
-    if model.kind is ModelKind.POLYNOMIAL:
+    if not model.is_linear:
         return (_poly_min_nonneg(model.coefficients), 0.0)
     a = model.linear_a
     if a >= 2 * model.mass:

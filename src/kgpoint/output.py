@@ -28,6 +28,34 @@ def format_table(header, columns, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_table(path: str, header, what: str):
+    """(the `# key = value` lines as a dict, the rows as lists of floats, None where a cell
+    is empty); a wrong header, width or cell, or no row raises a ValueError naming file, line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    k = next((i for i, text in enumerate(lines) if not text.startswith("# ")), len(lines))
+    comments = dict(text[2:].partition(" = ")[::2] for text in lines[:k])
+    rows, line = [], k + 1
+    try:
+        if lines[k:k + 1] != [",".join(header)]:
+            raise ValueError(f"the header is not {','.join(header)}")
+        for line, text in enumerate(lines[k + 1:], k + 2):
+            cells = text.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, the header names {len(header)}")
+            rows.append([float(c) if c else None for c in cells])
+        if not rows:
+            raise ValueError("no rows below the header")
+    except ValueError as exc:
+        raise ValueError(f"not a {what} file: {path}, line {line}: {exc}") from None
+    return comments, rows
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im with the sign of every zero kept (re + 1j * im drops it)."""
+    return np.stack((re, im), axis=-1).view(complex)[:, 0]
+
+
 def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -47,6 +75,7 @@ def _sample_cells(samples, dt: float, n: int) -> list[str]:
 
 _TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "energy", "charge")
 _SNAPSHOT_COLUMNS = ("x", "re_psi", "im_psi", "re_pi", "im_pi")
+_SPECTRUM_COLUMNS = ("omega", "re_amp", "im_amp")
 
 
 def write_trace_csv(path: str, trace: TraceSeries,
@@ -61,24 +90,17 @@ def write_trace_csv(path: str, trace: TraceSeries,
 
 
 def read_trace_csv(path: str):
-    """Returns (times, z, energy_rows, charge_rows)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(_TRACE_COLUMNS):
-            raise ValueError(f"not a trace file: {path}")
-        times, zs, e_rows, q_rows = [], [], [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(_TRACE_COLUMNS):
-                raise ValueError(f"not a trace file: {path}")
-            t = float(parts[0])
-            times.append(t)
-            zs.append(complex(float(parts[1]), float(parts[2])))
-            if parts[4]:
-                e_rows.append((t, float(parts[4])))
-            if parts[5]:
-                q_rows.append((t, float(parts[5])))
-    return np.array(times), np.array(zs), e_rows, q_rows
+    """(times, z, energy_rows, charge_rows); the times must be k dt from 0, z finite."""
+    rows = read_table(path, _TRACE_COLUMNS, "trace")[1]
+    t, re_z, im_z, _, _, _ = np.array(rows, dtype=float).T.copy()
+    steps = np.diff(t)
+    if not (t[0] == 0 and np.all(steps > 0) and np.allclose(steps, steps[:1], rtol=1e-10, atol=0)):
+        raise ValueError(f"{path}: trace times are not increasing and uniform from 0")
+    z = _complex(re_z, im_z)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{path}: trace values are not finite")
+    return (t, z, [(r[0], r[4]) for r in rows if r[4] is not None],
+            [(r[0], r[5]) for r in rows if r[5] is not None])
 
 
 def write_snapshot_csv(path: str, state: FieldState) -> None:
@@ -88,45 +110,31 @@ def write_snapshot_csv(path: str, state: FieldState) -> None:
 
 
 def read_snapshot_csv(path: str) -> FieldState:
-    with open(path, "r", encoding="utf-8") as fh:
-        time = 0.0
-        line = fh.readline()
-        if line.startswith("# time = "):
-            time = float(line[len("# time = "):])
-            line = fh.readline()
-        if line.strip() != ",".join(_SNAPSHOT_COLUMNS):
-            raise ValueError(f"not a snapshot file: {path}")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    if not rows or any(len(r) != len(_SNAPSHOT_COLUMNS) for r in rows):
-        raise ValueError(f"not a snapshot file: {path}")
-    x = np.array([float(r[0]) for r in rows])
-    psi = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    pi = np.array([complex(float(r[3]), float(r[4])) for r in rows])
-    grid = Grid(half_extent=float(x[-1]), n_points=len(x))
-    return FieldState(grid, psi, pi, time)
+    """The snapshot; its values must be finite, its x column the grid `Grid(x[-1], len(x))`."""
+    comments, rows = read_table(path, _SNAPSHOT_COLUMNS, "snapshot")
+    x, re_psi, im_psi, re_pi, im_pi = cols = np.array(rows, dtype=float).T.copy()
+    if not np.all(np.isfinite(cols)):
+        raise ValueError(f"{path}: snapshot values are not finite")
+    grid = Grid(float(x[-1]), len(x)) if len(x) >= 3 and len(x) % 2 and x[-1] > 0 else None
+    if grid is None or not np.allclose(x, grid.x, rtol=0, atol=1e-9 * grid.spacing):
+        raise ValueError(f"{path}: x is not a uniform grid symmetric about 0")
+    return FieldState(grid, _complex(re_psi, im_psi), _complex(re_pi, im_pi),
+                      float(comments.get("time", 0.0)))
 
 
 def write_spectrum_csv(path: str, spec: SpectrumEstimate) -> None:
-    write_table(path, ("omega", "re_amp", "im_amp"),
+    write_table(path, _SPECTRUM_COLUMNS,
                 [spec.freqs, spec.amps.real, spec.amps.imag],
                 [f"window = {spec.window.value}", f"t_center = {float(spec.t_center)!r}",
                  f"t_width = {float(spec.t_width)!r}"])
 
 
 def read_spectrum_csv(path: str) -> SpectrumEstimate:
-    meta = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, val = line[2:].partition(" = ")
-                meta[key] = val
-            elif line and line != "omega,re_amp,im_amp":
-                rows.append(line.split(","))
-    freqs = np.array([float(r[0]) for r in rows])
-    amps = np.array([complex(float(r[1]), float(r[2])) for r in rows])
-    return SpectrumEstimate(freqs=freqs, amps=amps,
+    meta, rows = read_table(path, _SPECTRUM_COLUMNS, "spectrum")
+    freqs, re_amp, im_amp = cols = np.array(rows, dtype=float).T.copy()
+    if not np.all(np.isfinite(cols)):
+        raise ValueError(f"{path}: spectrum values are not finite")
+    return SpectrumEstimate(freqs=freqs, amps=_complex(re_amp, im_amp),
                             window=Window(meta.get("window", "hann")),
                             t_center=float(meta.get("t_center", 0.0)),
                             t_width=float(meta.get("t_width", 0.0)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState, Grid
-from .model import ModelKind, OscillatorModel, alpha
+from .model import OscillatorModel, alpha
 from .observables import _dx_with_center_kink
 
 
@@ -160,7 +160,7 @@ def waves_at_omega(model: OscillatorModel, omega: float
                    ) -> list[SolitaryWave] | LinearWaveFamily:
     """All waves at frequency omega; a LinearWaveFamily flag for the linear continuum."""
     m = model.mass
-    if model.kind is ModelKind.LINEAR:
+    if model.is_linear:
         a = model.linear_a
         if a <= 0 or a >= 2 * m:
             return []
@@ -297,7 +297,7 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
         iwb = 1j * np.sqrt(m * m - kappa * kappa) * (b_re + 1j * b_im)
         return np.sqrt(s)[:, None] * np.stack((a + iwb, a - iwb), axis=1)
 
-    if model.kind is ModelKind.LINEAR:
+    if model.is_linear:
         a = model.linear_a
         if a <= 0 or a >= 2 * m:
             return ManifoldDistance(rho_zero, ZeroWave())

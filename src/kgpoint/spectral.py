@@ -54,14 +54,19 @@ class SpectrumEstimate:
         return 2.0 * np.pi / self.t_width
 
 
+def node_span(t0: float, t1: float, dt: float) -> tuple[int, int]:
+    """(lo, hi): the first and last k with k dt in [t0, t1] widened by 1e-9 dt each side."""
+    return int(np.ceil(t0 / dt - 1e-9)), int(np.floor(t1 / dt + 1e-9))
+
+
 def windowed_spectrum(trace: TraceSeries, t_center: float, t_width: float,
                       window: Window = Window.HANN) -> SpectrumEstimate:
     """Windowed transform of the trace segment centered at t_center."""
     dt = trace.dt
-    n = len(trace.z)
-    lo = int(np.ceil((t_center - 0.5 * t_width) / dt - 1e-9))
-    hi = int(np.floor((t_center + 0.5 * t_width) / dt + 1e-9))
-    if lo < 0 or hi >= n or hi <= lo:
+    lo, hi = node_span(t_center - 0.5 * t_width, t_center + 0.5 * t_width, dt)
+    if hi <= lo:
+        raise ValueError("window holds fewer than two trace samples")
+    if lo < 0 or hi >= len(trace.z):
         raise ValueError("window extends outside the trace")
     seg = trace.z[lo:hi + 1]
     nseg = len(seg)
@@ -110,9 +115,8 @@ def dominant_frequency(spec: SpectrumEstimate) -> float:
 
 def modulus_variation(trace: TraceSeries, t0: float, t1: float) -> float:
     """(max - min)/max of |z| over [t0, t1]; zero for an identically zero window."""
-    dt = trace.dt
-    lo = max(int(np.ceil(t0 / dt - 1e-9)), 0)
-    hi = min(int(np.floor(t1 / dt + 1e-9)), len(trace.z) - 1)
+    lo, hi = node_span(t0, t1, trace.dt)
+    lo, hi = max(lo, 0), min(hi, len(trace.z) - 1)
     if hi < lo:
         raise ValueError("empty modulus window")
     mags = np.abs(trace.z[lo:hi + 1])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from kgpoint.fields import FieldState
-from kgpoint.model import ModelKind, OscillatorModel
+from kgpoint.model import OscillatorModel
 from kgpoint.solitary import (LinearSpanFit, ManifoldDistance, SolitaryWave, ZeroWave,
                               _amplitudes_at_kappa, _profile_rows, _window)
 
@@ -59,7 +59,7 @@ def distance_to_manifold_oracle(model: OscillatorModel, state: FieldState, R: fl
     norm_sq = max(win_inner(state_bundle, state_bundle).real, 0.0)
     rho_zero = float(np.sqrt(norm_sq))
 
-    if model.kind is ModelKind.LINEAR:
+    if model.is_linear:
         a = model.linear_a
         if a <= 0 or a >= 2 * m:
             return ManifoldDistance(rho_zero, ZeroWave())

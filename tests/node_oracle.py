@@ -7,13 +7,13 @@ Both stop once |dz| <= _RESIDUAL_TOL max(1, |z|).
 
 from __future__ import annotations
 
-from kgpoint.model import ModelKind, OscillatorModel
+from kgpoint.model import OscillatorModel
 from kgpoint.volterra import _MAX_ITERATIONS, _RESIDUAL_TOL
 
 
 def scalar_force(model: OscillatorModel):
     """Scalar F(z) closure: complex Horner of alpha(|z|^2) times z."""
-    if model.kind is ModelKind.LINEAR:
+    if model.is_linear:
         a = model.linear_a
         return lambda z: a * z
     # alpha(s) = c[0] + c[1] s + ... (ascending), c[n-1] = -2 n u_n

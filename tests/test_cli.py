@@ -94,8 +94,15 @@ CONFIG_VIOLATIONS = [
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.0, 5.0")], "snapshot time 5.0 outside [0, T]"),
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.005")],
      "snapshot time 0.005 not on the dt grid"),
+    # 1e-8 off the grid: within 1e-9 T, but TraceSeries.index_of allows 1e-9 max(1, t)
+    ([("T = 4.0", "T = 40.0"), ("half_extent = 40.0", "half_extent = 80.0"),
+      ("n_points = 2049", "n_points = 4097"),
+      ("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.50000001")],
+     "snapshot time 0.50000001 not on the dt grid"),
     ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 3.0:5.0")],
      "spectrum window 3.0:5.0 not inside [0, T]"),
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 1.0:1.005")],
+     "spectrum window 1.0:1.005 holds fewer than two trace samples"),
     ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 1.0-4.0")],
      "cannot parse outputs.spectrum_windows"),
     ([("width = 1.5", "width = 0")], "initial.width must be positive, got 0.0"),
@@ -222,7 +229,7 @@ class TestConfig:
         cfg = parse_config_text(SOLITARY_CFG.replace(
             "kind = solitary\nC = 0.5\ntheta = 0.0\nbranch = plus",
             INITIAL_KINDS[kind].format(path=path)))
-        assert cfg.grid == grid and cfg.seed == 7
+        assert cfg.grid == grid
         waves = [solitary_state(cfg.model, grid, 0.4, 0.3, "minus")] if "solitary" in kind else []
         packets = {"gaussian": [GaussianSpec(0.3 - 0.2j, 1.2, 0.5, 0.4, 0.3)],
                    "seeded_gaussian": [seeded_gaussian_spec(7)],
@@ -276,6 +283,12 @@ class TestRoundTrips:
         assert back.t_width == 15.0
         assert np.array_equal(back.freqs, spec.freqs)
         assert np.array_equal(back.amps, spec.amps)
+
+    def test_spectrum_csv_rejects_an_empty_cell(self, tmp_path):
+        p = tmp_path / "spec.csv"
+        p.write_text("omega,re_amp,im_amp\n0.0,1.0,\n")
+        with pytest.raises(ValueError, match="spec.csv: spectrum values are not finite"):
+            read_spectrum_csv(str(p))
 
     def test_table_bytes(self, tmp_path):
         # -0.0, 1e-05 and 1e+16 keep their repr; abs(0.25+0.6j) is 0.65, where
@@ -417,6 +430,30 @@ class TestCommands:
         code = run_cli(tmp_path, "simulate", "--config", str(cfg))
         assert_input_error(code, capsys, f"not a snapshot file: {snap}")
 
+    @pytest.mark.parametrize("column,cell,text", [
+        (1, "abc", "not a snapshot file: {snap}, line 1027: "
+                   "could not convert string to float: 'abc'"),
+        (1, "", "{snap}: snapshot values are not finite"),
+        (0, "0.5", "{snap}: x is not a uniform grid symmetric about 0"),
+    ], ids=["bad_cell", "empty_cell", "x_not_the_grid"])
+    def test_from_file_snapshot_reader_errors(self, tmp_path, monkeypatch, capsys,
+                                              column, cell, text):
+        # a snapshot on the config's grid with one cell of the x = 0 row (line
+        # 1027) replaced
+        grid = Grid(40.0, 2049)
+        snap = tmp_path / "snap.csv"
+        write_snapshot_csv(str(snap), zero_state(grid))
+        lines = snap.read_text().splitlines()
+        row = lines[2 + grid.center_index].split(",")
+        row[column] = cell
+        lines[2 + grid.center_index] = ",".join(row)
+        snap.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(BASE_CFG.replace(GAUSSIAN_INITIAL, f"kind = from_file\npath = {snap}"))
+        monkeypatch.setattr(cli, "solve_full", None)  # any solve would fail
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg))
+        assert_input_error(code, capsys, text.format(snap=snap))
+
     def test_override_without_equals(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "o.cfg"
         cfg.write_text(BASE_CFG)
@@ -520,6 +557,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("name,t_width,text", [
         ("trace.csv", "2.0", "window extends outside the trace"),
+        ("trace.csv", "0.05", "window holds fewer than two trace samples"),
         ("report.txt", "1.0", "not a trace file"),
         ("short_row.csv", "1.0", "not a trace file"),
         ("one_row.csv", "1.0", "trace file too short"),
@@ -527,12 +565,15 @@ class TestCommands:
         ("repeated.csv", "1.0", "repeated.csv: trace times are not increasing and uniform"),
         ("gap.csv", "1.0", "gap.csv: trace times are not increasing and uniform"),
         ("nan.csv", "1.0", "nan.csv: trace values are not finite"),
-    ], ids=["window", "not_a_trace", "short_row", "one_row", "directory", "repeated_time",
-            "time_gap", "nan_value"])
+        ("late.csv", "0.5", "late.csv: trace times are not increasing and uniform from 0"),
+        ("bad_cell.csv", "1.0", "bad_cell.csv, line 3: could not convert string to float: 'abc'"),
+    ], ids=["window", "narrow_window", "not_a_trace", "short_row", "one_row", "directory",
+            "repeated_time", "time_gap", "nan_value", "late_start", "bad_cell"])
     def test_spectrum_input_errors(self, tmp_path, capsys, name, t_width, text):
         # a 1 s trace, a report file, a trace with a two-cell row, a one-row
         # trace and a directory beside it; traces with a repeated time, with
-        # the times 0, 0.1, 0.7, 0.8, and with a nan value
+        # the times 0, 0.1, 0.7, 0.8, with a nan value, with the times 5.0, 5.1,
+        # ..., 6.0 and with a cell that is not a number
         write_trace_csv(str(tmp_path / "trace.csv"),
                         TraceSeries(dt=0.1, z=np.ones(11, dtype=complex)))
         write_report(str(tmp_path / "report.txt"), {"solve": {"status": "completed"}})
@@ -543,7 +584,9 @@ class TestCommands:
         (tmp_path / "directory").mkdir()
         for file, rows in (("repeated.csv", ("0.0,1.0", "0.0,1.0", "0.1,1.0")),
                            ("gap.csv", ("0.0,1.0", "0.1,1.0", "0.7,1.0", "0.8,1.0")),
-                           ("nan.csv", ("0.0,1.0", "0.1,nan", "0.2,1.0"))):
+                           ("nan.csv", ("0.0,1.0", "0.1,nan", "0.2,1.0")),
+                           ("late.csv", [f"{5 + k / 10!r},1.0" for k in range(11)]),
+                           ("bad_cell.csv", ("0.0,1.0", "0.1,abc", "0.2,1.0"))):
             (tmp_path / file).write_text(header + "".join(f"{r},0.0,1.0,,\n" for r in rows))
         code = run_cli(tmp_path, "spectrum", "--trace", str(tmp_path / name),
                        "--t-center", "0.5", "--t-width", t_width)
