@@ -16,11 +16,14 @@ rule).  `free_trace` evaluates the center-node trace psi1(0, t) of the same
 discrete propagator for many times at once; `kink_split` takes off, as a
 point source, the x = 0 kink that a finite Fourier grid aliases.  Because
 omega is even, the modes +-k fold into one cosine and one sine amplitude
-per wavenumber k >= 0, and the trace at N uniform times t = (s L + l) dt,
-L ~ sqrt(N), becomes by angle addition one real matrix product per chunk of
-modes: the phases of the L offsets l dt against the amplitudes rotated to
-the N/L starts s L dt.  That is O(sqrt(N)) trig calls per mode and the
-multiply-adds run in BLAS, with no per-step loop.
+per wavenumber k >= 0.  At N uniform times t = j dt the trace of K folded
+modes is then an exponential sum over the 2K frequencies +-omega_k dt, a
+type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993)
+1368): spread onto a fine grid by a kernel of 16 cells, one FFT, one
+division by the kernel's transform.  That costs O(K w + N log N) for every
+kind of data, kinked included, and agrees with the mode-by-mode sum to
+about 1e-14 of max|h| up to N = 10^5 times, because the fine-grid
+positions are formed in long double.
 
 J0 and J1(x)/x both come from one routine for J_nu(x)/x^nu, nu = 0 and 1:
 an extended-precision power series up to x = 15 and the full Hankel
@@ -373,9 +376,49 @@ def kink_split(initial: FieldState, m: float) -> KinkSplit:
     return KinkSplit(initial, a, b, kappa1, float(np.sqrt(m * m - kappa1 * kappa1)))
 
 
-# entries per temporary of the free-trace mode sum, so that a chunk's phase
-# and amplitude arrays stay in cache next to the output they accumulate into
-_TRACE_ENTRIES = 1 << 13
+# the type-1 NUFFT of `free_trace` (Barnett, Magland & af Klinteberg, SIAM J.
+# Sci. Comput. 41 (2019) C479): the "exponential of semicircle" kernel
+# spans _NUFFT_WIDTH cells of a fine grid at least twice the output count,
+# with beta = 2.30 per cell; the error then sits near roundoff
+_NUFFT_WIDTH = 16
+_NUFFT_BETA = 2.30 * _NUFFT_WIDTH
+# points spread, and outputs corrected, per block, so that the temporaries
+# stay at 512 x _NUFFT_WIDTH entries whatever the mode and time counts
+_NUFFT_CHUNK = 512
+
+
+def _semicircle_kernel(z: np.ndarray) -> np.ndarray:
+    """phi(z) = e^{beta (sqrt(1 - z^2) - 1)} on |z| <= 1, phi(0) = 1."""
+    return np.exp(_NUFFT_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+
+
+def _kernel_transform_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes z_q of 48-point Gauss-Legendre on [-1, 1] and the weights
+    2 W_q phi(z_q), so that the kernel's transform int phi(z) cos(a z) dz over
+    [-1, 1] is sum_q weight_q cos(a z_q).  With 12 nodes the sweep-geometry
+    trace was off by 1.2e-6 of max|h|; 24 reach roundoff."""
+    z, wq = np.polynomial.legendre.leggauss(48)
+    z, wq = z[24:], wq[24:]
+    return z, 2.0 * wq * _semicircle_kernel(z)
+
+
+_KERNEL_NODES, _KERNEL_WEIGHTS = _kernel_transform_rule()
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT factors into small radices."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _folded_modes(state: FieldState, m: float):
@@ -401,41 +444,47 @@ def _folded_modes(state: FieldState, m: float):
     return amp_cos, amp_sin, w[:n_fold]
 
 
-def _mode_sum(amp_cos: np.ndarray, amp_sin: np.ndarray, w: np.ndarray,
-              tau: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """sum_k A_k cos(w_k t) + B_k sin(w_k t) at every t = t0_s + tau_l,
-    flattened with index s len(tau) + l.
+def _exp_sum(coef: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """sum_p coef_p e^{i j x_p} for j = 0 .. n-1 by a type-1 nonuniform FFT.
 
-    By the angle-addition formulas the sum at (s, l) is
-    sum_k cos(w_k tau_l) U_ks + sin(w_k tau_l) V_ks, where
-    U = A cos(w t0_s) + B sin(w t0_s) and V = B cos(w t0_s) - A sin(w t0_s).
-    Per chunk of modes that is one real matrix product of the stacked
-    [Re; Im] rows of [U | V] with the stacked [cos; sin] phases of tau; the
-    chunks are sized so that each of their arrays holds at most
-    _TRACE_ENTRIES entries (unless a single mode's row is already longer).
+    The frequencies `x` come in long double.  The outputs are centred at
+    n0 = n // 2: coef_p picks up e^{i n0 x_p} and j = n0 + k, |k| <= n/2.
+    Each point is spread with the kernel psi(s) = phi(2 s / w) onto the
+    fine periodic grid of M >= 2 n cells at the position
+    u_p = x_p M / (2 pi) mod M; one inverse FFT gives
+    sum_p coef_p sum_l psi(l - u_p) e^{2 pi i k l / M}
+    = sum_p coef_p e^{i k x_p} psi^(2 pi k / M) up to an aliasing error near
+    roundoff, and dividing by the kernel transform psi^ leaves the sum.
+    Both the positions and the centring phases are formed in long double
+    and reduced there: a position off by one double ulp turns the phase at
+    output k by k ulp.
     """
-    n_in, n_out = len(tau), len(t0)
-    chunk = max(1, _TRACE_ENTRIES // (4 * max(n_in, n_out)))
-    acc = np.zeros((2 * n_out, n_in))
-    prod = np.empty_like(acc)
-    parts = ((slice(0, n_out), amp_cos.real, amp_sin.real),
-             (slice(n_out, None), amp_cos.imag, amp_sin.imag))
-    for lo in range(0, len(w), chunk):
-        hi = min(lo + chunk, len(w))
-        kc = hi - lo
-        rot = np.empty((2 * kc, n_in))
-        ph = np.multiply.outer(w[lo:hi], tau)
-        np.cos(ph, out=rot[:kc])
-        np.sin(ph, out=rot[kc:])
-        ph0 = np.multiply.outer(t0, w[lo:hi])
-        c0, s0 = np.cos(ph0), np.sin(ph0)
-        uv = np.empty((2 * n_out, 2 * kc))
-        for rows, a, b in parts:
-            uv[rows, :kc] = a[lo:hi] * c0 + b[lo:hi] * s0
-            uv[rows, kc:] = b[lo:hi] * c0 - a[lo:hi] * s0
-        np.matmul(uv, rot, out=prod)
-        acc += prod
-    return acc[:n_out].ravel() + 1j * acc[n_out:].ravel()
+    m_fine = _smooth_length(2 * n)
+    n0 = n // 2
+    width = _NUFFT_WIDTH
+    centre = n0 * x
+    coef = coef * (np.cos(centre).astype(float) + 1j * np.sin(centre).astype(float))
+    u = (x * (m_fine / (8 * np.arctan(np.longdouble(1))))) % m_fine
+    cell = np.floor(u)
+    frac = (u - cell).astype(float)
+    cell = cell.astype(np.intp)
+    # taps l = cell - 7 .. cell + 8 cover every l with |l - u| <= w/2
+    taps = np.arange(width) - (width // 2 - 1)
+    b = np.zeros(m_fine, dtype=complex)
+    for lo in range(0, len(coef), _NUFFT_CHUNK):
+        hi = min(lo + _NUFFT_CHUNK, len(coef))
+        z = (taps - frac[lo:hi, None]) * (2.0 / width)
+        ker = _semicircle_kernel(z) * coef[lo:hi, None]
+        np.add.at(b, ((cell[lo:hi, None] + taps) % m_fine).ravel(), ker.ravel())
+    np.fft.ifft(b, out=b)
+    out = np.empty(n, dtype=complex)
+    for lo in range(0, n, _NUFFT_CHUNK):
+        k = np.arange(lo - n0, min(lo + _NUFFT_CHUNK, n) - n0)
+        # psi^(2 pi k / M) = (w / 2) int phi(z) cos(pi k w z / M) dz
+        transform = np.cos(np.multiply.outer(k * (np.pi * width / m_fine), _KERNEL_NODES))
+        transform = transform @ _KERNEL_WEIGHTS
+        out[lo:lo + len(k)] = b[k % m_fine] * (2.0 * m_fine / width / transform)
+    return out
 
 
 def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
@@ -443,12 +492,16 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
 
     `times` must be uniform and start at 0.  The result equals
     `free_evolve(initial, t).psi[center]` at every requested time (same
-    discrete propagator, evaluated at one node).  The modes +-k are folded
-    into h(t) = sum_k A_k cos(w_k t) + B_k sin(w_k t) over the n//2+1
-    wavenumbers k >= 0 and summed as a blocked real matrix product
-    (`_mode_sum`).  N times are split as t = (s L + l) dt with
-    L = ceil(sqrt(N)), so each mode needs the phases of L offsets and N/L
-    starts only.  The caller checks the horizon and splits off any kink.
+    discrete propagator, evaluated at one node) to about 1e-14 of max|h|.
+    The modes +-k are folded into h(t) = sum_k A_k cos(w_k t) +
+    B_k sin(w_k t) over the K = n//2+1 wavenumbers k >= 0, so at t = j dt
+
+        h_j = sum_k c+_k e^{+i j w_k dt} + c-_k e^{-i j w_k dt},
+        c+-_k = (A_k -+ i B_k) / 2,
+
+    a type-1 nonuniform FFT of 2K points (`_exp_sum`): O(K w + N log N)
+    for N times and kernel width w, for smooth and kinked data alike.  The
+    caller checks the horizon and splits off any kink.
     """
     initial.require_finite()
     times = np.asarray(times, dtype=float)
@@ -456,7 +509,6 @@ def free_trace(initial: FieldState, times: np.ndarray, m: float) -> np.ndarray:
             and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-10, atol=0)):
         raise ValueError("free_trace needs at least two uniform times starting at 0")
     amp_cos, amp_sin, w = _folded_modes(initial, m)
-    # t_(s L + l) = t_(s L) + l dt; the overshoot past N is cut off
-    inner = int(np.ceil(np.sqrt(len(times))))
-    tau = np.arange(inner) * (times[1] - times[0])
-    return _mode_sum(amp_cos, amp_sin, w, tau, times[::inner])[:len(times)]
+    x = w.astype(np.longdouble) * np.longdouble(times[1] - times[0])
+    coef = np.concatenate((amp_cos - 1j * amp_sin, amp_cos + 1j * amp_sin)) / 2.0
+    return _exp_sum(coef, np.concatenate((x, -x)), len(times))

@@ -118,8 +118,12 @@ def read_snapshot_csv(path: str) -> FieldState:
     grid = Grid(float(x[-1]), len(x)) if len(x) >= 3 and len(x) % 2 and x[-1] > 0 else None
     if grid is None or not np.allclose(x, grid.x, rtol=0, atol=1e-9 * grid.spacing):
         raise ValueError(f"{path}: x is not a uniform grid symmetric about 0")
-    return FieldState(grid, _complex(re_psi, im_psi), _complex(re_pi, im_pi),
-                      float(comments.get("time", 0.0)))
+    try:
+        time = float(comments.get("time", 0.0))
+    except ValueError as exc:
+        line = list(comments).index("time") + 1
+        raise ValueError(f"not a snapshot file: {path}, line {line}: {exc}") from None
+    return FieldState(grid, _complex(re_psi, im_psi), _complex(re_pi, im_pi), time)
 
 
 def write_spectrum_csv(path: str, spec: SpectrumEstimate) -> None:

@@ -1,9 +1,11 @@
 """The per-step-rotation free trace, kept as the test oracle of `kgpoint.kernel.free_trace`.
 
-This is the implementation the folded GEMM replaced: every Fourier mode is
-rotated by one phasor per time step in a Python loop (re-anchored every
-2048 steps), and non-uniform times take one exponential sum per time.
-`tests/test_free_trace_gemm.py` compares the fast path against it.
+This is the first implementation, replaced by a folded GEMM
+(`free_trace_gemm_oracle.py`) and that in turn by the type-1 nonuniform
+FFT: every Fourier mode is rotated by one phasor per time step in a Python
+loop (re-anchored every 2048 steps), and non-uniform times take one
+exponential sum per time.  `tests/test_free_trace_gemm.py` compares the
+fast path against both oracles.
 """
 
 from __future__ import annotations

@@ -421,14 +421,18 @@ class TestCommands:
         code = run_cli(tmp_path, "simulate", "--config", str(tmp_path))
         assert_input_error(code, capsys, "Is a directory")
 
-    @pytest.mark.parametrize("rows", ["-1.0,0.0,0.0,0.0\n", ""], ids=["short_row", "no_rows"])
-    def test_from_file_rejects_bad_snapshot(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("time,rows,line", [
+        ("0.0", "-1.0,0.0,0.0,0.0\n", 3),
+        ("0.0", "", 2),
+        ("abc", "-1.0,0,0,0,0\n0.0,0,0,0,0\n1.0,0,0,0,0\n", 1),
+    ], ids=["short_row", "no_rows", "bad_time"])
+    def test_from_file_rejects_bad_snapshot(self, tmp_path, capsys, time, rows, line):
         snap = tmp_path / "snap.csv"
-        snap.write_text("# time = 0.0\nx,re_psi,im_psi,re_pi,im_pi\n" + rows)
+        snap.write_text(f"# time = {time}\nx,re_psi,im_psi,re_pi,im_pi\n" + rows)
         cfg = tmp_path / "f.cfg"
         cfg.write_text(BASE_CFG.replace(GAUSSIAN_INITIAL, f"kind = from_file\npath = {snap}"))
         code = run_cli(tmp_path, "simulate", "--config", str(cfg))
-        assert_input_error(code, capsys, f"not a snapshot file: {snap}")
+        assert_input_error(code, capsys, f"not a snapshot file: {snap}, line {line}: ")
 
     @pytest.mark.parametrize("column,cell,text", [
         (1, "abc", "not a snapshot file: {snap}, line 1027: "
