@@ -39,12 +39,13 @@ import numpy as np
 from . import output as out
 from .config import ConfigError, RunConfig, build_initial_state, parse_config_text
 from .fd import check_cfl, fd_evolve
+from .fields import TraceSeries
 from .model import OscillatorModel
 from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
-from .spectral import (Window, dominant_frequency, late_window, omega_limit_report,
-                       window_diagnostics, windowed_spectrum)
-from .volterra import SolveStatus, TraceSeries, reconstruct_fields, solve_full, solve_trace
+from .spectral import (Window, dominant_frequency, late_window, window_diagnostics,
+                       windowed_spectrum)
+from .volterra import SolveStatus, reconstruct_fields, solve_full, solve_trace
 
 
 def _fail(code: int, *messages: str) -> int:
@@ -160,33 +161,43 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# fewest trace steps in an attract window
+_MIN_WINDOW_STEPS = 64
+
+
 def cmd_attract(args) -> int:
     if not 0 < args.radius < math.inf:
         return _fail(2, f"--radius must be positive and finite, got {args.radius!r}")
     if args.windows < 2:
         return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
     cfg = _load_cfg(args)
+    if round(cfg.T / cfg.dt) < _MIN_WINDOW_STEPS:
+        return _fail(2, f"time.T = {cfg.T} is shorter than {_MIN_WINDOW_STEPS} steps of "
+                        f"dt = {cfg.dt}, the narrowest attract window")
     outdir = _outdir(args)
     initial, report = _solve(cfg)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     trace = report.trace
-    width = max(cfg.T / (2 * args.windows), 64 * cfg.dt)
-    centers = np.linspace(width / 2, cfg.T - width / 2, args.windows)
+    width = max(cfg.T / (2 * args.windows), _MIN_WINDOW_STEPS * cfg.dt)
     late = late_window(cfg.T, cfg.dt)
-    # window centers, then the late window's, each at its nearest trace node
+    # (center, window) of each row: the centred windows, then the late one
+    windows = [(tc, (tc - width / 2, tc + width / 2))
+               for tc in np.linspace(width / 2, cfg.T - width / 2, args.windows)]
+    windows.append((0.5 * (late[0] + late[1]), late))
+    # each row's state is at the trace node nearest its window center
     states = reconstruct_fields(cfg.model, initial, trace,
-                                [trace.dt * round(tc / trace.dt)
-                                 for tc in (*centers, 0.5 * (late[0] + late[1]))])
-    rows = [(tc, distance_to_manifold(cfg.model, state, args.radius).rho,
-             *window_diagnostics(trace, (tc - width / 2, tc + width / 2), cfg.model.mass))
-            for tc, state in zip(centers, states)]
+                                [trace.dt * round(tc / trace.dt) for tc, _ in windows])
+    rows = [(tc, distance_to_manifold(cfg.model, state, args.radius),
+             *window_diagnostics(trace, window, cfg.model.mass))
+            for (tc, window), state in zip(windows, states)]
     out.write_table(os.path.join(outdir, "attract_windows.csv"),
                     ("t_center", "rho", "in_gap_fraction", "omega_plus", "modulus_variation"),
-                    np.array(rows, dtype=float).T)
+                    np.array([(tc, dist.rho, *diag) for tc, dist, *diag in rows[:-1]],
+                             dtype=float).T)
 
-    rep = omega_limit_report(cfg.model, trace, states[-1], late, R=args.radius)
-    matched = rep.matched_wave
+    _, dist, in_gap, omega_plus, mvar = rows[-1]
+    matched = dist.best
     if isinstance(matched, SolitaryWave):
         desc = {"kind": "solitary", "C": repr(matched.amplitude),
                 "theta": repr(matched.theta), "kappa": repr(matched.kappa),
@@ -198,12 +209,12 @@ def cmd_attract(args) -> int:
         desc = {"kind": "zero"}
     out.write_report(os.path.join(outdir, "report.txt"), {
         "omega_limit": {
-            "omega_plus": repr(rep.omega_plus),
-            "in_gap_fraction": repr(rep.in_gap_fraction),
-            "modulus_variation": repr(rep.modulus_variation),
-            "rho": repr(rep.rho),
-            "window_start": repr(rep.window[0]),
-            "window_end": repr(rep.window[1]),
+            "omega_plus": repr(omega_plus),
+            "in_gap_fraction": repr(in_gap),
+            "modulus_variation": repr(mvar),
+            "rho": repr(dist.rho),
+            "window_start": repr(late[0]),
+            "window_end": repr(late[1]),
         },
         "matched_wave": desc,
     })

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState, Grid, zero_state
+from .fields import FieldState, Grid, grid_index, node_span, zero_state
 from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
                       gaussian_state, seeded_gaussian_spec, solitary_state)
 from .model import OscillatorModel, alpha
-from .spectral import node_span
 
 
 class ConfigError(Exception):
@@ -174,7 +173,7 @@ def parse_config_text(text: str) -> RunConfig:
     if T and dt and dt > 0:
         if not math.isfinite(T / dt):
             errors.append(f"time.T / time.dt = {T} / {dt} overflows")
-        elif abs(T - round(T / dt) * dt) > 1e-9 * max(1.0, T):
+        elif grid_index(T, dt) is None:
             errors.append(f"time.T = {T} is not an integer multiple of dt = {dt}")
 
     ikind = get("initial", "kind", str, "zero")
@@ -241,7 +240,7 @@ def parse_config_text(text: str) -> RunConfig:
     for t in snapshots:
         if not (0.0 <= t <= T):
             errors.append(f"snapshot time {t} outside [0, T]")
-        elif abs(t - round(t / dt) * dt) > 1e-9 * max(1.0, t):  # as TraceSeries.index_of
+        elif grid_index(t, dt) is None:
             errors.append(f"snapshot time {t} not on the dt grid")
     for (w0, w1) in spectrum_windows:
         lo, hi = node_span(w0, w1, dt)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldState
+from .fields import FieldState, grid_index
 from .model import OscillatorModel, force
 
 
@@ -52,8 +52,8 @@ def fd_evolve(model: OscillatorModel, initial: FieldState, T: float, dt: float) 
     grid = initial.grid
     h = grid.spacing
     check_cfl(h, dt)
-    n_steps = int(round(T / dt))
-    if abs(T - n_steps * dt) > 1e-9 * max(1.0, T):
+    n_steps = grid_index(T, dt)
+    if n_steps is None:
         raise ValueError("T must be an integer multiple of dt")
 
     c = grid.center_index

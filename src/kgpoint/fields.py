@@ -1,4 +1,4 @@
-"""Uniform spatial grid and sampled field states."""
+"""Uniform spatial grid, sampled field states, and the trace on a uniform time grid."""
 
 from __future__ import annotations
 
@@ -32,6 +32,35 @@ class Grid:
     @cached_property
     def x(self) -> np.ndarray:
         return np.linspace(-self.half_extent, self.half_extent, self.n_points)
+
+
+def grid_index(t: float, dt: float) -> int | None:
+    """k with t = k dt within 1e-9 max(1, |t|), or None when t is off the dt grid."""
+    k = int(round(t / dt))
+    return k if abs(t - k * dt) <= 1e-9 * max(1.0, abs(t)) else None
+
+
+def node_span(t0: float, t1: float, dt: float) -> tuple[int, int]:
+    """(lo, hi): the first and last k with k dt in [t0, t1] widened by 1e-9 dt each side."""
+    return int(np.ceil(t0 / dt - 1e-9)), int(np.floor(t1 / dt + 1e-9))
+
+
+@dataclass
+class TraceSeries:
+    """Trace z_k = psi(0, k dt)."""
+
+    dt: float
+    z: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.z)) * self.dt
+
+    def index_of(self, t: float) -> int:
+        j = grid_index(t, self.dt)
+        if j is None or not 0 <= j < len(self.z):
+            raise ValueError(f"time {t} is not on the trace grid")
+        return j
 
 
 @dataclass

@@ -37,6 +37,7 @@ both Bessel factors are.
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -64,10 +65,14 @@ def check_horizon(initial: FieldState, t_max: float, what: str) -> None:
     times beyond half_extent - support_radius can be boundary-contaminated."""
     reach = initial.grid.half_extent - support_radius(initial)
     if t_max > reach + 1e-9:
+        # attributed to the innermost caller outside this package
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{what}: time {t_max:.6g} exceeds the no-wrap horizon "
             f"{reach:.6g} (half_extent - data radius); boundary wrap-around "
-            "may contaminate the result", stacklevel=3)
+            "may contaminate the result", stacklevel=level)
 
 _SERIES_CUT = 15.0
 _ASYM_TERMS = 34

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState
-from .model import OscillatorModel
-from .solitary import (LinearSpanFit, ManifoldDistance, SolitaryWave, ZeroWave,
-                       distance_to_manifold)
-from .volterra import TraceSeries
+from .fields import TraceSeries, node_span
 
 _PAD_FACTOR = 4
 
@@ -52,11 +48,6 @@ class SpectrumEstimate:
     def natural_bin(self) -> float:
         """Frequency resolution of the window itself, 2 pi / t_width."""
         return 2.0 * np.pi / self.t_width
-
-
-def node_span(t0: float, t1: float, dt: float) -> tuple[int, int]:
-    """(lo, hi): the first and last k with k dt in [t0, t1] widened by 1e-9 dt each side."""
-    return int(np.ceil(t0 / dt - 1e-9)), int(np.floor(t1 / dt + 1e-9))
 
 
 def windowed_spectrum(trace: TraceSeries, t_center: float, t_width: float,
@@ -136,16 +127,6 @@ def window_diagnostics(trace: TraceSeries, window: tuple[float, float], m: float
     return gap_mass_fraction(spec, m), dominant_frequency(spec), modulus_variation(trace, t0, t1)
 
 
-@dataclass
-class OmegaLimitReport:
-    omega_plus: float
-    in_gap_fraction: float
-    modulus_variation: float
-    matched_wave: SolitaryWave | ZeroWave | LinearSpanFit
-    window: tuple[float, float]
-    rho: float
-
-
 # fewest trace samples in the default report window
 _LATE_MIN_SAMPLES = 1024
 
@@ -155,29 +136,6 @@ def late_window(T: float, dt: float) -> tuple[float, float]:
     _LATE_MIN_SAMPLES wide (clamped to the run length for short runs)."""
     width = min(max(0.25 * T, _LATE_MIN_SAMPLES * dt), T)
     return (T - width, T)
-
-
-def omega_limit_report(model: OscillatorModel, trace: TraceSeries, state: FieldState,
-                       window: tuple[float, float], R: float = 5.0) -> OmegaLimitReport:
-    """Bundle the late-window diagnostics of a run.
-
-    `state` is the field at the window center (within dt/2 of it, as a
-    reconstruction at the nearest trace node is); the manifold distance is
-    measured there.
-    """
-    t0, t1 = window
-    if (t1 - t0) / trace.dt < 64:
-        raise ValueError("report window shorter than 64 samples")
-    t_mid = 0.5 * (t0 + t1)
-    # a center halfway between nodes is dt/2 from either, up to rounding
-    if abs(state.time - t_mid) > 0.5 * trace.dt + 1e-9 * max(1.0, abs(t_mid)):
-        raise ValueError(f"state at t = {state.time:.6g} is not at the window center "
-                         f"{t_mid:.6g} (within dt/2)")
-    gap, omega_plus, mvar = window_diagnostics(trace, window, model.mass)
-    dist: ManifoldDistance = distance_to_manifold(model, state, R)
-    return OmegaLimitReport(omega_plus=omega_plus, in_gap_fraction=gap,
-                            modulus_variation=mvar, matched_wave=dist.best,
-                            window=(t0, t1), rho=dist.rho)
 
 
 @dataclass

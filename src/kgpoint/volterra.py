@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldState
+from .fields import FieldState, TraceSeries, grid_index
 from .kernel import (KernelTables, bessel_j0, check_horizon, free_evolve,
                      free_trace, kink_split)
 from .model import OscillatorModel, alpha, check_bound_below, force, force_lipschitz
@@ -100,24 +100,6 @@ class SolveStatus(enum.Enum):
     ENERGY_DRIFT_EXCEEDED = "energy_drift_exceeded"
     TRACE_BOUND_EXCEEDED = "trace_bound_exceeded"
     NON_FINITE = "non_finite"
-
-
-@dataclass
-class TraceSeries:
-    """Trace z_k = psi(0, k dt)."""
-
-    dt: float
-    z: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.z)) * self.dt
-
-    def index_of(self, t: float) -> int:
-        j = int(round(t / self.dt))
-        if abs(t - j * self.dt) > 1e-9 * max(1.0, abs(t)) or not 0 <= j < len(self.z):
-            raise ValueError(f"time {t} is not on the trace grid")
-        return j
 
 
 @dataclass
@@ -261,8 +243,8 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n_steps = int(round(T / dt))
-    if abs(T - n_steps * dt) > 1e-9 * max(1.0, T):
+    n_steps = grid_index(T, dt)
+    if n_steps is None:
         raise ValueError("T must be an integer multiple of dt")
     cap = _trace_cap(model, initial)
     lip = force_lipschitz(model, cap)

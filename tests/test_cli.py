@@ -612,6 +612,30 @@ class TestCommands:
         code = run_cli(tmp_path, "attract", "--config", str(cfg), "--windows", windows)
         assert_input_error(code, capsys, "--windows must be at least 2")
 
+    def test_attract_rejects_short_run_before_solve(self, tmp_path, monkeypatch, capsys):
+        # 50 steps of dt = 0.02 cannot hold one 64-step window
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
+        code = run_cli(tmp_path, "attract", "--config", str(cfg), "--set", "time.T=1.0",
+                       "--set", "time.dt=0.02", "--set", "outputs.snapshots=0.0",
+                       "--set", "outputs.spectrum_windows=")
+        assert_input_error(code, capsys, "time.T = 1.0 is shorter than 64 steps of dt = 0.02")
+
+    def test_attract_solves_a_run_of_64_steps(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Reached
+
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_trace", stub)
+        with pytest.raises(Reached):
+            run_cli(tmp_path, "attract", "--config", str(cfg), "--set", "time.T=0.64",
+                    "--set", "outputs.snapshots=0.0", "--set", "outputs.spectrum_windows=")
+
     def test_solitary_table(self, capsys):
         code = main(["solitary", "--u", "0,-1,1", "--mass", "1", "--C", "0.5"])
         assert code == 0

@@ -23,6 +23,14 @@ class TestStep:
         with pytest.raises(ValueError):
             fd_evolve(cubic_model, zero_state(grid), 1.0, 0.05)
 
+    def test_T_on_the_dt_grid(self, cubic_model):
+        # the shared rule: T = k dt within 1e-9 max(1, T)
+        grid = Grid(10.0, 501)
+        assert len(fd_evolve(cubic_model, zero_state(grid), 1.0 + 5e-10, 0.02)) == 51
+        for T in (1.05, 1.0 + 5e-9):
+            with pytest.raises(ValueError, match="T must be an integer multiple of dt"):
+                fd_evolve(cubic_model, zero_state(grid), T, 0.02)
+
     def test_two_level_recursion_identity(self, cubic_model):
         # velocity-Verlet steps satisfy the classic leapfrog recursion
         # psi2 - 2 psi1 + psi0 = dt^2 accel(psi1) to roundoff

@@ -32,6 +32,17 @@ class TestEnergy:
         assert energy(cubic_model, rot) == pytest.approx(energy(cubic_model, st), rel=1e-13)
 
 
+    def test_three_point_grid(self):
+        # the config accepts n_points = 3; the kink pair then falls back to
+        # one-sided two-point differences, d+ = -1 and d- = 2 here, and the
+        # center node weighs (|d+|^2 + |d-|^2) / 2 in place of the average's
+        # square: 5 + 11.5 + 5 on the trapezoid with h = 1
+        st = FieldState(Grid(1.0, 3), np.array([1.0, 3.0, 2.0]), np.zeros(3))
+        model = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0))
+        assert energy(model, st) == pytest.approx(0.5 * 16.5 + (-9.0 + 81.0), rel=1e-15)
+        assert norm_e(st, 1.0) == pytest.approx(np.sqrt(16.5), rel=1e-15)
+
+
 class TestCharge:
     def test_rotating_pair(self, small_grid):
         om = 0.8

@@ -57,6 +57,13 @@ class TestWavesAtOmega:
         res_off = waves_at_omega(linear_model, 0.3)
         assert res_off == []
 
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_linear_without_bound_state_empty(self, a):
+        # a <= 0 leaves -d^2 + m^2 - a delta without a bound state
+        lin = OscillatorModel.linear(1.0, a)
+        for omega in (0.0, 0.5, SQ75, -SQ75):
+            assert waves_at_omega(lin, omega) == []
+
     def test_rejects_omega_outside_gap(self, cubic_model):
         with pytest.raises(ValueError):
             waves_at_omega(cubic_model, 1.5)
@@ -192,6 +199,14 @@ class TestDistance:
         rot = FieldState(small_grid, np.exp(0.9j) * st.psi, np.exp(0.9j) * st.pi)
         r1 = distance_to_manifold(cubic_model, rot, 5.0).rho
         assert abs(r0 - r1) < 1e-10 * max(1.0, r0)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_linear_without_bound_state_is_zero_wave(self, a, small_grid):
+        lin = OscillatorModel.linear(1.0, a)
+        st = gaussian_state(small_grid, GaussianSpec(amplitude=0.3, width=1.0, center=0.5))
+        res = distance_to_manifold(lin, st, 5.0)
+        assert isinstance(res.best, ZeroWave)
+        assert res.rho == pytest.approx(norm_e(st, 1.0, R=5.0), rel=1e-12)
 
     def test_linear_span_projection(self, linear_model, small_grid):
         om_a = SQ75

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpoint import (TraceSeries, Window, dominant_frequency, gap_mass_fraction,
-                     modulus_variation, omega_limit_report, titchmarsh_check,
-                     windowed_spectrum)
+                     modulus_variation, titchmarsh_check, windowed_spectrum)
 from kgpoint.fields import Grid
-from kgpoint.solitary import SolitaryWave, ZeroWave, sample_profile
+from kgpoint.solitary import SolitaryWave, ZeroWave, distance_to_manifold, sample_profile
+from kgpoint.spectral import window_diagnostics
 from kgpoint.volterra import reconstruct_field, solve_trace
 
 
@@ -140,6 +140,13 @@ class TestModulusVariation:
         tr = make_trace(np.zeros(1000), 0.01)
         assert modulus_variation(tr, 0.0, 9.0) == 0.0
 
+    @pytest.mark.parametrize("t0,t1", [(20.0, 30.0), (-5.0, -1.0), (1.0001, 1.0099)])
+    def test_empty_window_rejected(self, t0, t1):
+        # past either end of the trace, or between two adjacent nodes
+        tr = make_trace(np.ones(1000), 0.01)
+        with pytest.raises(ValueError, match="empty modulus window"):
+            modulus_variation(tr, t0, t1)
+
 
 class TestTitchmarsh:
     def test_delta_convolution(self):
@@ -186,17 +193,21 @@ def deep_gap_run(cubic_model):
 
 
 class TestOmegaLimitReport:
+    """The late-window row of `kgpoint attract`: window diagnostics plus the
+    manifold distance of the state at the window center."""
+
     def test_solitary_run_report(self, cubic_model, deep_gap_run):
         wave, init, rep = deep_gap_run
         state = reconstruct_field(cubic_model, init, rep.trace, 20.0)
-        out = omega_limit_report(cubic_model, rep.trace, state, (10.0, 30.0))
+        in_gap, omega_plus, mvar = window_diagnostics(rep.trace, (10.0, 30.0), cubic_model.mass)
+        matched = distance_to_manifold(cubic_model, state, 5.0).best
         bin_nat = 2 * np.pi / 20.0
-        assert abs(out.omega_plus - wave.omega) <= 2 * bin_nat
-        assert out.in_gap_fraction >= 0.99
-        assert out.modulus_variation < 1e-3
-        assert isinstance(out.matched_wave, SolitaryWave)
-        assert out.matched_wave.amplitude == pytest.approx(wave.amplitude, abs=1e-3)
-        assert out.matched_wave.omega == pytest.approx(wave.omega, abs=1e-3)
+        assert abs(omega_plus - wave.omega) <= 2 * bin_nat
+        assert in_gap >= 0.99
+        assert mvar < 1e-3
+        assert isinstance(matched, SolitaryWave)
+        assert matched.amplitude == pytest.approx(wave.amplitude, abs=1e-3)
+        assert matched.omega == pytest.approx(wave.omega, abs=1e-3)
 
     def test_zero_run(self, cubic_model):
         grid = Grid(40.0, 2 ** 11 + 1)
@@ -204,25 +215,8 @@ class TestOmegaLimitReport:
         init = zero_state(grid)
         rep = solve_trace(cubic_model, init, 10.0, 1e-2)
         state = reconstruct_field(cubic_model, init, rep.trace, 6.0)
-        out = omega_limit_report(cubic_model, rep.trace, state, (2.0, 10.0))
-        assert isinstance(out.matched_wave, ZeroWave)
-        assert out.rho == 0.0
-
-    def test_short_window_rejected(self, cubic_model, deep_gap_run):
-        wave, init, rep = deep_gap_run
-        with pytest.raises(ValueError):
-            omega_limit_report(cubic_model, rep.trace, init, (29.9, 30.0))
-
-    def test_state_off_window_center_rejected(self, cubic_model, deep_gap_run):
-        # only a state within dt/2 of the window center is the center snapshot
-        wave, init, rep = deep_gap_run
-        dt = rep.trace.dt
-        state = init.copy()
-        # center 19.999 lies halfway between nodes; the nearest node, 20.0
-        # by round-half-even, is dt/2 away up to rounding
-        window = (10.0 - dt, 30.0)
-        state.time = dt * round(0.5 * (window[0] + window[1]) / dt)
-        omega_limit_report(cubic_model, rep.trace, state, window)
-        state.time = 20.0 + 0.6 * dt
-        with pytest.raises(ValueError, match="window center"):
-            omega_limit_report(cubic_model, rep.trace, state, (10.0, 30.0))
+        # a zero spectrum counts as all in the gap, at frequency 0
+        assert window_diagnostics(rep.trace, (2.0, 10.0), cubic_model.mass) == (1.0, 0.0, 0.0)
+        dist = distance_to_manifold(cubic_model, state, 5.0)
+        assert isinstance(dist.best, ZeroWave)
+        assert dist.rho == 0.0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kgpoint import (FieldState, Grid, OscillatorModel, SolveStatus, check_bound_below,
-                     energy, norm_e, reconstruct_field, reconstruct_fields, solve_full,
-                     solve_trace)
+from kgpoint import (FieldState, Grid, OscillatorModel, SolveStatus, TraceSeries,
+                     check_bound_below, energy, norm_e, reconstruct_field, reconstruct_fields,
+                     solve_full, solve_trace)
 from kgpoint.fields import zero_state
 from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec
 from kgpoint.kernel import KernelTables, kink_split
@@ -167,6 +167,25 @@ class TestReconstruct:
             one = reconstruct_field(cubic_model, init, rep.trace, t)
             assert st.psi.tobytes() == one.psi.tobytes()
             assert st.pi.tobytes() == one.pi.tobytes()
+
+
+class TestHorizonWarning:
+    @pytest.mark.parametrize("entry", ["solve_trace", "solve_full", "reconstruct_field",
+                                       "reconstruct_fields"])
+    def test_attributed_to_the_caller(self, cubic_model, entry):
+        # zero data on [-10, 10] reach the boundary at t = 10; each entry
+        # point warns once, from this file, however deep in the package
+        init = zero_state(Grid(10.0, 201))
+        trace = TraceSeries(dt=0.02, z=np.zeros(601, dtype=complex))
+        calls = {
+            "solve_trace": lambda: solve_trace(cubic_model, init, 12.0, 0.02),
+            "solve_full": lambda: solve_full(cubic_model, init, 12.0, 0.02),
+            "reconstruct_field": lambda: reconstruct_field(cubic_model, init, trace, 12.0),
+            "reconstruct_fields": lambda: reconstruct_fields(cubic_model, init, trace, [12.0]),
+        }
+        with pytest.warns(UserWarning, match="no-wrap horizon") as rec:
+            calls[entry]()
+        assert [w.filename for w in rec] == [__file__]
 
 
 class TestSolveFull:
