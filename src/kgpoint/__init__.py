@@ -3,33 +3,46 @@
 Simulation (Volterra trace solver plus Duhamel reconstruction), the
 solitary-wave manifold, and the spectral diagnostics used to observe the
 global attraction of finite-energy solutions to that manifold.
+
+The public names below are resolved on first use (PEP 562), so importing
+one module, say `kgpoint.config`, loads only what that module imports and
+not the solver.
 """
 
-from .fields import FieldState, Grid, TraceSeries, zero_state
-from .kernel import bessel_j0, free_evolve, free_trace
-from .model import OscillatorModel, alpha, check_bound_below, force, potential
-from .observables import charge, energy, norm_e
-from .solitary import (LinearSpanFit, LinearWaveFamily, ManifoldDistance,
-                       SolitaryWave, ZeroWave, distance_to_manifold, sample_profile,
-                       waves_at_omega, waves_from_amplitude)
-from .spectral import (SpectrumEstimate, TitchmarshResult, Window, dominant_frequency,
-                       gap_mass_fraction, late_window, modulus_variation, titchmarsh_check,
-                       windowed_spectrum)
-from .volterra import (SolveReport, SolveStatus, reconstruct_field, reconstruct_fields,
-                       solve_full, solve_trace)
+import importlib
 
-__all__ = [
-    "FieldState", "Grid", "LinearSpanFit", "LinearWaveFamily",
-    "ManifoldDistance", "OscillatorModel",
-    "SolitaryWave", "SolveReport", "SolveStatus", "SpectrumEstimate",
-    "TitchmarshResult", "TraceSeries", "Window", "ZeroWave",
-    "alpha", "bessel_j0", "charge", "check_bound_below", "distance_to_manifold",
-    "dominant_frequency", "energy", "force", "free_evolve", "free_trace",
-    "gap_mass_fraction",
-    "late_window", "modulus_variation", "norm_e",
-    "potential", "reconstruct_field", "reconstruct_fields", "sample_profile", "solve_full",
-    "solve_trace", "titchmarsh_check",
-    "waves_at_omega", "waves_from_amplitude", "windowed_spectrum", "zero_state",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "FieldState": "fields", "Grid": "fields", "TraceSeries": "fields", "zero_state": "fields",
+    "bessel_j0": "kernel", "free_evolve": "kernel", "free_trace": "kernel",
+    "OscillatorModel": "model", "alpha": "model", "check_bound_below": "model",
+    "force": "model", "potential": "model",
+    "charge": "observables", "energy": "observables", "norm_e": "observables",
+    "LinearSpanFit": "solitary", "LinearWaveFamily": "solitary", "ManifoldDistance": "solitary",
+    "SolitaryWave": "solitary", "ZeroWave": "solitary", "distance_to_manifold": "solitary",
+    "sample_profile": "solitary", "waves_at_omega": "solitary",
+    "waves_from_amplitude": "solitary",
+    "SpectrumEstimate": "spectral", "TitchmarshResult": "spectral", "Window": "spectral",
+    "dominant_frequency": "spectral", "gap_mass_fraction": "spectral",
+    "late_window": "spectral", "modulus_variation": "spectral",
+    "titchmarsh_check": "spectral", "windowed_spectrum": "spectral",
+    "SolveReport": "volterra", "SolveStatus": "volterra", "reconstruct_field": "volterra",
+    "reconstruct_fields": "volterra", "solve_full": "volterra", "solve_trace": "volterra",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -47,22 +47,26 @@ f(t - |x|)/2, to the free part's exact spectral derivative.
 Both cone sums come from one pass.  Every kernel value is taken at the
 distance d = tau - |x| = (t - |x|) - s to the cone edge, with
 r^2 = d (d + 2|x|), so no cancellation of tau^2 - x^2 enters near the edge
-(`_kernels`).  The bulk runs over panels of 128 source nodes.  Away from
-the cone edge each row of the kernels is smooth across a panel (they are
-entire in u = tau^2 - x^2), so the pass evaluates it at 24 Chebyshev points
-only and multiplies against the panel's moments of the source histories.
-The near-edge band, the last partial panel and the row x = 0 are summed
-entry by entry, in blocks of about 2^15 kernel entries, small enough that a
-block's arrays stay in the per-core cache; each block computes the cone
-geometry and the cubic table-interpolation weights once, gathers J0 (the
-psi kernel) and J1/x (the pi kernel) with them, and multiplies both against
-the source histories in a single matmul.  The end stencils of all rows take
-one kernel lookup and one einsum.
+(`_kernels`).  Each row of the kernels is smooth across a run of source
+nodes (they are entire in u = tau^2 - x^2), so the bulk goes by panels of
+2048, 512 and 128 nodes: a (row, panel) pair evaluates the kernels at the
+Chebyshev points of a rule only, the fewest points that resolve the
+kernels' phase across the panel, and multiplies them against the panel's
+moments of the source histories.  A pair that no rule of its level takes
+splits into the shorter panels; what remains, the row x = 0 among it, is
+summed entry by entry in chunks of 32 nodes.  Pairs go in blocks of about
+2^15 kernel entries, small enough that a block's arrays stay in the
+per-core cache; each block computes the cone geometry and the cubic
+table-interpolation weights once, gathers J0 (the psi kernel) and J1/x (the
+pi kernel) with them, and multiplies both against the sources in one
+batched matmul.  The end stencils of all rows take one kernel lookup and
+one einsum.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -336,32 +340,76 @@ _GAUSS_W = 0.5 * _GAUSS_W
 # about 1.3x slower.
 _BLOCK_ENTRIES = 1 << 15
 
-# source nodes per panel of the cone sum, Chebyshev points per panel, and the
-# largest kernel phase across a panel that the points resolve (in radians).
-# Panels are sized in nodes, not in time: 2560-node panels at dt = 1e-3
-# made a solitary snapshot's cone sum slower (0.061 s -> 0.08-0.12 s).
-_PANEL = 128
-_PANEL_POINTS = 24
-_PANEL_PHASE = 7.0
+# Chebyshev rules of the cone sum's panels as (points, the largest kernel
+# phase across a panel that they resolve, in radians), fewest points first.
+# A limit is the phase at which the rule's l1 interpolation error reaches
+# 1e-14 of sum |K| on the rounding-free proxies cos(r) and tau sin(r)/r
+# (entire in r^2, like the kernels), in long double; tests/test_cone_fused.py
+# checks the rules against the kernels' own values at their limits
+_RULE_CLASSES = ((16, 3.4), (20, 6.3), (24, 9.8), (28, 13.8), (32, 18.3), (40, 28.3),
+                 (48, 39.2), (56, 50.8), (64, 62.4), (80, 87.4), (96, 113.0))
+# the panel levels, longest first, as (source nodes per panel, most points
+# of a rule there).  A (row, panel) pair that no rule takes splits into the
+# panels of the next level, and after the last into chunks of _CHUNK nodes
+# summed entry by entry.  On the attract_seed t = 390 sum, one level of
+# 512 / 128 nodes made 0.70M lookups, 1024 / 128 0.58M, and 2048 / 512 /
+# 128 0.47M (before _EDGE_RATIO); a fourth level saved under 10% more, and
+# rules of 112 and 128 points on 2048 nodes 0.4% for 0.7 MB of tables
+_LEVELS = ((2048, 96), (512, 64), (128, 48))
+_CHUNK = 32
+# a rule takes a pair only where tau <= _EDGE_RATIO r at the panel's low
+# end.  Near the cone edge r = sqrt(d (d + 2|x|)) moves by tau/r times the
+# rounding of d = (t - |x|) - s, about ulp(t), and a rule's few points carry
+# that noise with weights of about (panel nodes)/(points): without the bound
+# the t = 190 reconstruction of tests/test_cone_fused.py moved 1.3e-13
+# max|field| from the fixed-rule pass, with it 4.7e-14, at 8% more lookups
+_EDGE_RATIO = 7.0
+
+
+def _chebyshev(y: np.ndarray, degree: int) -> np.ndarray:
+    """T_k(y) for k < degree, one row per k, by the three-term recurrence in
+    long double, each row rounded once: in doubles the recurrence moves T_95
+    by up to 1e-13 at the nodes of a 2048-node panel."""
+    y = np.asarray(y, dtype=np.longdouble)
+    out = np.empty((degree,) + y.shape)
+    prev, cur = np.zeros_like(y), np.ones_like(y)
+    for k in range(degree):
+        out[k] = cur
+        prev, cur = cur, (2 if k else 1) * y * cur - prev
+    return out
 
 
 def _panel_rule(n_nodes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """First-kind Chebyshev points c_q on [0, n_nodes - 1] and the
-    (n_points, n_nodes) matrix W[q, j] = L_q(j) of their Lagrange basis at
-    the nodes, in barycentric form (weights (-1)^q sin theta_q).
+    (n_points, n_points) matrix A that maps a panel's Chebyshev moments
+    mu_k = sum_j T_k(y_j) f_j, y the panel mapped to [-1, 1], to its
+    moments against the points' Lagrange basis: (A mu)_q = sum_j L_q(j) f_j.
 
-    For p of degree < n_points, sum_q p(c_q) W[q, j] = p(j), so
-    sum_j p(j) f_j = sum_q p(c_q) (W f)_q for any f.  For 24 points on 128
-    nodes the nearest node and point are 0.089 apart.
+    A is the inverse of V[k, q] = T_k(y(c_q)), taken at the points as
+    rounded, so that for p of degree < n_points
+    sum_j p(j) f_j = sum_q p(c_q) (A mu)_q holds to roundoff.  A level
+    keeps one table of T_k for all its rules (`_levels`): an
+    (n_points, n_nodes) weight matrix per rule would take 9.4 MB for the
+    rules of _LEVELS, the tables and the A's take 1.3 MB.
     """
     theta = (2 * np.arange(n_points) + 1) * np.pi / (2 * n_points)
     points = 0.5 * (n_nodes - 1) * (1.0 - np.cos(theta))
-    terms = ((-1.0) ** np.arange(n_points) * np.sin(theta))[:, None] / (
-        np.arange(n_nodes)[None, :] - points[:, None])
-    return points, terms / terms.sum(axis=0)
+    y = 2 * points.astype(np.longdouble) / (n_nodes - 1) - 1
+    return points, np.linalg.inv(_chebyshev(y, n_points))
 
 
-_PANEL_NODES, _PANEL_WEIGHTS = _panel_rule(_PANEL, _PANEL_POINTS)
+@functools.cache
+def _levels() -> tuple[tuple[int, np.ndarray, list, np.ndarray], ...]:
+    """(size, phase limits, (points, A) rules, T_k at the first half of the
+    nodes) of each panel level of _LEVELS, built on the first cone sum
+    (about 20 ms).  T_k(-y) = (-1)^k T_k(y) gives the other half."""
+    levels = []
+    for size, most in _LEVELS:
+        classes = [c for c in _RULE_CLASSES if c[0] <= most]
+        nodes = 2 * np.arange(size // 2, dtype=np.longdouble) / (size - 1) - 1
+        levels.append((size, np.array([limit for _, limit in classes]),
+                       [_panel_rule(size, n) for n, _ in classes], _chebyshev(nodes, most)))
+    return tuple(levels)
 
 
 def _kernels(tables: KernelTables, m: float, x, d: np.ndarray) -> np.ndarray:
@@ -400,28 +448,37 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
 
     Each row is a bulk plus an end stencil.  The bulk sums K f dt over the
     source nodes up to the row's cut node s_cut, with f_0 halved (the s = 0
-    trapezoid weight, folded as in `solve_trace`), over panels of _PANEL
-    consecutive nodes.  Both kernels depend on a row x only through
-    u = tau^2 - x^2, and J0(m sqrt(u)) and J1(m sqrt(u))/(m sqrt(u)) are
-    entire in u, so away from the cone edge a row is a smooth function of
-    tau across a panel.  There it is replaced by its interpolant at
-    _PANEL_POINTS Chebyshev points (`_panel_rule`): the panel's sum becomes
-    K(x, tau_q) @ g with the panel moments g = W f, computed once per call
-    for every panel and source column, and 24 kernel lookups per row
-    replace 128.  A (row, panel) pair takes this rule when the row's bulk
-    covers the whole panel and the kernel's phase across it,
-    m tau_lo (_PANEL - 1) dt / sqrt(tau_lo^2 - x^2) at the panel's smallest
-    tau, is at most _PANEL_PHASE (Trefethen, Approximation Theory and
-    Approximation Practice, SIAM 2013, ch. 8).  On rows at that bound the
-    rule's kernel values differ from the nodes' by at most 8e-14 of
-    sum |K| over the panel in the l1 norm, for both kernels and
-    dt = 1e-3 .. 0.05 (4e-15 at dt = 1e-3; tests/test_cone_fused.py), and
-    whole reconstructions stay within 5.1e-14 max|field| of the direct pass.
-    The rest of the bulk is summed entry by entry, in blocks of whole rows
-    with about _BLOCK_ENTRIES kernel entries that share the cone geometry
-    and the interpolation weights between both kernels: the near-edge band
-    of each panel, the last partial panel, and the row x = 0, which thereby
-    stays the exact mirror of the trace solver's weights.
+    trapezoid weight, folded as in `solve_trace`).  Both kernels depend on a
+    row x only through u = tau^2 - x^2, and J0(m sqrt(u)) and
+    J1(m sqrt(u))/(m sqrt(u)) are entire in u, so a row is a smooth function
+    of tau across a panel of consecutive nodes and can be replaced by its
+    interpolant at n Chebyshev points (`_panel_rule`): the panel's sum
+    becomes K(x, tau_q) @ g with the moments g = A mu of the points'
+    Lagrange basis, mu the panel's Chebyshev moments of f, and n kernel
+    lookups replace one per node.  The points a pair needs follow the kernels'
+    phase across the panel, Phi = m (r_hi - r_lo) with r at the panel's ends
+    formed as `_kernels` forms it: past a base of about 20 points,
+    interpolating an oscillation to a fixed accuracy takes about 0.6 more
+    points per radian (Trefethen, Approximation Theory and Approximation
+    Practice, SIAM 2013, ch. 8).  _RULE_CLASSES holds rules of 16 to 96
+    points with the largest phase each resolves; at those limits the rules'
+    kernel values differ from the nodes' by at most 9e-14 of sum |K| over
+    the panel in the l1 norm, for both kernels and dt = 1e-3 .. 0.05
+    (tests/test_cone_fused.py).
+    The bulk runs through the levels of _LEVELS, panels of 2048, 512 and
+    128 nodes.  A (row, panel) pair takes the first rule of its level whose
+    limit is at least its phase, if the row's bulk covers the whole panel
+    and tau <= _EDGE_RATIO r at the panel's low end; any other pair splits
+    into the panels of the next level, and after the last into chunks of
+    _CHUNK nodes summed entry by entry, with the row x = 0, which thereby
+    stays the exact mirror of the trace solver's weights.  The pairs of each
+    rule, and the chunks, are summed in blocks of about _BLOCK_ENTRIES
+    kernel entries that share the cone geometry and the interpolation
+    weights between both kernels.  At t = 390 on the attract_seed grid
+    (2049 points, dt = 0.02) the pass makes 0.54M lookups where one
+    24-point rule on 128-node panels made 2.34M, and reconstructions stay
+    within 2e-13 max|field| of that pass (6.2e-13 from the direct pass,
+    as that one is).
 
     Near the cone edge the kernels turn as functions of r = sqrt(tau^2-x^2)
     with d(phase)/ds ~ m sqrt(x/(2u)) diverging at the edge (u = distance to
@@ -456,44 +513,80 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     acc = np.zeros((2, n_half, 2 * n_cols))
     n_nodes = int(j_cut[0]) + 1  # the row x = 0 reaches furthest
     f_ri = np.concatenate([f_cols.real, f_cols.imag], axis=1)
-    g = f_ri.copy()  # the bulk's sources
-    g[0] *= 0.5
 
-    def add(r0: int, r1: int, s: np.ndarray, src: np.ndarray, nodes=None):
-        """acc[:, r0:r1] += K(x, t - s) @ src in blocks of whole rows.  With
-        `nodes` (the source node of each s), entries past a row's bulk are
-        dropped."""
-        step = max(1, _BLOCK_ENTRIES // len(s))
-        for a in range(r0, r1, step):
-            b = min(a + step, r1)
-            kern = _kernels(tables, m, xa[a:b, None], reach[a:b, None] - s)
-            if nodes is not None:
-                short = np.flatnonzero(j_cut[a:b] < nodes[-1])
-                if short.size:
-                    s0 = short[0]
-                    kern[:, s0:][:, nodes[None, :] > j_cut[a + s0:b, None]] = 0.0
-            acc[:, a:b] += (kern.reshape(2 * (b - a), -1) @ src).reshape(2, b - a, -1)
+    def add(row: np.ndarray, start: np.ndarray, offsets: np.ndarray, src: np.ndarray,
+            panel: np.ndarray | None = None):
+        """acc[:, row_i] += K(x, t - (start_i + offsets) dt) @ S_i for each
+        pair i, rows ascending, in blocks of about _BLOCK_ENTRIES kernel
+        entries: S_i = src[panel_i], a panel's moments, or without `panel`
+        the sources src[start_i + offsets], of which those past the row's
+        bulk are dropped."""
+        step = max(1, _BLOCK_ENTRIES // len(offsets))
+        for a in range(0, len(row), step):
+            rb, nodes = row[a:a + step], start[a:a + step, None] + offsets
+            kern = _kernels(tables, m, xa[rb, None], reach[rb, None] - nodes * dt)
+            if panel is None:
+                short = np.flatnonzero(nodes[:, -1] > j_cut[rb])
+                kern[:, short] *= nodes[short] <= j_cut[rb[short], None]
+                block_src = src[nodes]
+            else:
+                block_src = src[panel[a:a + step]]
+            sums = np.matmul(kern.transpose(1, 0, 2), block_src)
+            heads = np.flatnonzero(np.diff(rb, prepend=-1))
+            acc[:, rb[heads]] += np.add.reduceat(sums, heads).transpose(1, 0, 2)
 
-    n_full = n_nodes // _PANEL
-    moments = _PANEL_WEIGHTS @ g[:n_full * _PANEL].reshape(n_full, _PANEL, g.shape[1])
-    # a row compresses on a panel when its bulk covers the panel (no partial
-    # cell or Gauss zone inside) and x^2 <= tau_lo^2 (1 - ratio^2)
-    ratio = m * (_PANEL - 1) * dt / _PANEL_PHASE
-    for k, start in enumerate(range(0, n_nodes, _PANEL)):
-        nodes = np.arange(start, min(start + _PANEL, n_nodes))
-        s = nodes * dt
-        nx = int(np.flatnonzero(j_cut >= start)[-1]) + 1  # up to the last row reaching it
-        split = 1  # rows 1 .. split-1 take the panel rule
-        if k < n_full:
-            tau_lo = t - s[-1]
-            ok = ((j_cut[1:nx] >= nodes[-1])
-                  & (xa[1:nx] ** 2 <= tau_lo * tau_lo * (1.0 - ratio * ratio)))
-            bad = np.flatnonzero(~ok)
-            split += int(bad[0]) if bad.size else ok.size
-            add(1, split, (start + _PANEL_NODES) * dt, moments[k])
-        src = g[start:start + len(nodes)]
-        add(0, 1, s, src, nodes)
-        add(split, nx, s, src, nodes)
+    def split(row: np.ndarray, start: np.ndarray, size: int, sub: int):
+        """The pairs of panels of `sub` nodes that the pairs (row, start) of
+        panels of `size` nodes hold and whose first node lies in the row's
+        bulk, rows ascending."""
+        row = np.repeat(row, size // sub)
+        start = (start[:, None] + np.arange(0, size, sub)).ravel()
+        keep = start <= j_cut[row]
+        return row[keep], start[keep]
+
+    def sum_bulk():
+        """Every (row, panel) pair of the rows x > 0 through the levels, then
+        the chunks; a function, so that its pair arrays are freed before the
+        end stencil."""
+        # the bulk's sources, zero past the last node so that a chunk may overrun
+        g = np.zeros((n_nodes + _CHUNK, 2 * n_cols))
+        g[:n_nodes] = f_ri[:n_nodes]
+        g[0] *= 0.5
+        levels = _levels()
+        top = levels[0][0]
+        row, start = split(np.arange(1, rows), np.zeros(rows - 1, np.intp),
+                           -(-n_nodes // top) * top, top)
+        subs = [level[0] for level in levels[1:]] + [_CHUNK]
+        for (size, limits, rules, cheb), sub in zip(levels, subs):
+            last = start + (size - 1)
+            x = xa[row]
+            d_lo = np.maximum(reach[row] - last * dt, 0.0)
+            d_hi = np.maximum(reach[row] - start * dt, 0.0)  # the front row: an ulp out
+            r_lo = np.sqrt(d_lo * (d_lo + 2.0 * x))
+            # each pair's rule, the first whose limit covers its phase;
+            # len(limits) sends the pair to the next level
+            cls = np.searchsorted(limits, m * (np.sqrt(d_hi * (d_hi + 2.0 * x)) - r_lo))
+            cls[(j_cut[row] < last) | (d_lo + x > _EDGE_RATIO * r_lo)] = len(limits)
+            # each whole panel's sources folded about its middle, the even and
+            # odd parts that the even and odd T_k see
+            whole = g[:n_nodes // size * size].reshape(-1, size, g.shape[1])
+            lo, hi = whole[:, :size // 2], whole[:, :size // 2 - 1:-1]
+            folded = (lo + hi, lo - hi)
+            for c, (points, to_rule) in enumerate(rules):
+                pick = np.flatnonzero(cls == c)
+                if pick.size:
+                    panels, panel = np.unique(start[pick] // size, return_inverse=True)
+                    mu = np.empty((len(panels), len(points), g.shape[1]))
+                    for parity, part in enumerate(folded):
+                        mu[:, parity::2] = cheb[parity:len(points):2] @ part[panels]
+                    add(row[pick], start[pick], points, to_rule @ mu, panel)
+            rest = cls == len(limits)
+            row, start = split(row[rest], start[rest], size, sub)
+        head = np.arange(0, n_nodes, _CHUNK)  # the row x = 0, entry by entry
+        add(np.concatenate([np.zeros(len(head), np.intp), row]), np.concatenate([head, start]),
+            np.arange(_CHUNK), g)
+
+    sum_bulk()
     acc *= dt
 
     # the end stencil: entries 0 (cut node), 1 (edge) and 2.. (Gauss points)

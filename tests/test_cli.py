@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,23 @@ INITIAL_KINDS = {
 
 
 class TestConfig:
+    def test_config_import_loads_no_solver(self):
+        # the package resolves its public names on first use, so importing
+        # the config layer brings in neither the solver nor its kernels;
+        # the names still resolve, to the defining modules' objects
+        code = ("import sys, kgpoint.config\n"
+                "print(sorted(m for m in ('kgpoint.volterra', 'kgpoint.kernel', "
+                "'kgpoint.spectral') if m in sys.modules))\n"
+                "from kgpoint import cli, solve_trace, volterra\n"
+                "print(solve_trace is volterra.solve_trace, cli.__name__)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True kgpoint.cli"]
+
     def test_validation_collects_all_violations(self):
         bad = BASE_CFG.replace("mass = 1.0", "mass = -1.0").replace(
             "n_points = 2049", "n_points = 2048").replace("dt = 0.01", "dt = 0.013")

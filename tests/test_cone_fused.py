@@ -1,5 +1,6 @@
-"""The fused psi/pi cone pass, with its Chebyshev panels, against the
-two-pass direct oracle in cone_oracle.py."""
+"""The fused psi/pi cone pass, with its Chebyshev panel rules, against the
+two-pass direct oracle in cone_oracle.py and the fixed-rule panel pass in
+cone_panel_oracle.py."""
 
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import cone_oracle
+import cone_panel_oracle
 import table_oracle
 from kgpoint import Grid, reconstruct_field, solve_trace, volterra
 from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
@@ -30,16 +32,29 @@ def coarse_gaussian_run(cubic_model):
     return init, solve_trace(cubic_model, init, 50.0, 0.05).trace
 
 
+@pytest.fixture(scope="module")
+def many_panels_run(cubic_model):
+    # 9500 source nodes on 513 half-grid rows: four 2048-node panels and
+    # every fallback level below them
+    grid = Grid(200.0, 2 ** 10 + 1)
+    init = gaussian_state(grid, GaussianSpec(amplitude=0.6, width=1.0,
+                                             center=1.0, omega_bar=0.3))
+    return init, solve_trace(cubic_model, init, 190.0, 0.02).trace
+
+
 def _assert_matches_oracle(model, init, trace, t, monkeypatch):
-    """Reconstruct at t with the fused pass and with the oracle, assert that
-    they agree to 1e-12 max|field|, and return both states."""
+    """Reconstruct at t with the fused pass, with the direct oracle and with
+    the fixed-rule panel pass; assert that the fused pass agrees with them
+    to 1e-12 and 1e-13 max|field|, and return it and the direct state."""
     tables = KernelTables(model.mass * (t + trace.dt) + 1.0)
     fused = reconstruct_field(model, init, trace, t, tables)
-    with monkeypatch.context() as mp:
-        mp.setattr(volterra, "_cone_quadrature", cone_oracle.cone_quadrature)
-        oracle = reconstruct_field(model, init, trace, t, tables)
-    for got, want in ((fused.psi, oracle.psi), (fused.pi, oracle.pi)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for quadrature, tol in ((cone_panel_oracle.cone_quadrature, 1e-13),
+                            (cone_oracle.cone_quadrature, 1e-12)):
+        with monkeypatch.context() as mp:
+            mp.setattr(volterra, "_cone_quadrature", quadrature)
+            oracle = reconstruct_field(model, init, trace, t, tables)
+        for got, want in ((fused.psi, oracle.psi), (fused.pi, oracle.pi)):
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
     return fused, oracle
 
 
@@ -70,7 +85,8 @@ def test_center_column_is_summed_directly(cubic_model, solitary_run, monkeypatch
 
     with monkeypatch.context() as mp:
         mp.setattr(KernelTables, "__call__", recording)
-        fused, oracle = _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
+        reconstruct_field(cubic_model, init, trace, t)
+    fused, oracle = _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
     c = init.grid.center_index
     for got, want in ((fused.psi, oracle.psi), (fused.pi, oracle.pi)):
         assert abs(got[c] - want[c]) <= 1e-14 * abs(want[c])
@@ -92,14 +108,11 @@ def test_solitary_probe_geometry(cubic_model, monkeypatch, spacing):
     assert np.all(np.isfinite(fused.psi)) and np.all(np.isfinite(fused.pi))
 
 
-def test_many_panels_look_up_few_entries(cubic_model, monkeypatch):
-    # 9500 source nodes (74 panels) on 513 half-grid rows; counting the
-    # points handed to the tables catches a silent fallback to the direct pass
-    grid = Grid(200.0, 2 ** 10 + 1)
-    init = gaussian_state(grid, GaussianSpec(amplitude=0.6, width=1.0,
-                                             center=1.0, omega_bar=0.3))
+def test_many_panels_look_up_few_entries(cubic_model, many_panels_run, monkeypatch):
+    # counting the points the fused pass hands to the tables catches a
+    # silent fallback to the direct pass
+    init, trace = many_panels_run
     t = 190.0
-    trace = solve_trace(cubic_model, init, t, 0.02).trace
     points = []
     lookup = KernelTables.__call__
 
@@ -109,11 +122,11 @@ def test_many_panels_look_up_few_entries(cubic_model, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(KernelTables, "__call__", counting)
-        _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
-        n_fused = sum(points)  # the oracle interpolates without the call
-    reach = t - grid.x[grid.center_index:]
+        reconstruct_field(cubic_model, init, trace, t)
+    reach = t - init.grid.x[init.grid.center_index:]
     entries = int(np.sum(np.floor(reach[reach >= 0] / trace.dt + 1e-12) + 1))
-    assert n_fused < 0.4 * entries
+    assert sum(points) < 0.2 * entries
+    _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
 
 
 def test_gaussian_with_gauss_edge_zone(cubic_model, coarse_gaussian_run, monkeypatch):
@@ -174,41 +187,71 @@ def test_one_source_column_for_any_data(cubic_model, request, monkeypatch, run):
     assert widths == [1]
 
 
+def _rule_classes():
+    """(panel nodes, phase limit, points, weights W) of every rule of every
+    level, W[q, j] = L_q(j) the Lagrange basis of the points at the nodes."""
+    for size, limits, rules, cheb in volterra._levels():
+        parity = (-1.0) ** np.arange(cheb.shape[0])[:, None]
+        cheb = np.concatenate([cheb, parity * cheb[:, ::-1]], axis=1)  # all the nodes
+        for limit, (points, to_rule) in zip(limits, rules):
+            yield size, limit, points, to_rule @ cheb[:len(points)]
+
+
 def test_panel_rule_reproduces_polynomials():
-    points, weights = volterra._PANEL_NODES, volterra._PANEL_WEIGHTS
-    assert weights.shape == (volterra._PANEL_POINTS, volterra._PANEL)
-    assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= 1e-13
-    nodes = np.arange(volterra._PANEL)
-    span = volterra._PANEL - 1
-    for degree in range(volterra._PANEL_POINTS):
-        poly = np.polynomial.Chebyshev.basis(degree, domain=[0, span])
-        assert np.max(np.abs(poly(points) @ weights - poly(nodes))) <= 1e-13
+    # T_d on the panel for every d < n, evaluated in extended precision by
+    # the three-term recurrence: in doubles it is off by up to 1e-13 for T_95
+    # near the ends of a 2048-node panel.  The worst error measured is
+    # 9.5e-15 (degree 37 of the 96 points on 2048 nodes)
+    wide = np.longdouble
+    for size, _, points, weights in _rule_classes():
+        assert weights.shape == (len(points), size)
+        assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= 1e-13
+        y_nodes = 2 * np.arange(size, dtype=wide) / (size - 1) - 1
+        y_points = 2 * points.astype(wide) / (size - 1) - 1
+        t_nodes, t_points = [np.ones_like(y_nodes), y_nodes], [np.ones_like(y_points), y_points]
+        for degree in range(len(points)):
+            if degree >= 2:
+                for t, y in ((t_nodes, y_nodes), (t_points, y_points)):
+                    t.append(2 * y * t[-1] - t[-2])
+            got = t_points[degree].astype(float) @ weights
+            assert np.max(np.abs(got - t_nodes[degree].astype(float))) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def wide_tables():
+    return KernelTables(1000.0 + 2048 * 0.05 + 1.0)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 2.5e-3, 0.02, 0.05])
-def test_compressed_panel_at_the_phase_bound(dt):
-    # rows x on the bound m tau_lo (P - 1) dt / sqrt(tau_lo^2 - x^2) = Omega.
-    # tau - x is carried exactly as d + lag, so that u = tau^2 - x^2 has no
-    # cancellation and the gap is the rule's, not the rounding of tau.  The
-    # worst l1 gap measured here is 8.0e-14 sum |K| (dt = 0.05; 4.3e-15 at
-    # dt = 1e-3); at twice the phase bound it is 1.7e-11
+def test_compressed_panel_at_the_phase_bound(dt, wide_tables):
+    # for every rule, the rows x whose kernel phase m (r_hi - r_lo) across
+    # the panel equals the rule's limit, for panels with tau_lo from 0.05 to
+    # 1000; where even the edge row x = tau_lo stays below the limit, that
+    # row.  tau - x is carried exactly as d + lag, so that u = tau^2 - x^2
+    # has no cancellation and the gap is the rule's, not the rounding of
+    # tau.  The worst l1 gap measured here is 9.0e-14 sum |K| (2e-14 to
+    # 9e-14 for every rule and dt, the tables' roundoff); at twice the
+    # limits it is 4e-10 for 16 points, 6e-08 for 24, 4e-03 for 48 and 0.2
+    # to 0.8 from 64 points up
     m = 1.0
-    tables = KernelTables(1001.0)
-    lag_nodes = (volterra._PANEL - 1 - np.arange(volterra._PANEL)) * dt
-    lag_points = (volterra._PANEL - 1 - volterra._PANEL_NODES) * dt
-    ratio = m * (volterra._PANEL - 1) * dt / volterra._PANEL_PHASE
-    assert ratio < 1.0  # rows off x = 0 compress at this dt
+    tau_lo = np.geomspace(0.05, 1000.0, 60)
 
     def kernels(x, d, lag):
-        j0, j1x = tables(m * np.sqrt((d + lag) * (2.0 * x + d + lag)))
+        j0, j1x = wide_tables(m * np.sqrt((d + lag) * (2.0 * x + d + lag)))
         return 0.5 * j0, -0.5 * m * m * (x + d + lag) * j1x
 
-    for tau_lo in np.geomspace(0.05, 1000.0, 60):
-        x = tau_lo * np.sqrt(1.0 - ratio * ratio)
-        d = tau_lo - x
-        for direct, compressed in zip(kernels(x, d, lag_nodes), kernels(x, d, lag_points)):
-            gap = np.sum(np.abs(direct - compressed @ volterra._PANEL_WEIGHTS))
-            assert gap <= 3e-13 * np.sum(np.abs(direct))
+    for size, limit, points, weights in _rule_classes():
+        span = (size - 1) * dt
+        # sqrt(tau_lo^2 - x^2) of the row at the limit
+        q = np.maximum(0.5 * (span * (2.0 * tau_lo + span) / limit - limit), 0.0)
+        keep = q <= tau_lo  # else even the row x = 0 exceeds the limit
+        x = np.sqrt((tau_lo[keep] - q[keep]) * (tau_lo[keep] + q[keep]))[:, None]
+        d = q[keep, None] ** 2 / (tau_lo[keep, None] + x)
+        nodes = kernels(x, d, (size - 1 - np.arange(size)) * dt)
+        rule = kernels(x, d, (size - 1 - points) * dt)
+        for direct, compressed in zip(nodes, rule):
+            gap = np.sum(np.abs(direct - compressed @ weights), axis=1)
+            assert np.all(gap <= 3e-13 * np.sum(np.abs(direct), axis=1)), (size, len(points))
 
 
 def test_kernels_carry_no_cancellation_at_the_cone_edge():
