@@ -171,6 +171,9 @@ def cmd_attract(args) -> int:
     if args.windows < 2:
         return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
     cfg = _load_cfg(args)
+    if args.radius > cfg.half_extent:
+        return _fail(2, f"--radius {args.radius!r} exceeds the grid half extent "
+                        f"{cfg.half_extent!r}")
     if round(cfg.T / cfg.dt) < _MIN_WINDOW_STEPS:
         return _fail(2, f"time.T = {cfg.T} is shorter than {_MIN_WINDOW_STEPS} steps of "
                         f"dt = {cfg.dt}, the narrowest attract window")

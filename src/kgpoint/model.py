@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 
 @dataclass(frozen=True)
@@ -121,33 +122,44 @@ def force_lipschitz(model: OscillatorModel, r: float) -> float:
                      for k, c in enumerate(model.alpha_coefficients)))
 
 
-def _poly_min_nonneg(coeffs: tuple[float, ...]) -> float:
-    """Global minimum of p(s) = sum_n c_n s^n over s >= 0.
+def alpha_roots(model: OscillatorModel, level: float) -> np.ndarray:
+    """The s > 0 with alpha(s) = level, ascending, each once; none for the
+    linear kind, whose alpha is constant.
 
-    Leading coefficient must be positive.  Critical points are located by
-    exact root isolation of p' (numpy companion roots suffice for the real
-    polynomial; only real nonnegative roots are kept).
+    The companion eigenvalues of alpha(s) - level (backward stable) with
+    |imag| < 1e-10 and positive real part, polished by three Newton steps on
+    alpha with the level taken off its constant term, which keeps the digits
+    alpha(s) - level would cancel.  A step is kept only where it shrinks the
+    residual: at a double root the slope is as small as the residual's
+    rounding, and a plain step lands anywhere.
     """
-    p = np.polynomial.Polynomial(coeffs)
-    dp = p.deriv()
-    candidates = [0.0]
-    roots = dp.roots()
-    for r in roots:
-        if abs(r.imag) < 1e-10 and r.real > 0:
-            candidates.append(float(r.real))
-    return min(float(p(s)) for s in candidates)
+    c = np.array(model.alpha_coefficients)
+    c[0] -= level
+    roots = npoly.polyroots(c)
+    s = roots.real[(np.abs(roots.imag) < 1e-10) & (roots.real > 0)]
+    dc = npoly.polyder(c)
+    res = npoly.polyval(s, c)
+    for _ in range(3):
+        slope = npoly.polyval(s, dc)
+        step = s - np.divide(res, slope, out=np.zeros_like(s), where=slope != 0)
+        step_res = npoly.polyval(step, c)
+        better = np.abs(step_res) < np.abs(res)
+        s, res = np.where(better, step, s), np.where(better, step_res, res)
+    return np.unique(s[s > 0])
 
 
 def check_bound_below(model: OscillatorModel) -> tuple[float, float] | None:
     """Constants (A, B) with U(psi) >= A - B |psi|^2 and 0 <= B < m, or None.
 
     Polynomial models (u_N > 0, N >= 2) always admit B = 0 with A the global
-    minimum of u(s) over s >= 0.  Linear models succeed exactly when a < 2m:
+    minimum of u(s) over s >= 0, taken at s = 0 or at a zero of
+    u'(s) = -alpha(s)/2.  Linear models succeed exactly when a < 2m:
     B = a/2 for a > 0 (so B < m) and B = 0 otherwise, with A = 0.
     None signals the model sits outside the well-posedness hypotheses.
     """
     if not model.is_linear:
-        return (_poly_min_nonneg(model.coefficients), 0.0)
+        candidates = np.append(alpha_roots(model, 0.0), 0.0)
+        return (float(npoly.polyval(candidates, model.coefficients).min()), 0.0)
     a = model.linear_a
     if a >= 2 * model.mass:
         return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldState
+from .fields import FieldState, Grid
 from .model import OscillatorModel, potential
 
 
@@ -47,16 +47,21 @@ def _energy_density(state: FieldState, m: float) -> np.ndarray:
     return density
 
 
+def _window_half(grid: Grid, R: float) -> int:
+    """Nodes each side of x = 0 in the window |x| <= R, which the grid holds."""
+    if R > grid.half_extent + 1e-12:
+        raise ValueError("R exceeds the grid half extent")
+    return min(int(round(R / grid.spacing)), grid.center_index)
+
+
 def norm_e(state: FieldState, m: float, R: float | None = None) -> float:
     """||Psi||_E, or the local seminorm ||Psi||_{E,R} over |x| <= R."""
     density = _energy_density(state, m)
     h = state.grid.spacing
     if R is None:
         return float(np.sqrt(np.trapezoid(density, dx=h)))
-    if R > state.grid.half_extent + 1e-12:
-        raise ValueError("R exceeds the grid half extent")
     c = state.grid.center_index
-    half = min(int(round(R / h)), c)
+    half = _window_half(state.grid, R)
     sel = density[c - half:c + half + 1]
     return float(np.sqrt(np.trapezoid(sel, dx=h)))
 

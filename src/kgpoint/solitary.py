@@ -15,10 +15,12 @@ two-complex-dimensional span of those modes rather than a finite set.
 For polynomial models the relations are explicit in s = C^2: kappa =
 alpha(s)/2 and omega = +/- sqrt(m^2 - kappa^2).  The admissible set is the
 s > 0 with alpha(s)/2 in (0, m], a union of intervals in general, and
-`distance_to_manifold` scans it in s, with no root finding.  Only
-`waves_at_omega` solves alpha(s) = 2 kappa for s.  Both model kinds measure
-the distance through the same profile rows, inner products and term-by-term
-residual; the linear model needs them at the single decay kappa = a/2.
+`distance_to_manifold` scans it in s up to the largest zero of alpha, past
+which alpha < 0 (u_N > 0).  That zero and the amplitudes of
+`waves_at_omega`, the roots of alpha(s) = 2 kappa, come from
+`model.alpha_roots`.  Both model kinds measure the distance through the
+same profile rows, inner products and term-by-term residual; the linear
+model needs them at the single decay kappa = a/2.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState, Grid
-from .model import OscillatorModel, alpha
-from .observables import _dx_with_center_kink
+from .model import OscillatorModel, alpha, alpha_roots
+from .observables import _dx_with_center_kink, _window_half
 
 
 @dataclass(frozen=True)
@@ -76,65 +78,18 @@ class ManifoldDistance:
 
 
 def _bracket_nodes(s_max: float) -> np.ndarray:
-    """The union of a log-spaced and a linear grid on (0, s_max], 512 nodes
-    each; the log points catch roots piling up near zero."""
+    """The amplitude scan's nodes in s = C^2: the union of a log-spaced and
+    a linear grid on (0, s_max], 512 nodes each; the log points resolve
+    admissible intervals piling up near zero."""
     return np.unique(np.concatenate([
         np.geomspace(s_max * 1e-14, s_max, 512),
         np.linspace(s_max / 512, s_max, 512),
     ]))
 
 
-def _s_bound(model: OscillatorModel, kappa: float) -> float:
-    """Upper end of the s range searched for roots of alpha(s) = 2 kappa.
-
-    alpha(s) - 2 kappa = -2 (u_1 + kappa) - sum_{n>=2} 2 n u_n s^(n-1), so
-    by Cauchy's bound every root has
-    |s| <= 1 + (sum_{1<=n<N} 2 n |u_n| + 2 kappa) / (2 N u_N).
-    """
-    u = model.coefficients
-    n_deg = len(u) - 1
-    lower = sum(2.0 * n * abs(u[n]) for n in range(1, n_deg))
-    return 1.0 + (lower + 2.0 * kappa) / (2.0 * n_deg * u[-1])
-
-
-def _isolate_roots(poly_fn, s_max: float) -> list[float]:
-    """Positive roots of poly_fn on (0, s_max]: sign changes between the
-    `_bracket_nodes`, then plain bisection."""
-    nodes = _bracket_nodes(s_max)
-    vals = poly_fn(nodes)
-    roots = []
-    exact = np.abs(vals) < 1e-15
-    roots.extend(float(s) for s in nodes[exact])
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        lo, hi = nodes[i], nodes[i + 1]
-        flo = vals[i]
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            fm = poly_fn(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-            if hi - lo < 1e-15 * max(1.0, hi):
-                break
-        roots.append(0.5 * (lo + hi))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 1e-12 * max(1.0, r):
-            deduped.append(r)
-    return deduped
-
-
 def _amplitudes_at_kappa(model: OscillatorModel, kappa: float) -> list[float]:
     """All C > 0 with alpha(C^2) = 2 kappa for a polynomial model."""
-    roots_s = _isolate_roots(lambda s: alpha(model, s) - 2.0 * kappa, _s_bound(model, kappa))
-    return [float(np.sqrt(s)) for s in roots_s if s > 1e-28]
+    return [float(np.sqrt(s)) for s in alpha_roots(model, 2.0 * kappa)]
 
 
 def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]:
@@ -188,7 +143,8 @@ def profile_norm_e_sq(wave: SolitaryWave, m: float) -> float:
 
 
 def _window(state: FieldState, m: float, R: float):
-    """Arrays (psi, psi', one-sided pair, pi, weights) restricted to |x| <= R.
+    """Arrays (psi, psi', one-sided pair, pi, weights) restricted to |x| <= R;
+    an R beyond the grid raises, as in `norm_e`.
 
     Stencils match the global seminorm exactly (centered; second-order
     one-sided pair across the x = 0 kink), so a state equal to a sampled
@@ -197,7 +153,7 @@ def _window(state: FieldState, m: float, R: float):
     grid = state.grid
     c = grid.center_index
     h = grid.spacing
-    half = min(int(round(R / h)), c)
+    half = _window_half(grid, R)
     lo, hi = c - half, c + half + 1
     d_all, d_plus, d_minus = _dx_with_center_kink(state.psi, h, c)
     w = np.full(hi - lo, h)
@@ -243,13 +199,13 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     kappa = alpha(s)/2 and omega = +/- sqrt(m^2 - kappa^2) in closed form.
     The admissible set is the s with alpha(s)/2 in (0, m], possibly a union
     of intervals; the scan skips the rest without case analysis.  Every
-    node of `_bracket_nodes` on (0, s_max], s_max bounding the roots at
-    kappa = m, is evaluated for both signs of omega in one vectorized pass,
-    then s is refined by golden section between the best node's two
-    neighbours, on the residual ||Psi - Phi||_{E,R} summed term by term (the
-    scan's inner-product form cancels to ~1e-15 ||Psi||^2, which near the
-    manifold leaves only a few digits of rho); the reported rho is that
-    residual of the reported wave.  The zero wave is always a candidate.
+    node of `_bracket_nodes` on (0, s_max], s_max the largest zero of alpha
+    (none leaves only the zero wave), is evaluated for both signs of omega
+    in one vectorized pass, then s is refined by golden section between the
+    best node's two neighbours, on the residual ||Psi - Phi||_{E,R} summed
+    term by term (the scan's inner-product form cancels to ~1e-15
+    ||Psi||^2, which near the manifold leaves only a few digits of rho);
+    the reported rho is that residual of the reported wave.  The zero wave is always a candidate.
     Linear models: least squares onto the span of the two resonant modes.
     They share the profile row of kappa = a/2, so the scan's inner products
     give the right-hand side and its squared-row sums the 2 x 2 Gram
@@ -354,7 +310,10 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
         cand = (wave.amplitude * np.exp(1j * wave.theta)) * row
         return residual_sq(cand, -1j * omega * cand[:n]), wave
 
-    nodes = _bracket_nodes(_s_bound(model, m))
+    zeros = alpha_roots(model, 0.0)
+    if not len(zeros):
+        return ManifoldDistance(rho_zero, ZeroWave())
+    nodes = _bracket_nodes(zeros[-1])
     rho_sq = scan(nodes)
     i, col = np.unravel_index(np.argmin(rho_sq), rho_sq.shape)
     if not rho_sq[i, col] < norm_sq:

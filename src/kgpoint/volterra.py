@@ -71,6 +71,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .fields import FieldState, TraceSeries, grid_index
 from .kernel import (KernelTables, bessel_j0, check_horizon, free_evolve,
@@ -366,19 +367,6 @@ _CHUNK = 32
 _EDGE_RATIO = 7.0
 
 
-def _chebyshev(y: np.ndarray, degree: int) -> np.ndarray:
-    """T_k(y) for k < degree, one row per k, by the three-term recurrence in
-    long double, each row rounded once: in doubles the recurrence moves T_95
-    by up to 1e-13 at the nodes of a 2048-node panel."""
-    y = np.asarray(y, dtype=np.longdouble)
-    out = np.empty((degree,) + y.shape)
-    prev, cur = np.zeros_like(y), np.ones_like(y)
-    for k in range(degree):
-        out[k] = cur
-        prev, cur = cur, (2 if k else 1) * y * cur - prev
-    return out
-
-
 def _panel_rule(n_nodes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """First-kind Chebyshev points c_q on [0, n_nodes - 1] and the
     (n_points, n_points) matrix A that maps a panel's Chebyshev moments
@@ -390,12 +378,14 @@ def _panel_rule(n_nodes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     sum_j p(j) f_j = sum_q p(c_q) (A mu)_q holds to roundoff.  A level
     keeps one table of T_k for all its rules (`_levels`): an
     (n_points, n_nodes) weight matrix per rule would take 9.4 MB for the
-    rules of _LEVELS, the tables and the A's take 1.3 MB.
+    rules of _LEVELS, the tables and the A's take 1.3 MB.  The T_k are
+    recurred in long double and rounded once: in doubles T_95 moves by up
+    to 1e-13 at the nodes of a 2048-node panel.
     """
     theta = (2 * np.arange(n_points) + 1) * np.pi / (2 * n_points)
     points = 0.5 * (n_nodes - 1) * (1.0 - np.cos(theta))
     y = 2 * points.astype(np.longdouble) / (n_nodes - 1) - 1
-    return points, np.linalg.inv(_chebyshev(y, n_points))
+    return points, np.linalg.inv(chebvander(y, n_points - 1).T.astype(float))
 
 
 @functools.cache
@@ -408,7 +398,8 @@ def _levels() -> tuple[tuple[int, np.ndarray, list, np.ndarray], ...]:
         classes = [c for c in _RULE_CLASSES if c[0] <= most]
         nodes = 2 * np.arange(size // 2, dtype=np.longdouble) / (size - 1) - 1
         levels.append((size, np.array([limit for _, limit in classes]),
-                       [_panel_rule(size, n) for n, _ in classes], _chebyshev(nodes, most)))
+                       [_panel_rule(size, n) for n, _ in classes],
+                       chebvander(nodes, most - 1).T.astype(float)))
     return tuple(levels)
 
 

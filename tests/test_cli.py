@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,14 @@ CONFIG_VIOLATIONS = [
      "initial.C must be positive, got 0.0"),
     ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 3.0")],
      "no solitary wave exists at C=3.0"),
+    # alpha(C^2)/2 = 1.76 > m: a decay rate but no frequency
+    ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.4"),
+      ("coefficients = 0, -1, 1", "coefficients = 0.1, -2, 0.5, 1")],
+     "no solitary wave exists at C=0.4"),
+    # alpha(C^2)/2 = m exactly: the one wave has omega = 0, on the plus branch
+    ([(GAUSSIAN_INITIAL, "kind = solitary\nC = 0.5\nbranch = minus"),
+      ("coefficients = 0, -1, 1", "coefficients = 0, -1.5, 1")],
+     "no minus-branch solitary wave exists at C=0.5"),
     ([(GAUSSIAN_INITIAL, "kind = seeded_gaussian"), ("seed = 7", "seed = -1")],
      "run.seed must be in [0, 2**64), got -1"),
     ([("T = 4.0", "T = 60.0")], "horizon rule violated"),
@@ -546,8 +555,9 @@ class TestCommands:
         (["spectrum", "--t-center", "0.5", "--t-width", "0"],
          "--t-width must be positive and finite, got 0.0"),
         (["attract", "--radius", "nan"], "--radius must be positive and finite, got nan"),
+        (["attract", "--radius", "40.5"], "--radius 40.5 exceeds the grid half extent 40.0"),
     ], ids=["C_nan", "C_inf", "omega_nan", "t_center_nan", "t_width_negative", "t_width_zero",
-            "radius_nan"])
+            "radius_nan", "radius_past_grid"])
     def test_flags_checked_up_front(self, tmp_path, monkeypatch, capsys, argv, text):
         # a 1 s trace and a valid config, so only the flag is wrong
         trace = tmp_path / "trace.csv"
@@ -683,12 +693,19 @@ class TestCommands:
 
     def test_solitary_at_omega_on_a_polynomial_model(self, capsys):
         # U(s) = -s/2 - 3 s^2 + s^3 (s = |psi|^2) has two waves at omega = 0.8,
-        # both with kappa = sqrt(1 - 0.8^2)
+        # both with kappa = sqrt(1 - 0.8^2); the amplitudes are the correctly
+        # rounded roots of alpha(s) = 1 + 12 s - 6 s^2 = 2 kappa
         code = main(["solitary", "--omega", "0.8", "--u", "0,-0.5,-3,1"])
         assert code == 0
         assert capsys.readouterr().out == ("C,kappa,omega\n"
-                                           "0.1296453614666771,0.5999999999999999,0.8\n"
-                                           "1.408258527490665,0.5999999999999999,0.8\n")
+                                           "0.1296453614666754,0.5999999999999999,0.8\n"
+                                           "1.4082585274906647,0.5999999999999999,0.8\n")
+        with localcontext() as ctx:
+            ctx.prec = 60
+            level = 2 * Decimal(0.5999999999999999)
+            disc = (144 + 24 * (1 - level)).sqrt()
+            assert [float(((12 + sign * disc) / 12).sqrt()) for sign in (-1, 1)] == [
+                0.1296453614666754, 1.4082585274906647]
 
     def test_spectrum_command(self, tmp_path):
         cfg = tmp_path / "s.cfg"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kgpoint import OscillatorModel, alpha, check_bound_below, force, potential
 from kgpoint.initial import uniform_stream
-from kgpoint.model import force_lipschitz
+from kgpoint.model import alpha_roots, force_lipschitz
 
 
 def poly_potential_oracle(coeffs, psi):
@@ -141,6 +141,50 @@ class TestBoundBelow:
         assert np.all(U >= A - B * s - 1e-12)
 
 
+class TestAlphaRoots:
+    def test_quartic_keeps_the_positive_real_roots(self):
+        # alpha(s) = 1 - s^3 (u = (0, -1/2, 0, 0, 1/8)) has one real root s = 1
+        # and a complex pair; alpha(s) = -7 at s = 2
+        model = OscillatorModel.polynomial(1.0, (0.0, -0.5, 0.0, 0.0, 0.125))
+        assert alpha_roots(model, 0.0).tolist() == [1.0]
+        assert alpha_roots(model, -7.0).tolist() == [2.0]
+        assert alpha_roots(model, 2.0).size == 0
+
+    def test_ascending_and_on_alpha(self):
+        # alpha(s) = 1 + 12 s - 6 s^2 = 3 at s = 1 -/+ sqrt(2/3)
+        model = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))
+        roots = alpha_roots(model, 3.0)
+        assert roots == pytest.approx([1 - np.sqrt(2 / 3), 1 + np.sqrt(2 / 3)], rel=1e-15)
+        assert alpha(model, roots) == pytest.approx([3.0, 3.0], rel=1e-14)
+
+    def test_double_root_once(self):
+        # alpha(s) = 1 + 12 s - 6 s^2 peaks at alpha(1) = 7, where the companion
+        # matrix returns one value twice; a Newton step of alpha' ~ 1e-15 would
+        # land anywhere, and any warning fails the suite
+        model = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))
+        assert alpha_roots(model, 7.0) == pytest.approx([1.0], rel=1e-15)
+
+    @pytest.mark.parametrize("u3", [0.5, 1.0, 2.0])
+    def test_levels_touching_the_maximum(self, u3):
+        # at alpha's maximum and one ulp either side the root is double, and
+        # its companion values are 1e-8 apart; unguarded Newton steps threw 41
+        # of these 702 roots far from the vertex
+        for u1 in np.linspace(-3, 3, 13):
+            for u2 in np.linspace(-3, 3, 13):
+                model = OscillatorModel.polynomial(1.0, (0.0, u1, u2, u3))
+                c0, c1, c2 = model.alpha_coefficients
+                vertex = -c1 / (2 * c2)
+                if vertex <= 0:
+                    continue
+                peak = c0 - c1 * c1 / (4 * c2)
+                for level in (np.nextafter(peak, -np.inf), peak, np.nextafter(peak, np.inf)):
+                    roots = alpha_roots(model, float(level))
+                    assert np.all(np.abs(roots - vertex) <= 1e-5 * vertex), (u1, u2, level)
+
+    def test_linear_kind_has_none(self, linear_model):
+        assert alpha_roots(linear_model, 1.0).size == 0
+
+
 class TestConstruction:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
@@ -149,6 +193,12 @@ class TestConstruction:
     def test_rejects_nonpositive_leading(self):
         with pytest.raises(ValueError):
             OscillatorModel.polynomial(1.0, (0.0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("coefficients", [(0.0,), (0.0, np.nan, 1.0), (0.0, -1.0, np.inf)],
+                             ids=["degree_zero", "nan", "inf"])
+    def test_rejects_degree_zero_or_non_finite(self, coefficients):
+        with pytest.raises(ValueError, match="finite coefficients u_0..u_N with N >= 1"):
+            OscillatorModel(1.0, coefficients)
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):

@@ -82,3 +82,17 @@ class TestNormE:
         with pytest.raises(ValueError):
             norm_e(st, 1.0, R=100.0)
 
+
+class TestFieldInvariants:
+    @pytest.mark.parametrize("half_extent,n_points,text", [
+        (0.0, 5, "half_extent must be positive"),
+        (1.0, 4, "n_points must be odd and >= 3"),
+        (1.0, 1, "n_points must be odd and >= 3"),
+    ], ids=["half_extent", "even_points", "one_point"])
+    def test_grid_rejects(self, half_extent, n_points, text):
+        with pytest.raises(ValueError, match=text):
+            Grid(half_extent, n_points)
+
+    def test_state_rejects_mismatched_arrays(self):
+        with pytest.raises(ValueError, match="field arrays must match the grid point count"):
+            FieldState(Grid(1.0, 5), np.zeros(5), np.zeros(4))

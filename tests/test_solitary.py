@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,31 @@ from hypothesis import strategies as st
 from kgpoint import (FieldState, Grid, OscillatorModel, distance_to_manifold,
                      force, sample_profile, waves_at_omega, waves_from_amplitude)
 from kgpoint.fields import zero_state
-from kgpoint.initial import GaussianSpec, gaussian_state
+from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
 from kgpoint.observables import norm_e
 from kgpoint.solitary import (LinearWaveFamily, SolitaryWave, ZeroWave,
                               profile_norm_e_sq)
 
 SQ75 = float(np.sqrt(0.75))
+
+# potentials whose alpha(s) = c_0 + c_1 s + c_2 s^2 is quadratic: c = (1, 12, -6),
+# (-0.5, 6, -3), (2, 2, -12), (0, 40, -6) and (1.5, 1, -0.75)
+QUADRATIC_ALPHA = [(0.0, -0.5, -3.0, 1.0), (0.0, 0.25, -1.5, 0.5), (0.0, -1.0, -0.5, 2.0),
+                   (0.0, 0.0, -10.0, 1.0), (0.0, -0.75, -0.25, 0.125)]
+
+
+def exact_amplitudes(model, level):
+    """sqrt(s) of the roots s > 0 of alpha(s) = level, ascending, by the
+    quadratic formula in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c0, c1, c2 = (Decimal(c) for c in model.alpha_coefficients)
+        c0 -= Decimal(level)
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0:
+            return []
+        roots = ((-c1 + sign * disc.sqrt()) / (2 * c2) for sign in (1, -1))
+        return sorted(r.sqrt() for r in roots if r > 0)
 
 
 class TestWavesFromAmplitude:
@@ -38,6 +59,25 @@ class TestWavesFromAmplitude:
         assert len(waves) == 1
         assert waves[0].omega == 0.0
         assert waves[0].kappa == pytest.approx(1.0)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("amplitude,kappa", [(-0.1, 0.5), (0.5, 0.0)],
+                             ids=["negative_amplitude", "zero_kappa"])
+    def test_wave_rejects_bad_parameters(self, amplitude, kappa):
+        with pytest.raises(ValueError, match="amplitude >= 0 and kappa > 0"):
+            SolitaryWave(amplitude, 0.0, kappa, 0.5)
+
+    @pytest.mark.parametrize("C,branch,text", [
+        (1.0, "plus", "no solitary wave exists at amplitude C=1.0"),
+        (0.5, "minus", "no minus-branch wave at amplitude C=0.5"),
+    ], ids=["no_wave", "no_branch"])
+    def test_state_rejects_missing_wave(self, small_grid, C, branch, text):
+        # u = (0, -1.5, 1): alpha(s) = 3 - 4 s is negative at s = 1 and equals
+        # 2m at s = 1/4, where the one wave has omega = 0 (the plus branch)
+        model = OscillatorModel.polynomial(1.0, (0.0, -1.5, 1.0))
+        with pytest.raises(ValueError, match=text):
+            solitary_state(model, small_grid, C, branch=branch)
 
 
 class TestWavesAtOmega:
@@ -92,6 +132,19 @@ class TestWavesAtOmega:
         assert any(abs(b.amplitude - 1.42) < 1e-10 for b in back)
         near = waves_at_omega(model, 0.9162)
         assert len(near) == 1 and near[0].amplitude == pytest.approx(1.42, abs=1e-4)
+
+    @pytest.mark.parametrize("coefficients", QUADRATIC_ALPHA)
+    def test_amplitudes_within_4_ulp_of_the_closed_form(self, coefficients):
+        # the level is 2 kappa as waves_at_omega forms it; the grid keeps
+        # every root simple (no level within 3e-3 of alpha's maximum)
+        model = OscillatorModel.polynomial(1.0, coefficients)
+        for omega in np.linspace(-0.99, 0.99, 41):
+            kappa = float(np.sqrt(1.0 - omega * omega))
+            want = exact_amplitudes(model, 2.0 * kappa)
+            got = [w.amplitude for w in waves_at_omega(model, float(omega))]
+            assert len(got) == len(want), (omega, got, want)
+            for g, e in zip(got, want):
+                assert abs(Decimal(g) - e) <= 4 * Decimal(np.spacing(float(e))), (omega, g, e)
 
 
 class TestRoundTrip:
@@ -200,11 +253,33 @@ class TestDistance:
         r1 = distance_to_manifold(cubic_model, rot, 5.0).rho
         assert abs(r0 - r1) < 1e-10 * max(1.0, r0)
 
+    def test_R_beyond_grid_rejected(self, cubic_model, small_grid):
+        # as norm_e does, rather than measuring over the whole grid
+        with pytest.raises(ValueError, match="R exceeds the grid half extent"):
+            distance_to_manifold(cubic_model, zero_state(small_grid), 41.0)
+
+    def test_negative_alpha_leaves_the_zero_wave(self, small_grid):
+        # u = (0, 1, 1): alpha(s) = -2 - 4 s has no zero on s > 0, so no wave
+        model = OscillatorModel.polynomial(1.0, (0.0, 1.0, 1.0))
+        st = gaussian_state(small_grid, GaussianSpec(amplitude=0.3, width=1.0))
+        res = distance_to_manifold(model, st, 5.0)
+        assert isinstance(res.best, ZeroWave)
+        assert res.rho == pytest.approx(norm_e(st, 1.0, R=5.0), rel=1e-12)
+
     @pytest.mark.parametrize("a", [0.0, -1.0])
     def test_linear_without_bound_state_is_zero_wave(self, a, small_grid):
         lin = OscillatorModel.linear(1.0, a)
         st = gaussian_state(small_grid, GaussianSpec(amplitude=0.3, width=1.0, center=0.5))
         res = distance_to_manifold(lin, st, 5.0)
+        assert isinstance(res.best, ZeroWave)
+        assert res.rho == pytest.approx(norm_e(st, 1.0, R=5.0), rel=1e-12)
+
+    def test_linear_state_orthogonal_to_the_modes_is_zero_wave(self, linear_model,
+                                                                small_grid):
+        # odd psi and pi are orthogonal to both even modes: the fit is zero
+        odd = small_grid.x * np.exp(-small_grid.x ** 2)
+        st = FieldState(small_grid, 0.3 * odd, 0.2j * odd)
+        res = distance_to_manifold(linear_model, st, 5.0)
         assert isinstance(res.best, ZeroWave)
         assert res.rho == pytest.approx(norm_e(st, 1.0, R=5.0), rel=1e-12)
 

@@ -7,7 +7,7 @@ from kgpoint import (TraceSeries, Window, dominant_frequency, gap_mass_fraction,
                      modulus_variation, titchmarsh_check, windowed_spectrum)
 from kgpoint.fields import Grid
 from kgpoint.solitary import SolitaryWave, ZeroWave, distance_to_manifold, sample_profile
-from kgpoint.spectral import window_diagnostics
+from kgpoint.spectral import SpectrumEstimate, window_diagnostics
 from kgpoint.volterra import reconstruct_field, solve_trace
 
 
@@ -119,6 +119,14 @@ class TestDominantFrequency:
         tr = make_trace(np.cos(0.7 * tt).astype(complex), dt)
         spec = windowed_spectrum(tr, 60.0, 100.0)
         assert dominant_frequency(spec) == pytest.approx(-0.7, abs=spec.domega)
+
+    def test_flat_top_takes_the_tied_bin(self):
+        # four equal bins: the tie-break picks -domega/2, whose neighbours
+        # equal it, so the parabola through the three is flat and not used
+        freqs = 0.1 * (np.arange(6) - 2.5)
+        spec = SpectrumEstimate(freqs, np.array([0, 1, 1, 1, 1, 0], dtype=complex),
+                                Window.RECT, 0.0, 1.0)
+        assert dominant_frequency(spec) == freqs[2]
 
 
 class TestModulusVariation:
