@@ -44,23 +44,17 @@ under-resolved.  pi adds the Leibniz time derivative of the Duhamel term,
 whose delta ridge integrates to the sharp analytic boundary value
 f(t - |x|)/2, to the free part's exact spectral derivative.
 
-Both cone sums come from one pass.  Every kernel value is taken at the
-distance d = tau - |x| = (t - |x|) - s to the cone edge, with
-r^2 = d (d + 2|x|), so no cancellation of tau^2 - x^2 enters near the edge
-(`_kernels`).  Each row of the kernels is smooth across a run of source
-nodes (they are entire in u = tau^2 - x^2), so the bulk goes by panels of
-2048, 512 and 128 nodes: a (row, panel) pair evaluates the kernels at the
-Chebyshev points of a rule only, the fewest points that resolve the
-kernels' phase across the panel, and multiplies them against the panel's
-moments of the source histories.  A pair that no rule of its level takes
-splits into the shorter panels; what remains, the row x = 0 among it, is
-summed entry by entry in chunks of 32 nodes.  Pairs go in blocks of about
-2^15 kernel entries, small enough that a block's arrays stay in the
-per-core cache; each block computes the cone geometry and the cubic
-table-interpolation weights once, gathers J0 (the psi kernel) and J1/x (the
-pi kernel) with them, and multiplies both against the sources in one
-batched matmul.  The end stencils of all rows take one kernel lookup and
-one einsum.
+Both cone sums come from one pass (`_cone_quadrature`).  Every kernel
+value is taken at the distance d = tau - |x| to the cone edge, formed from
+integer lags as in convolution quadrature (Lubich, Numer. Math. 52 (1988)
+129-145): with t = J dt, a row's last node ji inside the cone and its
+offset e in [0, dt) past it (`_cone_lags`) put node j at
+d = (ji - j) dt + e, rounded relative to d rather than to t, and
+r^2 = d (d + 2|x|) carries no cancellation of tau^2 - x^2 (`_kernels`).
+The bulk goes by Chebyshev panels of 2048, 512 and 128 nodes, each
+(row, panel) pair with the fewest points that resolve the kernels' phase
+across it; what no rule takes, the row x = 0 among it, is summed entry by
+entry, in cache-sized blocks that gather J0 and J1/x with shared weights.
 """
 
 from __future__ import annotations
@@ -354,17 +348,17 @@ _RULE_CLASSES = ((16, 3.4), (20, 6.3), (24, 9.8), (28, 13.8), (32, 18.3), (40, 2
 # panels of the next level, and after the last into chunks of _CHUNK nodes
 # summed entry by entry.  On the attract_seed t = 390 sum, one level of
 # 512 / 128 nodes made 0.70M lookups, 1024 / 128 0.58M, and 2048 / 512 /
-# 128 0.47M (before _EDGE_RATIO); a fourth level saved under 10% more, and
-# rules of 112 and 128 points on 2048 nodes 0.4% for 0.7 MB of tables
+# 128 0.47M; a fourth level saved under 10% more, and rules of 112 and 128
+# points on 2048 nodes 0.4% for 0.7 MB of tables
 _LEVELS = ((2048, 96), (512, 64), (128, 48))
 _CHUNK = 32
-# a rule takes a pair only where tau <= _EDGE_RATIO r at the panel's low
-# end.  Near the cone edge r = sqrt(d (d + 2|x|)) moves by tau/r times the
-# rounding of d = (t - |x|) - s, about ulp(t), and a rule's few points carry
-# that noise with weights of about (panel nodes)/(points): without the bound
-# the t = 190 reconstruction of tests/test_cone_fused.py moved 1.3e-13
-# max|field| from the fixed-rule pass, with it 4.7e-14, at 8% more lookups
-_EDGE_RATIO = 7.0
+# |x| / dt within this many steps of a whole number lies on that step
+# (`_cone_lags`, e = 0), as a grid laid out in decimal steps means it;
+# rounding moves it by up to |x|/dt times dt's relative error, 1.5e-11
+# steps at |x| = 700, dt = 1e-3.  Without the snap, the rows of
+# test_solitary_probe_geometry[0.615234375] 4e-13 steps past a whole step
+# move their cut node and Gauss zone a cell: psi moved 3.5e-5 max|field|
+_SNAP = 1e-9
 
 
 def _panel_rule(n_nodes: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -403,6 +397,19 @@ def _levels() -> tuple[tuple[int, np.ndarray, list, np.ndarray], ...]:
     return tuple(levels)
 
 
+def _cone_lags(x_abs: np.ndarray, J: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ji, e) of each row at t = J dt: ji = J - q with q = ceil(|x| / dt)
+    the row's last node inside the cone (ji < 0 outside it), and
+    e = q dt - |x| in [0, dt), formed in long double.  Node j lies at
+    d = (ji - j) dt + e from the row's cone edge, rounded relative to d."""
+    steps = x_abs / dt
+    whole = np.rint(steps)
+    on = np.abs(steps - whole) <= _SNAP
+    q = np.where(on, whole, np.ceil(steps))
+    e = np.where(on, 0.0, (q.astype(np.longdouble) * dt - x_abs).astype(float))
+    return J - q.astype(np.intp), e
+
+
 def _kernels(tables: KernelTables, m: float, x, d: np.ndarray) -> np.ndarray:
     """(K_psi, K_pi) = (J0(m r)/2, -(m^2/2) tau J1(m r)/(m r)), stacked, at
     rows x and distances d = tau - |x| to the cone edge (x broadcasts
@@ -435,7 +442,8 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     (len(grid_x), k) complex arrays.  The kernels are even in x and the grid
     is symmetric, so only the right half is summed and mirrored; its rows
     inside the cone are a prefix, and the rest stay zero.  Every kernel
-    value comes from `_kernels` at d = (t - |x|) - s.
+    value comes from `_kernels` at d = (ji - j) dt + e (`_cone_lags`), j
+    the source node or a fractional position between nodes.
 
     Each row is a bulk plus an end stencil.  The bulk sums K f dt over the
     source nodes up to the row's cut node s_cut, with f_0 halved (the s = 0
@@ -458,18 +466,18 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     (tests/test_cone_fused.py).
     The bulk runs through the levels of _LEVELS, panels of 2048, 512 and
     128 nodes.  A (row, panel) pair takes the first rule of its level whose
-    limit is at least its phase, if the row's bulk covers the whole panel
-    and tau <= _EDGE_RATIO r at the panel's low end; any other pair splits
-    into the panels of the next level, and after the last into chunks of
-    _CHUNK nodes summed entry by entry, with the row x = 0, which thereby
-    stays the exact mirror of the trace solver's weights.  The pairs of each
-    rule, and the chunks, are summed in blocks of about _BLOCK_ENTRIES
-    kernel entries that share the cone geometry and the interpolation
-    weights between both kernels.  At t = 390 on the attract_seed grid
-    (2049 points, dt = 0.02) the pass makes 0.54M lookups where one
-    24-point rule on 128-node panels made 2.34M, and reconstructions stay
-    within 2e-13 max|field| of that pass (6.2e-13 from the direct pass,
-    as that one is).
+    limit is at least its phase, if the row's bulk covers the whole panel;
+    any other pair splits into the panels of the next level, and after the
+    last into chunks of _CHUNK nodes summed entry by entry, with the row
+    x = 0, which thereby stays the exact mirror of the trace solver's
+    weights.  The pairs of each rule, and the chunks, are summed in blocks
+    of about _BLOCK_ENTRIES kernel entries that share the cone geometry and
+    the interpolation weights between both kernels.  At t = 390 on the
+    attract_seed grid (2049 points, dt = 0.02) the pass makes 0.48M lookups
+    where one 24-point rule on 128-node panels made 2.34M, and stays within
+    2.2e-13 max|field| of the same quadrature summed entry by entry with
+    its distances in long double (tests/cone_exact_oracle.py), where the
+    fixed-rule pass is 4.5e-13 away.
 
     Near the cone edge the kernels turn as functions of r = sqrt(tau^2-x^2)
     with d(phase)/ds ~ m sqrt(x/(2u)) diverging at the edge (u = distance to
@@ -488,13 +496,9 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     n_half = (len(grid_x) + 1) // 2
     xa = grid_x[n_half - 1:]  # 0 .. L ascending
     n_times, n_cols = f_cols.shape
-    ji = np.floor((t - xa) / dt + 1e-12).astype(np.intp)
+    ji, e = _cone_lags(xa, round(t / dt), dt)
     rows = int(np.count_nonzero(ji >= 0))  # ji does not increase with |x|
-    xa = xa[:rows]
-    reach = t - xa
-    ji = np.minimum(ji[:rows], n_times - 1)
-    delta = np.maximum(reach - ji * dt, 0.0)
-    delta[delta < 1e-9 * dt] = 0.0  # snap fp residue so on-node cones use the limit value
+    xa, ji, e = xa[:rows], ji[:rows], e[:rows]
 
     use_gauss = (2.0 * m * m * xa * dt > 0.5) & (ji >= 1)
     n_e = np.where(use_gauss, np.ceil(2.0 * m * m * xa * dt).astype(np.intp) + 1, 0)
@@ -515,7 +519,7 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
         step = max(1, _BLOCK_ENTRIES // len(offsets))
         for a in range(0, len(row), step):
             rb, nodes = row[a:a + step], start[a:a + step, None] + offsets
-            kern = _kernels(tables, m, xa[rb, None], reach[rb, None] - nodes * dt)
+            kern = _kernels(tables, m, xa[rb, None], (ji[rb, None] - nodes) * dt + e[rb, None])
             if panel is None:
                 short = np.flatnonzero(nodes[:, -1] > j_cut[rb])
                 kern[:, short] *= nodes[short] <= j_cut[rb[short], None]
@@ -550,14 +554,15 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
         subs = [level[0] for level in levels[1:]] + [_CHUNK]
         for (size, limits, rules, cheb), sub in zip(levels, subs):
             last = start + (size - 1)
-            x = xa[row]
-            d_lo = np.maximum(reach[row] - last * dt, 0.0)
-            d_hi = np.maximum(reach[row] - start * dt, 0.0)  # the front row: an ulp out
+            x, lag = xa[row], ji[row] - start
+            # a panel past the row's bulk splits whatever its phase
+            d_lo = np.maximum(lag - (size - 1), 0) * dt + e[row]
+            d_hi = lag * dt + e[row]
             r_lo = np.sqrt(d_lo * (d_lo + 2.0 * x))
             # each pair's rule, the first whose limit covers its phase;
             # len(limits) sends the pair to the next level
             cls = np.searchsorted(limits, m * (np.sqrt(d_hi * (d_hi + 2.0 * x)) - r_lo))
-            cls[(j_cut[row] < last) | (d_lo + x > _EDGE_RATIO * r_lo)] = len(limits)
+            cls[j_cut[row] < last] = len(limits)
             # each whole panel's sources folded about its middle, the even and
             # odd parts that the even and odd T_k see
             whole = g[:n_nodes // size * size].reshape(-1, size, g.shape[1])
@@ -584,13 +589,13 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     shape = (rows, 2 + len(_GAUSS_X))
     d, weight, frac = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     node = np.zeros(shape, dtype=np.intp)
-    half_cell = np.where(use_gauss, 0.0, 0.5 * delta)  # partial cell trapezoid
-    d[:, 0] = reach - j_cut * dt
+    half_cell = np.where(use_gauss, 0.0, 0.5 * e)  # partial cell trapezoid
+    d[:, 0] = (ji - j_cut) * dt + e
     weight[:, 0] = half_cell - 0.5 * dt
     node[:, 0] = j_cut
     weight[:, 1] = half_cell
     node[:, 1] = ji
-    frac[:, 1] = delta / dt
+    frac[:, 1] = e / dt
     # Gauss rule in r over the edge zone, K ds = K (r / tau) dr, from
     # r_b = r(s_cut); d = r^2 / (tau + |x|) carries no cancellation
     z = np.flatnonzero(use_gauss)
@@ -601,9 +606,9 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     tau = np.sqrt(xz * xz + r * r)
     d[z, 2:] = r * r / (tau + xz)
     weight[z, 2:] = r_b * _GAUSS_W * r / tau
-    s_g = (reach[z, None] - d[z, 2:]) / dt
-    node[z, 2:] = s_g
-    frac[z, 2:] = s_g - node[z, 2:]
+    back = (d[z, 2:] - e[z, None]) / dt  # nodes back from ji; < 0 in the partial cell
+    node[z, 2:] = ji[z, None] - np.ceil(back)
+    frac[z, 2:] = np.ceil(back) - back
 
     kern = _kernels(tables, m, xa[:, None], d)
     kern *= weight
@@ -642,11 +647,10 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
     """
     j = trace.index_of(t)
     if j == 0:
-        out = initial.copy()
-        return out
+        return initial.copy()
     m = model.mass
     dt = trace.dt
-    t = j * dt  # exact grid time, so cone-edge snapping at x = 0 is reliable
+    t = j * dt
     check_horizon(initial, t, "reconstruct_field")
     if tables is None:
         tables = _tables_for(m, t, dt)
@@ -654,8 +658,7 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
         raise ValueError(f"kernel tables cover arguments up to {tables.a_max:.6g}, "
                          f"reconstruction at t = {t:.6g} needs m t = {m * t:.6g}")
     grid = initial.grid
-    reach = t - np.abs(grid.x)
-    inside = reach >= 0.0
+    ji, e = _cone_lags(np.abs(grid.x), j, dt)
 
     split = kink_split(initial, m)
     free = free_evolve(split.rest, t, m)
@@ -664,8 +667,8 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
     d_psi, d_pi = _cone_quadrature(dt, (f + split.source(trace.times))[:, None], grid.x, t,
                                    tables, m)
     psi = free.psi + d_psi[:, 0] + psi_pair
-    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * _interp_history(f, reach, dt, inside)
-          + np.where(inside, 0.5 * split.source(reach), 0.0))
+    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * _interp_history(f, ji, e, dt)
+          + np.where(ji >= 0, 0.5 * split.source(t - np.abs(grid.x)), 0.0))
     return FieldState(grid, psi, pi, t)
 
 
@@ -684,14 +687,11 @@ def reconstruct_fields(model: OscillatorModel, initial: FieldState, trace: Trace
     return [reconstruct_field(model, initial, trace, t, tables) for t in times]
 
 
-def _interp_history(f: np.ndarray, reach: np.ndarray, dt: float,
-                    inside: np.ndarray) -> np.ndarray:
-    """f(t - |x|) by linear interpolation on the trace grid, 0 outside the cone."""
-    ji = np.floor(reach / dt + 1e-12).astype(np.intp)
-    ji_c = np.clip(ji, 0, len(f) - 1)
-    frac = np.clip(np.where(inside, (reach - ji_c * dt) / dt, 0.0), 0.0, 1.0)
-    ji_next = np.minimum(ji_c + 1, len(f) - 1)
-    return np.where(inside, f[ji_c] + (f[ji_next] - f[ji_c]) * frac, 0.0)
+def _interp_history(f: np.ndarray, ji: np.ndarray, e: np.ndarray, dt: float) -> np.ndarray:
+    """f(t - |x|) = f((ji + e/dt) dt) by linear interpolation on the trace
+    grid, 0 outside the cone (ji < 0); (ji, e) from `_cone_lags`."""
+    j = np.maximum(ji, 0)
+    return np.where(ji >= 0, f[j] + (f[np.minimum(j + 1, len(f) - 1)] - f[j]) * (e / dt), 0.0)
 
 
 def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,

@@ -1,6 +1,6 @@
 """The fused psi/pi cone pass, with its Chebyshev panel rules, against the
-two-pass direct oracle in cone_oracle.py and the fixed-rule panel pass in
-cone_panel_oracle.py."""
+exact-geometry sum in cone_exact_oracle.py, the two-pass direct oracle in
+cone_oracle.py and the fixed-rule panel pass in cone_panel_oracle.py."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cone_exact_oracle
 import cone_oracle
 import cone_panel_oracle
 import table_oracle
@@ -42,14 +43,17 @@ def many_panels_run(cubic_model):
     return init, solve_trace(cubic_model, init, 190.0, 0.02).trace
 
 
-def _assert_matches_oracle(model, init, trace, t, monkeypatch):
-    """Reconstruct at t with the fused pass, with the direct oracle and with
-    the fixed-rule panel pass; assert that the fused pass agrees with them
-    to 1e-12 and 1e-13 max|field|, and return it and the direct state."""
+def _assert_matches_oracle(model, init, trace, t, monkeypatch, panel_oracle=True):
+    """Reconstruct at t with the fused pass and with each oracle; assert that
+    the fused pass is within 1e-13 max|field| of the exact-geometry sum and
+    of the fixed-rule panel pass (unless `panel_oracle` is false) and within
+    1e-12 of the direct oracle, and return it and the direct state."""
     tables = KernelTables(model.mass * (t + trace.dt) + 1.0)
     fused = reconstruct_field(model, init, trace, t, tables)
-    for quadrature, tol in ((cone_panel_oracle.cone_quadrature, 1e-13),
-                            (cone_oracle.cone_quadrature, 1e-12)):
+    oracles = [(cone_exact_oracle.cone_quadrature, 1e-13), (cone_oracle.cone_quadrature, 1e-12)]
+    if panel_oracle:
+        oracles.insert(1, (cone_panel_oracle.cone_quadrature, 1e-13))
+    for quadrature, tol in oracles:
         with monkeypatch.context() as mp:
             mp.setattr(volterra, "_cone_quadrature", quadrature)
             oracle = reconstruct_field(model, init, trace, t, tables)
@@ -73,7 +77,8 @@ def test_center_column_is_summed_directly(cubic_model, solitary_run, monkeypatch
     # x = 0 stays on the direct pass, the mirror of the trace solver's
     # product-integration weights.  The panel rule is accurate to roundoff
     # there too, so the lookups show which pass summed it: the kernel is
-    # read at every source node s_j, at argument m (t - s_j)
+    # read at every lag n, at the trace solver's own argument m (n dt), bit
+    # for bit
     init, trace = solitary_run
     t = 6.0
     args = []
@@ -91,10 +96,8 @@ def test_center_column_is_summed_directly(cubic_model, solitary_run, monkeypatch
     for got, want in ((fused.psi, oracle.psi), (fused.pi, oracle.pi)):
         assert abs(got[c] - want[c]) <= 1e-14 * abs(want[c])
     seen = np.unique(np.concatenate(args))
-    center_args = cubic_model.mass * (t - trace.times[:trace.index_of(t) + 1])
-    nearest = np.clip(np.searchsorted(seen, center_args), 1, len(seen) - 1)
-    gap = np.minimum(np.abs(seen[nearest] - center_args), np.abs(seen[nearest - 1] - center_args))
-    assert np.all(gap <= 1e-12 * t)
+    center_args = cubic_model.mass * trace.times[:trace.index_of(t) + 1]
+    assert np.all(np.isin(center_args, seen))
 
 
 @pytest.mark.parametrize("spacing", [0.419921875, 0.615234375])
@@ -108,11 +111,8 @@ def test_solitary_probe_geometry(cubic_model, monkeypatch, spacing):
     assert np.all(np.isfinite(fused.psi)) and np.all(np.isfinite(fused.pi))
 
 
-def test_many_panels_look_up_few_entries(cubic_model, many_panels_run, monkeypatch):
-    # counting the points the fused pass hands to the tables catches a
-    # silent fallback to the direct pass
-    init, trace = many_panels_run
-    t = 190.0
+def _lookups(monkeypatch, run) -> int:
+    """Kernel points that run() hands to the tables."""
     points = []
     lookup = KernelTables.__call__
 
@@ -122,11 +122,28 @@ def test_many_panels_look_up_few_entries(cubic_model, many_panels_run, monkeypat
 
     with monkeypatch.context() as mp:
         mp.setattr(KernelTables, "__call__", counting)
-        reconstruct_field(cubic_model, init, trace, t)
-    reach = t - init.grid.x[init.grid.center_index:]
-    entries = int(np.sum(np.floor(reach[reach >= 0] / trace.dt + 1e-12) + 1))
-    assert sum(points) < 0.2 * entries
-    _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch)
+        run()
+    return sum(points)
+
+
+def test_many_panels_look_up_few_entries(cubic_model, many_panels_run, monkeypatch):
+    # counting the points the fused pass hands to the tables catches a
+    # silent fallback to the direct pass
+    init, trace = many_panels_run
+    t = 190.0
+    points = _lookups(monkeypatch, lambda: reconstruct_field(cubic_model, init, trace, t))
+    ji, _ = volterra._cone_lags(np.abs(init.grid.x[init.grid.center_index:]),
+                                trace.index_of(t), trace.dt)
+    assert points < 0.2 * np.sum(ji[ji >= 0] + 1)
+    # the fixed-rule panel pass is 1.58e-13 max|field| from the exact
+    # geometry here, the rounding of (t - |x|) - s_j that the lags remove
+    _assert_matches_oracle(cubic_model, init, trace, t, monkeypatch, panel_oracle=False)
+    # the attract_seed grid's t = 390 sum: 0.476M lookups of 9.07M entries
+    # in the cone
+    grid, dt = Grid(430.0, 2 ** 11 + 1), 0.02
+    f = np.ones((19501, 1), dtype=complex)
+    assert _lookups(monkeypatch, lambda: volterra._cone_quadrature(
+        dt, f, grid.x, 390.0, KernelTables(391.0), 1.0)) <= 500_000
 
 
 def test_gaussian_with_gauss_edge_zone(cubic_model, coarse_gaussian_run, monkeypatch):
@@ -255,23 +272,58 @@ def test_compressed_panel_at_the_phase_bound(dt, wide_tables):
 
 
 def test_kernels_carry_no_cancellation_at_the_cone_edge():
-    # rows at tau ~ 700 with d = tau - |x| in [0, 0.1] on the dt = 1e-3 grid,
-    # d formed as the pass forms it, (t - |x|) - s_j.  The reference takes r
-    # from exact rational arithmetic on the same t, x and s_j; r^2 formed as
-    # tau^2 - x^2 from the rounded tau = t - s_j is off by about ulp(tau^2)
-    # there, which moves the kernels by 4e-12 of sum |K| (1e-16 in the d form)
+    # rows at tau ~ 700 with d = tau - |x| in [0, 0.1] on the dt = 1e-3 grid.
+    # The reference takes r from exact rational arithmetic; r^2 formed as
+    # tau^2 - x^2 from a rounded tau is off by about ulp(tau^2) there, which
+    # moves the kernels by 4e-12 of sum |K| (1e-16 in the d form)
     m, t, dt = 1.0, 1000.0, 1e-3
     tables = KernelTables(m * t + 1.0)
-    for x in (700.0, 700.0123, 699.9507, 700.31):
-        reach = t - x
-        s = np.arange(math.ceil((reach - 0.1) / dt), math.floor(reach / dt) + 1) * dt
-        got = volterra._kernels(tables, m, x, reach - s)
-        tau = [Fraction(t) - Fraction(s_j) for s_j in s.tolist()]
+
+    def assert_close(x, d, tau):
+        got = volterra._kernels(tables, m, x, d)
         r = np.sqrt([max(float(tau_j * tau_j - Fraction(x) ** 2), 0.0) for tau_j in tau])
         j0, j1x = tables(m * r)
         want = (0.5 * j0, -0.5 * m * m * np.array([float(tau_j) for tau_j in tau]) * j1x)
         for g, w in zip(got, want):
             assert np.sum(np.abs(g - w)) <= 1e-14 * np.sum(np.abs(w))
+
+    for x in (700.0, 700.0123, 699.9507, 700.31):
+        # d = (t - |x|) - s_j, against the same t, x and rounded s_j
+        reach = t - x
+        s = np.arange(math.ceil((reach - 0.1) / dt), math.floor(reach / dt) + 1) * dt
+        assert_close(x, reach - s, [Fraction(t) - Fraction(s_j) for s_j in s.tolist()])
+        # d = (ji - j) dt + e_x as the pass forms it, against exact rationals
+        # of (J - j) dt - x: 2e-16 to 2.8e-15 of sum |K|, where (t - |x|) - s_j
+        # is 2.3e-12 to 8.7e-12 and e_x rounded in doubles up to 2e-11.
+        # 700.0 and 700.31 lie on a whole step (e_x = 0), and the reference
+        # puts them there, at (J - ji) dt: the doubles miss it by about
+        # 1.5e-11 dt, the representation error of dt summed over 7e5 steps
+        J = round(t / dt)
+        (ji,), (e,) = volterra._cone_lags(np.array([x]), J, dt)
+        j = ji - np.arange(math.floor(0.1 / dt) + 1)
+        edge = (J - ji) * Fraction(dt) if e == 0.0 else Fraction(x)
+        assert_close(x, (ji - j) * dt + e,
+                     [(J - j_k) * Fraction(dt) - edge + Fraction(x) for j_k in j.tolist()])
+
+
+@pytest.mark.parametrize("half_extent, n_points, dt, k_step",
+                         [(3.0, 61, 0.05, 2), (3.0, 61, 0.1, 1), (315.0, 1025, 0.02, 7875 / 256)])
+def test_cone_lags_put_whole_steps_on_their_node(half_extent, n_points, dt, k_step):
+    # grids whose spacing is a whole number of steps, or every 256th node on
+    # the h = 0.615234375 probe grid: a row with |x| = k dt gets e = 0 and
+    # ji = J - k although x and dt are rounded, and the boundary value
+    # f(t - |x|) is the trace node f[J - k] itself
+    grid = Grid(half_extent, n_points)
+    J = 19500
+    x = np.abs(grid.x[grid.center_index:])
+    ji, e = volterra._cone_lags(x, J, dt)
+    on = np.flatnonzero(np.arange(len(x)) * k_step % 1 == 0)
+    k = np.rint(np.arange(len(x))[on] * k_step).astype(np.intp)
+    assert len(on) >= 3 and np.all(e[on] == 0.0) and np.all(ji[on] == J - k)
+    assert np.all((0.0 <= e) & (e < dt))
+    assert np.allclose(ji * dt + e, J * dt - x, rtol=0.0, atol=1e-12 * J * dt)
+    f = np.random.default_rng(5).standard_normal((J + 1, 2)) @ np.array([1.0, 1j])
+    assert np.all(volterra._interp_history(f, ji, e, dt)[on] == f[J - k])
 
 
 @pytest.mark.parametrize("quadrature", [volterra._cone_quadrature, cone_oracle.cone_quadrature],
