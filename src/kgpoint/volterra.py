@@ -437,13 +437,13 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     dG/dt = -(m^2/2) tau J1(m r)/(m r), in one pass.  The delta ridge of
     dG/dt on the cone is left to the caller as the boundary term f(t-|x|)/2.
 
-    `f_cols` has shape (n_times, k): each column is one source history and
-    gets its own output column; the result is the pair (psi, pi) of
-    (len(grid_x), k) complex arrays.  The kernels are even in x and the grid
-    is symmetric, so only the right half is summed and mirrored; its rows
-    inside the cone are a prefix, and the rest stay zero.  Every kernel
-    value comes from `_kernels` at d = (ji - j) dt + e (`_cone_lags`), j
-    the source node or a fractional position between nodes.
+    t must be a time J dt of the trace grid (J = round(t / dt) is used).
+    `f_cols` has shape (n_times, k), one source history per column and output
+    column; the result is the pair (psi, pi) of (len(grid_x), k) complex
+    arrays.  The kernels are even in x and the grid is symmetric, so only
+    the right half is summed and mirrored; its rows inside the cone are a
+    prefix, the rest stay zero.  Every kernel value comes from `_kernels` at
+    d = (ji - j) dt + e (`_cone_lags`), j a node or a fraction between nodes.
 
     Each row is a bulk plus an end stencil.  The bulk sums K f dt over the
     source nodes up to the row's cut node s_cut, with f_0 halved (the s = 0
