@@ -2,8 +2,9 @@
 
 A config is an INI-style document with sections [model], [grid], [time],
 [initial], [run], [outputs].  Numbers are parsed as decimal with full
-precision.  Validation collects every violated invariant before failing,
-including the horizon rule
+precision.  A key that the run does not read is an error, except the four
+that earlier versions read.  Validation collects every violated invariant
+before failing, including the horizon rule
 
     half_extent >= data_radius + T + 1
 
@@ -111,13 +112,20 @@ _INITIAL_NUMBERS = (("C", 0.5), ("theta", 0.0), ("amplitude_re", 0.5), ("amplitu
                     ("bump_width", 1.0), ("bump_center", 3.0))
 
 
+# keys that earlier versions read and this one accepts without reading
+_LEGACY_KEYS = (("outputs", "trace"), ("outputs", "report"), ("run", "workers"),
+                ("run", "fd_delta_width"))
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing every violation."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     errors: list[str] = []
+    read = set(_LEGACY_KEYS)
 
     def get(section, key, conv, default=None, required=False):
+        read.add((section, cp.optionxform(key)))
         try:
             raw = cp.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
@@ -219,6 +227,8 @@ def parse_config_text(text: str) -> RunConfig:
         errors.append(f"run.energy_tol must be positive, got {energy_tol}")
     snapshots = get("outputs", "snapshots", _parse_floats, [])
     spectrum_windows = get("outputs", "spectrum_windows", _parse_windows, [])
+    errors += [f"unknown key {section}.{key}" for section in cp.sections()
+               for key in cp[section] if (section, key) not in read]
     if errors:
         raise ConfigError(errors)
 

@@ -81,12 +81,10 @@ class OscillatorModel:
 
 
 def potential(model: OscillatorModel, psi: complex) -> float:
-    """U(psi) = u(|psi|^2)."""
+    """U(psi) = u(|psi|^2); inf, without a warning, where that overflows."""
     s = float(np.real(psi * np.conj(psi)))
-    acc = 0.0
-    for u_n in reversed(model.coefficients):
-        acc = acc * s + u_n
-    return acc
+    with np.errstate(over="ignore"):
+        return float(npoly.polyval(s, model.coefficients))
 
 
 def alpha(model: OscillatorModel, s) -> float | np.ndarray:
@@ -94,10 +92,7 @@ def alpha(model: OscillatorModel, s) -> float | np.ndarray:
 
     Constant (= a) for the linear kind.  Accepts scalars or arrays.
     """
-    s = np.asarray(s, dtype=float)
-    acc = np.zeros(s.shape)
-    for c in reversed(model.alpha_coefficients):
-        acc = acc * s + c
+    acc = npoly.polyval(np.asarray(s, dtype=float), model.alpha_coefficients)
     return float(acc) if acc.ndim == 0 else acc
 
 

@@ -19,22 +19,24 @@ from .model import OscillatorModel, potential
 
 
 def _dx_with_center_kink(psi: np.ndarray, h: float, c: int):
-    """Derivative samples plus the one-sided pair (d_plus, d_minus) at node c.
+    """Derivative samples along the last axis plus the one-sided pair
+    (d_plus, d_minus) at node c; the seminorm and `solitary._profile_rows`
+    both take their stencils from here.
 
     The array entry at c holds the pair average (the jump-symmetric value);
     quadratic functionals must use the pair, not the average.
     """
     d = np.empty_like(psi)
-    d[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
-    d[0] = (psi[1] - psi[0]) / h
-    d[-1] = (psi[-1] - psi[-2]) / h
-    if c + 2 < len(psi) and c >= 2:
-        d_plus = (-3.0 * psi[c] + 4.0 * psi[c + 1] - psi[c + 2]) / (2.0 * h)
-        d_minus = (3.0 * psi[c] - 4.0 * psi[c - 1] + psi[c - 2]) / (2.0 * h)
+    d[..., 1:-1] = (psi[..., 2:] - psi[..., :-2]) / (2.0 * h)
+    d[..., 0] = (psi[..., 1] - psi[..., 0]) / h
+    d[..., -1] = (psi[..., -1] - psi[..., -2]) / h
+    if c + 2 < psi.shape[-1] and c >= 2:
+        d_plus = (-3.0 * psi[..., c] + 4.0 * psi[..., c + 1] - psi[..., c + 2]) / (2.0 * h)
+        d_minus = (3.0 * psi[..., c] - 4.0 * psi[..., c - 1] + psi[..., c - 2]) / (2.0 * h)
     else:
-        d_plus = (psi[c + 1] - psi[c]) / h
-        d_minus = (psi[c] - psi[c - 1]) / h
-    d[c] = 0.5 * (d_plus + d_minus)
+        d_plus = (psi[..., c + 1] - psi[..., c]) / h
+        d_minus = (psi[..., c] - psi[..., c - 1]) / h
+    d[..., c] = 0.5 * (d_plus + d_minus)
     return d, d_plus, d_minus
 
 

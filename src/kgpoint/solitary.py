@@ -87,11 +87,6 @@ def _bracket_nodes(s_max: float) -> np.ndarray:
     ]))
 
 
-def _amplitudes_at_kappa(model: OscillatorModel, kappa: float) -> list[float]:
-    """All C > 0 with alpha(C^2) = 2 kappa for a polynomial model."""
-    return [float(np.sqrt(s)) for s in alpha_roots(model, 2.0 * kappa)]
-
-
 def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]:
     """The zero, one, or two waves with amplitude C (Remark: omega = +/- sqrt(m^2 - kappa_C^2))."""
     if C <= 0:
@@ -126,8 +121,8 @@ def waves_at_omega(model: OscillatorModel, omega: float
     if abs(omega) >= m:
         raise ValueError("strictly nonlinear models only have solitary waves for |omega| < m")
     kappa = float(np.sqrt(m * m - omega * omega))
-    return [SolitaryWave(C, 0.0, kappa, float(omega))
-            for C in _amplitudes_at_kappa(model, kappa)]
+    return [SolitaryWave(np.sqrt(s), 0.0, kappa, float(omega))
+            for s in alpha_roots(model, 2.0 * kappa)]
 
 
 def sample_profile(wave: SolitaryWave, grid: Grid, t: float = 0.0) -> FieldState:
@@ -143,13 +138,9 @@ def profile_norm_e_sq(wave: SolitaryWave, m: float) -> float:
 
 
 def _window(state: FieldState, m: float, R: float):
-    """Arrays (psi, psi', one-sided pair, pi, weights) restricted to |x| <= R;
-    an R beyond the grid raises, as in `norm_e`.
-
-    Stencils match the global seminorm exactly (centered; second-order
-    one-sided pair across the x = 0 kink), so a state equal to a sampled
-    candidate gives exactly zero residual.
-    """
+    """Arrays (psi, psi', one-sided pair, pi, weights) restricted to |x| <= R,
+    with the seminorm's stencils (`_dx_with_center_kink`); an R beyond the
+    grid raises, as in `norm_e`."""
     grid = state.grid
     c = grid.center_index
     h = grid.spacing
@@ -166,24 +157,19 @@ def _profile_rows(kappa: np.ndarray, x_w: np.ndarray, half: int) -> np.ndarray:
     """Rows [phi | phi' | phi'(0+), phi'(0-)] of phi = e^{-kappa |x|} on the
     window nodes, one row per kappa.
 
-    Two guard nodes per side make the stencils identical to the global
-    operator's.  The centred phi' entry at the kink node stays the plain
-    centred difference: inner products give it weight zero and read the
-    one-sided pair instead.
+    The derivative entries are `_dx_with_center_kink` of the profiles with
+    two guard nodes per side, the stencil of the state's seminorm, so a
+    state equal to a sampled candidate has exactly zero residual.  The phi'
+    entry at the kink node holds the pair average, as in the state's row;
+    inner products give it weight zero and read the one-sided pair instead.
     """
     h = x_w[1] - x_w[0]
-    n = len(x_w)
-    x_ext = np.abs(np.concatenate((x_w[0] - h * np.array([2.0, 1.0]), x_w,
-                                   x_w[-1] + h * np.array([1.0, 2.0]))))
+    x_ext = np.abs(np.concatenate(([x_w[0] - 2.0 * h, x_w[0] - h], x_w,
+                                   [x_w[-1] + h, x_w[-1] + 2.0 * h])))
     prof = np.exp(-np.multiply.outer(kappa, x_ext))
-    c = half + 2  # x = 0 position inside prof
-    rows = np.empty((len(kappa), 2 * n + 2))
-    rows[:, :n] = prof[:, 2:-2]
-    np.subtract(prof[:, 3:-1], prof[:, 1:-3], out=rows[:, n:2 * n])
-    rows[:, 2 * n] = -3.0 * prof[:, c] + 4.0 * prof[:, c + 1] - prof[:, c + 2]
-    rows[:, 2 * n + 1] = 3.0 * prof[:, c] - 4.0 * prof[:, c - 1] + prof[:, c - 2]
-    rows[:, n:] /= 2.0 * h
-    return rows
+    d, d_plus, d_minus = _dx_with_center_kink(prof, h, half + 2)
+    return np.concatenate((prof[:, 2:-2], d[:, 2:-2], d_plus[:, None], d_minus[:, None]),
+                          axis=1)
 
 
 # profile-matrix entries per chunk of the amplitude scan, so that its

@@ -410,6 +410,14 @@ def _cone_lags(x_abs: np.ndarray, J: int, dt: float) -> tuple[np.ndarray, np.nda
     return J - q.astype(np.intp), e
 
 
+def _interp_history(f: np.ndarray, node: np.ndarray, frac) -> np.ndarray:
+    """f((node + frac) dt), linear between trace nodes, for the cone's end
+    stencil and pi's boundary term f(t - |x|)/2; f's first axis is time,
+    frac broadcasts against f[node], and a node past the last reads the last."""
+    f_node = f[node]
+    return f_node + (f[np.minimum(node + 1, len(f) - 1)] - f_node) * frac
+
+
 def _kernels(tables: KernelTables, m: float, x, d: np.ndarray) -> np.ndarray:
     """(K_psi, K_pi) = (J0(m r)/2, -(m^2/2) tau J1(m r)/(m r)), stacked, at
     rows x and distances d = tau - |x| to the cone edge (x broadcasts
@@ -437,7 +445,7 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     dG/dt = -(m^2/2) tau J1(m r)/(m r), in one pass.  The delta ridge of
     dG/dt on the cone is left to the caller as the boundary term f(t-|x|)/2.
 
-    t must be a time J dt of the trace grid (J = round(t / dt) is used).
+    t must be a time J dt of the trace grid (`grid_index`), else ValueError.
     `f_cols` has shape (n_times, k), one source history per column and output
     column; the result is the pair (psi, pi) of (len(grid_x), k) complex
     arrays.  The kernels are even in x and the grid is symmetric, so only
@@ -495,8 +503,11 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
     """
     n_half = (len(grid_x) + 1) // 2
     xa = grid_x[n_half - 1:]  # 0 .. L ascending
-    n_times, n_cols = f_cols.shape
-    ji, e = _cone_lags(xa, round(t / dt), dt)
+    n_cols = f_cols.shape[1]
+    J = grid_index(t, dt)
+    if J is None:
+        raise ValueError(f"t = {t:.6g} is not on the trace grid of step {dt:.6g}")
+    ji, e = _cone_lags(xa, J, dt)
     rows = int(np.count_nonzero(ji >= 0))  # ji does not increase with |x|
     xa, ji, e = xa[:rows], ji[:rows], e[:rows]
 
@@ -612,9 +623,7 @@ def _cone_quadrature(dt: float, f_cols: np.ndarray, grid_x: np.ndarray, t: float
 
     kern = _kernels(tables, m, xa[:, None], d)
     kern *= weight
-    f_node = f_ri[node]
-    f_node += (f_ri[np.minimum(node + 1, n_times - 1)] - f_node) * frac[..., None]
-    acc[:, :rows] += np.einsum("crn,rnk->crk", kern, f_node)
+    acc[:, :rows] += np.einsum("crn,rnk->crk", kern, _interp_history(f_ri, node, frac[..., None]))
 
     return tuple(np.concatenate([half[:0:-1], half], axis=0)
                  for half in acc[..., :n_cols] + 1j * acc[..., n_cols:])
@@ -667,7 +676,8 @@ def reconstruct_field(model: OscillatorModel, initial: FieldState, trace: TraceS
     d_psi, d_pi = _cone_quadrature(dt, (f + split.source(trace.times))[:, None], grid.x, t,
                                    tables, m)
     psi = free.psi + d_psi[:, 0] + psi_pair
-    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * _interp_history(f, ji, e, dt)
+    f_edge = np.where(ji >= 0, _interp_history(f, np.maximum(ji, 0), e / dt), 0.0)
+    pi = (free.pi + d_pi[:, 0] + pi_pair + 0.5 * f_edge
           + np.where(ji >= 0, 0.5 * split.source(t - np.abs(grid.x)), 0.0))
     return FieldState(grid, psi, pi, t)
 
@@ -685,13 +695,6 @@ def reconstruct_fields(model: OscillatorModel, initial: FieldState, trace: Trace
         return []
     tables = _tables_for(model.mass, max(times), trace.dt)
     return [reconstruct_field(model, initial, trace, t, tables) for t in times]
-
-
-def _interp_history(f: np.ndarray, ji: np.ndarray, e: np.ndarray, dt: float) -> np.ndarray:
-    """f(t - |x|) = f((ji + e/dt) dt) by linear interpolation on the trace
-    grid, 0 outside the cone (ji < 0); (ji, e) from `_cone_lags`."""
-    j = np.maximum(ji, 0)
-    return np.where(ji >= 0, f[j] + (f[np.minimum(j + 1, len(f) - 1)] - f[j]) * (e / dt), 0.0)
 
 
 def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
@@ -714,10 +717,9 @@ def solve_full(model: OscillatorModel, initial: FieldState, T: float, dt: float,
 
     report.energy_initial = energy_of(model, initial)
     report.charge_initial = charge_of(initial)
-    report.energy_samples = np.array([(t, energy_of(model, state))
-                                      for t, state in zip(snapshot_times, snapshots)])
-    report.charge_samples = np.array([(t, charge_of(state))
-                                      for t, state in zip(snapshot_times, snapshots)])
+    samples = np.array([(t, energy_of(model, state), charge_of(state))
+                        for t, state in zip(snapshot_times, snapshots)])
+    report.energy_samples, report.charge_samples = samples[:, :2], samples[:, [0, 2]]
     drift = report.energy_drift
     if drift > energy_tol:
         report.status = SolveStatus.ENERGY_DRIFT_EXCEEDED

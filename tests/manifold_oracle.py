@@ -6,8 +6,9 @@ amplitude root alpha(C^2) = 2 kappa at each of them and refines omega by
 golden section, where `distance_to_manifold` scans s = C^2 and obtains kappa
 and omega in closed form.  Both branches form their inner products with
 `win_inner` on per-candidate window arrays, where `distance_to_manifold`
-reads profile rows against precomputed projections.  The window arrays, the
-profile stencils and the root isolation come from the current module.
+reads profile rows against precomputed projections.  The window arrays and
+the profile stencils come from the current module, the amplitude roots from
+`model.alpha_roots`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from kgpoint.fields import FieldState
-from kgpoint.model import OscillatorModel
+from kgpoint.model import OscillatorModel, alpha_roots
 from kgpoint.solitary import (LinearSpanFit, ManifoldDistance, SolitaryWave, ZeroWave,
-                              _amplitudes_at_kappa, _profile_rows, _window)
+                              _profile_rows, _window)
 
 
 def _candidate_window_arrays(wave_params, x_w, half):
@@ -80,7 +81,7 @@ def distance_to_manifold_oracle(model: OscillatorModel, state: FieldState, R: fl
     def best_at_omega(omega: float):
         kappa = float(np.sqrt(m * m - omega * omega))
         best = (np.inf, None)
-        for C in _amplitudes_at_kappa(model, kappa):
+        for C in np.sqrt(alpha_roots(model, 2.0 * kappa)).tolist():
             cand = _candidate_window_arrays((C, kappa, omega), x_w, half)
             ip = win_inner(state_bundle, cand)
             nn = win_inner(cand, cand).real

@@ -132,6 +132,13 @@ CONFIG_VIOLATIONS = [
     ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.5\nbump_width = 0.06"),
       ("half_extent = 40.0", "half_extent = 66.0")],
      "initial.bump_width = 0.06 is below the grid spacing 0.064453125"),
+    ([("width = 1.5", "widht = 1.5")], "unknown key initial.widht"),
+    ([("energy_tol = 0.01", "energy_toll = 0.01")], "unknown key run.energy_toll"),
+    ([("[outputs]", "[extra]\nsnapshots = 0.0\n\n[outputs]")], "unknown key extra.snapshots"),
+    # the polynomial kind reads no coupling a
+    ([("coefficients = 0, -1, 1", "coefficients = 0, -1, 1\na = 1.0")], "unknown key model.a"),
+    # a key that earlier versions read is accepted only in its own section
+    ([("seed = 7", "seed = 7\ntrace = true")], "unknown key run.trace"),
 ]
 
 # [initial] sections with a non-default value for every key each kind reads;
@@ -494,6 +501,13 @@ class TestCommands:
         code = run_cli(tmp_path, "attract", "--config", str(cfg), "--set", "run.seed")
         assert_input_error(code, capsys, "override 'run.seed' is not section.key=value")
 
+    def test_override_of_unknown_key(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(BASE_CFG)
+        monkeypatch.setattr(cli, "solve_full", None)  # any solve would fail
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg), "--set", "initial.widht=3")
+        assert_input_error(code, capsys, "unknown key initial.widht")
+
     def test_step_too_large_for_implicit_node(self, tmp_path, capsys):
         # the a priori cap of this data gives L ~ 15, so dt may be ~0.14 at most
         cfg = tmp_path / "dt.cfg"
@@ -503,6 +517,14 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "largest admissible dt" in err[0]
+
+    def test_overflowing_data_give_one_error_line(self, tmp_path, capsys):
+        # U(psi(0)) = |psi|^4 - |psi|^2 overflows, so H0 and the cap are inf and
+        # the step check fires; no overflow warning may reach stderr
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(BASE_CFG.replace("amplitude_re = 0.5", "amplitude_re = 1e100"))
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg))
+        assert_input_error(code, capsys, "too large for the implicit node")
 
     def test_non_finite_node(self, tmp_path, monkeypatch, capsys):
         # one fixed-point iteration never meets the node's stopping rule
@@ -794,7 +816,8 @@ class TestCommands:
     @pytest.mark.parametrize("vary,text", [
         ("run.seed", "--vary 'run.seed' is not section.key=v1,v2,..."),
         ("time.dt=0.01,0.013", "time.T = 4.0 is not an integer multiple of dt = 0.013"),
-    ], ids=["no_values", "second_combination_invalid"])
+        ("run.sead=2,3", "unknown key run.sead"),
+    ], ids=["no_values", "second_combination_invalid", "unknown_key"])
     def test_sweep_rejects_input_before_solve(self, tmp_path, monkeypatch, capsys, vary, text):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(BASE_CFG)

@@ -323,7 +323,7 @@ def test_cone_lags_put_whole_steps_on_their_node(half_extent, n_points, dt, k_st
     assert np.all((0.0 <= e) & (e < dt))
     assert np.allclose(ji * dt + e, J * dt - x, rtol=0.0, atol=1e-12 * J * dt)
     f = np.random.default_rng(5).standard_normal((J + 1, 2)) @ np.array([1.0, 1j])
-    assert np.all(volterra._interp_history(f, ji, e, dt)[on] == f[J - k])
+    assert np.all(volterra._interp_history(f, ji, e / dt)[on] == f[J - k])
 
 
 @pytest.mark.parametrize("quadrature", [volterra._cone_quadrature, cone_oracle.cone_quadrature],
@@ -344,3 +344,11 @@ def test_front_row_sums_to_zero(quadrature, half_extent, n_points, dt, steps):
     assert len(front) == 2
     assert np.max(np.abs(psi[front])) <= 1e-15
     assert np.max(np.abs(pi[front])) <= 1e-15
+
+
+def test_off_grid_time_is_refused():
+    # half a step past t = 16 dt: there is no whole-step geometry to sum
+    grid, dt = Grid(4.0, 129), 1 / 64
+    f = np.ones((18, 1), dtype=complex)
+    with pytest.raises(ValueError, match="not on the trace grid"):
+        volterra._cone_quadrature(dt, f, grid.x, 16.5 * dt, KernelTables(2.0), 1.0)

@@ -209,14 +209,20 @@ class TestDistance:
     def test_admissible_interval_past_the_coefficient_sum(self, small_grid):
         # u = (0, 0, -10, 1): alpha(s) = 40 s - 6 s^2, so kappa = alpha/2 lies in
         # (0, m] near s = 0 and on s in [6.617, 6.667), past the bound 3.17 that
-        # summed |u_n|; the sampled C = 2.577 wave (s = 6.641) is found
+        # summed |u_n|; the sampled C = 2.577 wave (s = 6.641) is found.  The
+        # kappa = 0.999 wave on the first interval sits a hair below its end
+        # kappa = m, so the golden section also probes s past it, where no
+        # wave exists
         model = OscillatorModel.polynomial(1.0, (0.0, 0.0, -10.0, 1.0))
-        wave = waves_from_amplitude(model, 2.577)[0]
-        res = distance_to_manifold(model, sample_profile(wave, small_grid, 0.0), 5.0)
-        assert isinstance(res.best, SolitaryWave)
-        assert res.rho < 1e-8
-        assert res.best.amplitude == pytest.approx(2.577, abs=1e-6)
-        assert res.best.omega == pytest.approx(wave.omega, abs=1e-6)
+        kappa = 0.999
+        s = (20.0 - np.sqrt(400.0 - 12.0 * kappa)) / 6.0
+        for wave in (waves_from_amplitude(model, 2.577)[0],
+                     SolitaryWave(np.sqrt(s), 0.4, kappa, np.sqrt(1.0 - kappa ** 2))):
+            res = distance_to_manifold(model, sample_profile(wave, small_grid, 0.0), 5.0)
+            assert isinstance(res.best, SolitaryWave)
+            assert res.rho < 1e-8
+            assert res.best.amplitude == pytest.approx(wave.amplitude, abs=1e-6)
+            assert res.best.omega == pytest.approx(wave.omega, abs=1e-6)
 
     def test_rho_is_the_residual_of_the_reported_wave(self, cubic_model, small_grid):
         # rho ~ 1.5e-6 against ||Psi||_{E,R} ~ 1: the scan's

@@ -128,6 +128,15 @@ class TestDominantFrequency:
                                 Window.RECT, 0.0, 1.0)
         assert dominant_frequency(spec) == freqs[2]
 
+    def test_peak_in_the_first_bin(self):
+        # z_k = (-1)^k sits at the Nyquist frequency -pi/dt, the first bin,
+        # which has no left neighbour to interpolate with
+        dt = 0.1
+        tr = make_trace((-1.0) ** np.arange(201), dt)
+        spec = windowed_spectrum(tr, 10.0, 20.0)
+        assert spec.freqs[0] == -np.pi / dt
+        assert dominant_frequency(spec) == spec.freqs[0]
+
 
 class TestModulusVariation:
     def test_single_harmonic(self):
