@@ -174,6 +174,9 @@ def cmd_attract(args) -> int:
     if args.radius > cfg.half_extent:
         return _fail(2, f"--radius {args.radius!r} exceeds the grid half extent "
                         f"{cfg.half_extent!r}")
+    if args.radius < cfg.grid.spacing:
+        return _fail(2, f"--radius {args.radius!r} is below the grid spacing "
+                        f"{cfg.grid.spacing!r}")
     if round(cfg.T / cfg.dt) < _MIN_WINDOW_STEPS:
         return _fail(2, f"time.T = {cfg.T} is shorter than {_MIN_WINDOW_STEPS} steps of "
                         f"dt = {cfg.dt}, the narrowest attract window")

@@ -3,8 +3,10 @@
 A config is an INI-style document with sections [model], [grid], [time],
 [initial], [run], [outputs].  Numbers are parsed as decimal with full
 precision.  A key that the run does not read is an error, except the four
-that earlier versions read.  Validation collects every violated invariant
-before failing, including the horizon rule
+that earlier versions read; a [DEFAULT] key must be read in some section,
+and a section the run does not know is an error even when it is empty.
+Validation collects every violated invariant before failing, including the
+horizon rule
 
     half_extent >= data_radius + T + 1
 
@@ -227,8 +229,19 @@ def parse_config_text(text: str) -> RunConfig:
         errors.append(f"run.energy_tol must be positive, got {energy_tol}")
     snapshots = get("outputs", "snapshots", _parse_floats, [])
     spectrum_windows = get("outputs", "spectrum_windows", _parse_windows, [])
-    errors += [f"unknown key {section}.{key}" for section in cp.sections()
-               for key in cp[section] if (section, key) not in read]
+    # a [DEFAULT] key reaches every section: it is checked once, against
+    # the reads of the sections present
+    sections = cp.sections()
+    errors += [f"unknown key DEFAULT.{key}" for key in cp.defaults()
+               if not any((section, key) in read for section in sections)]
+    known_sections = {section for section, _ in read}
+    for section in sections:
+        # the keys the section holds itself, a [DEFAULT] key it overrides
+        # included: remove_option is true only for those
+        own = [key for key in list(cp[section]) if cp.remove_option(section, key)]
+        if section not in known_sections and not own:
+            errors.append(f"unknown section {section}")
+        errors += [f"unknown key {section}.{key}" for key in own if (section, key) not in read]
     if errors:
         raise ConfigError(errors)
 

@@ -387,8 +387,9 @@ def kink_split(initial: FieldState, m: float) -> KinkSplit:
 # with beta = 2.30 per cell; the error then sits near roundoff
 _NUFFT_WIDTH = 16
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
-# points spread, and outputs corrected, per block, so that the temporaries
-# stay at 512 x _NUFFT_WIDTH entries whatever the mode and time counts
+# points spread, kernel transform values formed and outputs corrected, per
+# block, so that the temporaries stay at 512 x _NUFFT_WIDTH entries whatever
+# the mode and time counts
 _NUFFT_CHUNK = 512
 
 
@@ -460,6 +461,8 @@ def _exp_sum(coef: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     sum_p coef_p sum_l psi(l - u_p) e^{2 pi i k l / M}
     = sum_p coef_p e^{i k x_p} psi^(2 pi k / M) up to an aliasing error near
     roundoff, and dividing by the kernel transform psi^ leaves the sum.
+    psi^ is even in k, so it is formed once for k = 0 .. n0 and read at |k|;
+    over all k it took 6.4 of the 10.5 ms of a free trace of 30001 times.
     Both the positions and the centring phases are formed in long double
     and reduced there: a position off by one double ulp turns the phase at
     output k by k ulp.
@@ -482,13 +485,17 @@ def _exp_sum(coef: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
         ker = _semicircle_kernel(z) * coef[lo:hi, None]
         np.add.at(b, ((cell[lo:hi, None] + taps) % m_fine).ravel(), ker.ravel())
     np.fft.ifft(b, out=b)
+    # psi^(2 pi k / M) = (w / 2) int phi(z) cos(pi k w z / M) dz, even in k
+    transform = np.empty(n0 + 1)
+    for lo in range(0, n0 + 1, _NUFFT_CHUNK):
+        k = np.arange(lo, min(lo + _NUFFT_CHUNK, n0 + 1))
+        transform[lo:lo + len(k)] = np.cos(
+            np.multiply.outer(k * (np.pi * width / m_fine), _KERNEL_NODES)) @ _KERNEL_WEIGHTS
+    scale = 2.0 * m_fine / width / transform
     out = np.empty(n, dtype=complex)
     for lo in range(0, n, _NUFFT_CHUNK):
         k = np.arange(lo - n0, min(lo + _NUFFT_CHUNK, n) - n0)
-        # psi^(2 pi k / M) = (w / 2) int phi(z) cos(pi k w z / M) dz
-        transform = np.cos(np.multiply.outer(k * (np.pi * width / m_fine), _KERNEL_NODES))
-        transform = transform @ _KERNEL_WEIGHTS
-        out[lo:lo + len(k)] = b[k % m_fine] * (2.0 * m_fine / width / transform)
+        out[lo:lo + len(k)] = b[k % m_fine] * scale[np.abs(k)]
     return out
 
 

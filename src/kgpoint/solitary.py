@@ -192,11 +192,16 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     term by term (the scan's inner-product form cancels to ~1e-15
     ||Psi||^2, which near the manifold leaves only a few digits of rho);
     the reported rho is that residual of the reported wave.  The zero wave is always a candidate.
+    R below the grid spacing h raises ValueError.
     Linear models: least squares onto the span of the two resonant modes.
     They share the profile row of kappa = a/2, so the scan's inner products
     give the right-hand side and its squared-row sums the 2 x 2 Gram
     matrix; rho is the residual of that fit, summed term by term too.
     """
+    h = state.grid.spacing
+    if not R >= h:
+        raise ValueError(f"R = {R!r} is below the grid spacing h = {h!r}: the window "
+                         f"|x| <= R needs a node each side of x = 0")
     m = model.mass
     psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
 

@@ -16,12 +16,14 @@ point mu = 1 - (dt/4) alpha(|b|^2 / mu^2), warm-started by extrapolating mu
 from the previous steps.  The linear part of F is thereby solved exactly.
 The memory sum of step n, sum_{i<n} g_i J0(m (n - i) dt), is split into a
 near part and a far part.  The sources in the current aligned block of
-_NEAR nodes take one direct dot per step.  Every other (target, source)
-pair lies in exactly one square of the dyadic partition of the lower
-triangle, sources [2kL, (2k+1)L) against targets [(2k+1)L, (2k+2)L) for
-L = _NEAR 2^p; each square is added by one FFT convolution as soon as its
-sources are known (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput.
-6 (1985) 532-541).  The weights are those of the direct sum, the cost
+_NEAR nodes take one direct dot per step, against a buffer that holds the
+block's sources.  Every other (target, source) pair lies in exactly one
+square of the dyadic partition of the lower triangle, sources
+[2kL, (2k+1)L) against targets [(2k+1)L, (2k+2)L) for L = _NEAR 2^p; each
+square is added as soon as its sources are known (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541), by one product
+with its Toeplitz block below _DIRECT sources and by one FFT convolution
+from there up.  The weights are those of the direct sum, the cost
 O(N log^2 N) instead of O(N^2).
 The a priori bound |z| <= cap (`_trace_cap`) makes the mu iteration a
 contraction by 1/2 once dt L / 4 <= 1/2, L the Lipschitz bound of F on
@@ -82,12 +84,18 @@ _MAX_CONTRACTION = 0.5
 # iterations of the implicit node before the step counts as failed
 _MAX_ITERATIONS = 30
 # sources per near block of the history sum (a power of two).  A T = 600,
-# dt = 0.02 solve (N = 30001, one BLAS thread, 2-core Xeon) took 0.226 /
-# 0.226 / 0.206 / 0.200 s at 16 / 32 / 64 / 128 (best of 8), a T = 2000
-# solve 1.26 / 1.06 / 1.13 / 1.03 s (best of 3): from 32 up the sizes are
-# within the noise of a shared machine, and each step's near dot grows
+# dt = 0.02 solve (N = 30001, one BLAS thread, 2-core Xeon) took 0.099 /
+# 0.094 / 0.091 s at 32 / 64 / 128 (median of 4 processes each): within
+# the noise of a shared machine from 64 up, and each step's near dot grows
 # with the block.
 _NEAR = 64
+# far-field squares of fewer sources than this are one product with their
+# (L, L) Toeplitz block, larger ones an FFT convolution.  Per square (one
+# BLAS thread, 2-core Xeon), direct against FFT: 2.6 / 13.3 us at 64
+# sources, 3.8 / 15.5 at 128, 7.8 / 20.3 at 256 and 48.0 / 32.4 at 512.
+# The block of 256, of which the smaller ones are views, takes 0.5 MB; at
+# T = 600, dt = 0.02 the blocks serve 410 of the 468 squares
+_DIRECT = 512
 
 
 class StepTooLargeError(ValueError):
@@ -140,7 +148,9 @@ def _node(coefs: tuple[float, ...], quarter_dt: float, b: complex, mu: float):
     multiplied through by |mu mu'|.  Returns (z, F(z), mu, iterations);
     iterations = 0 flags an iteration that did not converge within
     _MAX_ITERATIONS (a NaN never passes the stopping rule), and z and F(z)
-    then hold no solution.
+    then hold no solution.  `solve_trace` runs the first update inline, with
+    the same arithmetic, and calls this only for a step that it leaves
+    unsettled (tests/test_march_oracle.py holds the two to the same bits).
     """
     b_sq = b.real * b.real + b.imag * b.imag
     b_abs = math.sqrt(b_sq)
@@ -183,33 +193,50 @@ def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
 
 
 def _square_spectra(kern: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """Kernel spectra of the far-field squares: for each size
-    L = _NEAR 2^p < n, the rfft of lags 0 .. 2L-1, zero past the last node
-    (no kept target reaches those lags)."""
-    spectra = {}
+    """Kernel operators of the far-field squares, one for each size
+    L = _NEAR 2^p < n, from the lags 0 .. 2L-1 of `kern`, zero past the last
+    node (no kept target reaches those lags): below _DIRECT sources the
+    (L, L) Toeplitz block K(L + a - b) of target a and source b, from
+    _DIRECT up the rfft of the lags.  K_L is the top right corner of K_2L,
+    so every block is a view of the largest one."""
+    sizes = []
     size = _NEAR
     while size < n:
-        spectra[size] = np.fft.rfft(kern[:2 * size], 2 * size)
+        sizes.append(size)
         size *= 2
-    return spectra
+    squares = {size: np.fft.rfft(kern[:2 * size], 2 * size) for size in sizes
+               if size >= _DIRECT}
+    direct = [size for size in sizes if size < _DIRECT]
+    if direct:
+        top = direct[-1]
+        lags = np.zeros(2 * top)
+        lags[:min(n, 2 * top)] = kern[:2 * top]
+        block = lags[top + np.subtract.outer(np.arange(top), np.arange(top))]
+        squares.update({size: block[:size, top - size:] for size in direct})
+    return squares
 
 
-def _add_square(far: np.ndarray, g: np.ndarray, j: int, spectra: dict) -> None:
+def _add_square(far: np.ndarray, g: np.ndarray, j: int, squares: dict) -> None:
     """Add the far-field square that closes at step j to far[j:j+L].
 
     With L = j & -j (j a multiple of _NEAR), the finished sources g[j-L:j]
-    act on the targets [j, j+L) through kernel lags 1 .. 2L-1; a cyclic
-    convolution of length 2L gives exactly those sums, with no wrap-around.
-    The real and imaginary parts go through one rfft/irfft pair as two
-    columns (a complex FFT of the same length left about three times the
-    roundoff in the solved trace).
+    act on the targets [j, j+L) through kernel lags 1 .. 2L-1.  Below
+    _DIRECT sources that is one product with the square's Toeplitz block;
+    from _DIRECT up, a cyclic convolution of length 2L gives exactly those
+    sums, with no wrap-around.  Either way the real and imaginary parts go
+    through as two columns (a complex FFT of the same length left about
+    three times the roundoff in the solved trace).
     """
     size = j & -j
     src = g[j - size:j].view(float).reshape(size, 2)
-    conv = np.fft.irfft(np.fft.rfft(src, 2 * size, axis=0) * spectra[size][:, None],
-                        2 * size, axis=0)
     stop = min(j + size, len(far))
-    far[j:stop].view(float).reshape(-1, 2)[:] += conv[size:size + stop - j]
+    if size < _DIRECT:
+        conv = squares[size][:stop - j] @ src
+    else:
+        spectrum = np.fft.rfft(src, 2 * size, axis=0)
+        spectrum *= squares[size][:, None]
+        conv = np.fft.irfft(spectrum, 2 * size, axis=0)[size:size + stop - j]
+    far[j:stop].view(float).reshape(-1, 2)[:] += conv
 
 
 def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
@@ -227,9 +254,17 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     `start`, the far-field square closing there (`_add_square`) completes
     the far sums of the block's targets, and the block's h + (dt/2) far
     becomes a list of Python complex numbers, so the per-step fixed-point
-    iteration runs on Python scalars.  Each step adds the near part, one
-    dot of the block's finished sources against kernel lags r .. 1, and
-    solves its node for the real multiplier mu of z = b / mu (`_node`).
+    iteration runs on Python scalars.  The block's sources live in one
+    reused buffer of _NEAR entries, whose prefixes are built once per solve,
+    so no step makes a slice: each step adds the near part, one dot of the
+    buffer's first r entries against kernel lags r .. 1, and solves its node
+    for the real multiplier mu of z = b / mu.  The node's first fixed-point
+    update runs inline, with `_node`'s arithmetic; only a step that it does
+    not settle calls `_node`, which starts over from the same guess, so a
+    step takes at most _MAX_ITERATIONS updates in all.  The block's z and
+    sources are stored once, when it ends.  The tests keep the per-step
+    slice, dot and `_node` call as an oracle that agrees bit for bit
+    (tests/march_oracle.py).
     The first guess extrapolates mu by the degree-5 polynomial through the
     six previous steps: on the long_sweep setting (T = 600, dt = 0.02) the
     node then takes 1.01-1.14 iterations per step over seeds 1-10, against
@@ -262,16 +297,19 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     src = split.source(times)
     # g(0) = 1, so the pair's standing field at x = 0 is its source over -2 kappa1
     h = free_trace(split.rest, times, m) + src / (-2.0 * split.kappa1)
-    spectra = _square_spectra(bessel_j0(m * times), n)
-    # near_lags[r] holds kernel lags r .. 1, the weights of the r sources
-    # g[start:start+r] in the block at target start + r; complex, so that
-    # the near dot casts nothing
+    squares = _square_spectra(bessel_j0(m * times), n)
+    del times  # the march reads a time only for its messages, as j dt
+    # the block's sources F(z) + src; step r of a block takes the dot of its
+    # first r entries, near[r], against kernel lags r .. 1, lags[_NEAR-1-r:]
+    # (complex, so that the dot casts nothing)
+    block_g = np.empty(_NEAR, dtype=complex)
     lags = bessel_j0(m * (np.arange(_NEAR - 1, 0, -1) * dt)).astype(complex)
-    near_lags = [lags[_NEAR - 1 - r:] for r in range(_NEAR)]
+    near = [(block_g[:r].dot, lags[_NEAR - 1 - r:]) for r in range(_NEAR)]
 
     coefs = model.alpha_coefficients[::-1]
     quarter_dt = 0.25 * dt
     half_dt = 0.5 * dt
+    tol = _RESIDUAL_TOL
 
     z = np.empty(n, dtype=complex)
     # the sources F(z) + src, with the j=0 trapezoid half-weight folded in
@@ -279,7 +317,7 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     # far-field memory sums, completed for a block when the march reaches it
     far = np.zeros(n, dtype=complex)
     z[0] = complex(initial.psi[initial.grid.center_index])
-    g[0] = 0.5 * (force(model, z[0]) + src[0])
+    g[0] = block_g[0] = 0.5 * (force(model, z[0]) + src[0])
     # the multiplier z_0 would have as a node, mu = 1 - (dt/4) alpha(|z|^2),
     # seeds the predictor's history mu_1 .. mu_6 (mu_k from step j - k)
     mu_0 = 1.0 - quarter_dt * float(alpha(model, abs(z[0]) ** 2))
@@ -291,36 +329,66 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     last = n
     for start in range(0, n, _NEAR):
         if start:
-            _add_square(far, g, start, spectra)
+            _add_square(far, g, start, squares)
         block = slice(start, start + _NEAR)
         known = (h[block] + half_dt * far[block] + quarter_dt * src[block]).tolist()
         src_block = src[block].tolist()
-        for r in range(1 if start == 0 else 0, len(known)):
-            j = start + r
-            b = known[r] + half_dt * complex(np.dot(g[start:j], near_lags[r]))
+        first = 1 if start == 0 else 0
+        z_block = []
+        for r in range(first, len(known)):
+            dot, lags_r = near[r]
+            b = known[r] + half_dt * complex(dot(lags_r))
             # degree-5 extrapolation of mu over the previous six steps
             guess = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
-            zj, fj, mu, it = _node(coefs, quarter_dt, b, guess)
+            # `_node`'s first update, inline
+            b_sq = b.real * b.real + b.imag * b.imag
+            b_abs = math.sqrt(b_sq)
+            it = 0
+            try:
+                s = b_sq / (guess * guess)
+                acc = 0.0
+                for c in coefs:
+                    acc = acc * s + c
+                mu = 1.0 - quarter_dt * acc
+                # _node's max(...), without the call
+                lhs, rhs = abs(guess * mu), b_abs * abs(guess)
+                if b_abs * abs(mu - guess) <= tol * (rhs if rhs > lhs else lhs):
+                    zj = b / mu
+                    s = b_sq / (mu * mu)
+                    acc = 0.0
+                    for c in coefs:
+                        acc = acc * s + c
+                    fj = acc * zj
+                    it = 1
+            except ZeroDivisionError:
+                pass
             if not it:
-                status = SolveStatus.NON_FINITE
-                message = f"implicit node failed to converge at t={times[j]:.6g}"
-                last = j
-                break
-            iterations += it
-            if it > iterations_max:
-                iterations_max = it
-            z[j] = zj
-            g[j] = fj + src_block[r]
+                zj, fj, mu, it = _node(coefs, quarter_dt, b, guess)
+                if not it:
+                    status = SolveStatus.NON_FINITE
+                    message = f"implicit node failed to converge at t={(start + r) * dt:.6g}"
+                    last = start + r
+                    break
+                iterations += it - 1  # the first update is counted below, once per step
+                iterations_max = max(iterations_max, it)
+            z_block.append(zj)
+            block_g[r] = fj + src_block[r]
             mu_6, mu_5, mu_4, mu_3, mu_2, mu_1 = mu_5, mu_4, mu_3, mu_2, mu_1, mu
             if abs(zj) > cap:
                 status = SolveStatus.TRACE_BOUND_EXCEEDED
                 message = (f"|z|={abs(zj):.3g} exceeded the a priori bound cap {cap:.3g} "
-                           f"at t={times[j]:.6g}")
-                last = j + 1
+                           f"at t={(start + r) * dt:.6g}")
+                last = start + r + 1
                 break
+        stop = start + first + len(z_block)
+        z[start + first:stop] = z_block
+        g[start:stop] = block_g[:stop - start]
         if last < n:
             break
 
+    # one update per step solved, inline or `_node`'s first
+    iterations += last - 1
+    iterations_max = max(iterations_max, min(last - 1, 1))
     return SolveReport(trace=TraceSeries(dt=dt, z=z[:last]), status=status, message=message,
                        node_iterations=iterations, node_iterations_max=iterations_max)
 

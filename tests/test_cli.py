@@ -139,6 +139,25 @@ CONFIG_VIOLATIONS = [
     ([("coefficients = 0, -1, 1", "coefficients = 0, -1, 1\na = 1.0")], "unknown key model.a"),
     # a key that earlier versions read is accepted only in its own section
     ([("seed = 7", "seed = 7\ntrace = true")], "unknown key run.trace"),
+    # a [DEFAULT] key reaches every section, and must be read in one of them
+    ([("[model]", "[DEFAULT]\nsead = 3\n\n[model]")], "unknown key DEFAULT.sead"),
+    ([("[outputs]", "[extra]\n\n[outputs]")], "unknown section extra"),
+    # a section's own key is checked also where it overrides a [DEFAULT] key
+    ([("[model]", "[DEFAULT]\nseed = 3\n\n[model]"), ("mass = 1.0", "mass = 1.0\nseed = 4")],
+     "unknown key model.seed"),
+]
+
+SEEDED_CFG = BASE_CFG.replace(GAUSSIAN_INITIAL, "kind = seeded_gaussian")
+
+# (edits of SEEDED_CFG, edits that give the same config): spellings the
+# parser accepts
+CONFIG_ACCEPTED = [
+    # run.seed reads a [DEFAULT] seed; the other sections ignore it
+    ([("[model]", "[DEFAULT]\nseed = 3\n\n[model]"), ("seed = 7\n", "")],
+     [("seed = 7", "seed = 3")]),
+    # a known section may be empty
+    ([("snapshots = 0.0, 2.0, 4.0\nspectrum_windows = 1.0:4.0\n", "")],
+     [("[outputs]\nsnapshots = 0.0, 2.0, 4.0\nspectrum_windows = 1.0:4.0\n", "")]),
 ]
 
 # [initial] sections with a non-default value for every key each kind reads;
@@ -196,6 +215,17 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert any(violation in m for m in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("edits,same", CONFIG_ACCEPTED, ids=["default_seed", "empty_section"])
+    def test_each_spelling_accepted(self, edits, same):
+        def edited(pairs):
+            text = SEEDED_CFG
+            for old, new in pairs:
+                assert old in text
+                text = text.replace(old, new, 1)
+            return parse_config_text(text)
+
+        assert edited(edits) == edited(same)
 
     def test_horizon_rule_enforced(self):
         bad = BASE_CFG.replace("T = 4.0", "T = 60.0").replace("dt = 0.01", "dt = 0.01")
@@ -578,8 +608,10 @@ class TestCommands:
          "--t-width must be positive and finite, got 0.0"),
         (["attract", "--radius", "nan"], "--radius must be positive and finite, got nan"),
         (["attract", "--radius", "40.5"], "--radius 40.5 exceeds the grid half extent 40.0"),
+        # a one-node window: the spacing is 80/2048
+        (["attract", "--radius", "0.01"], "--radius 0.01 is below the grid spacing 0.0390625"),
     ], ids=["C_nan", "C_inf", "omega_nan", "t_center_nan", "t_width_negative", "t_width_zero",
-            "radius_nan", "radius_past_grid"])
+            "radius_nan", "radius_past_grid", "radius_below_spacing"])
     def test_flags_checked_up_front(self, tmp_path, monkeypatch, capsys, argv, text):
         # a 1 s trace and a valid config, so only the flag is wrong
         trace = tmp_path / "trace.csv"

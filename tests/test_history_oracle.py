@@ -7,7 +7,7 @@ from history_oracle import solve_trace_oracle
 from kgpoint import FieldState, Grid, OscillatorModel, SolveStatus, solve_trace
 from kgpoint.initial import gaussian_state, seeded_gaussian_spec
 from kgpoint.solitary import sample_profile
-from kgpoint.volterra import _NEAR, _add_square, _square_spectra
+from kgpoint.volterra import _DIRECT, _NEAR, _add_square, _square_spectra
 
 
 def _assert_matches_oracle(model, state, T, dt, rtol=1e-12):
@@ -72,3 +72,29 @@ def test_far_field_squares_sum_the_whole_history(n):
     want = np.convolve(g, lagged)[:n]
     scale = np.convolve(np.abs(g), np.abs(lagged))[:n]
     assert np.all(np.abs(mem - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("size, j, n", [(_NEAR, _NEAR, _NEAR + 1), (_NEAR, 3 * _NEAR, 4 * _NEAR),
+                                        (128, 128, 300), (256, 768, 1024), (256, 256, 400)])
+def test_direct_squares_equal_fft_squares(size, j, n):
+    """Below _DIRECT sources a square is its Toeplitz product, which equals
+    the FFT convolution of the same lags, also where the targets or the
+    lags run past the last node."""
+    assert size < _DIRECT and j & -j == size
+    rng = np.random.default_rng(j + n)
+    kern = rng.standard_normal(n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    squares = _square_spectra(kern, n)
+    assert squares[size].shape == (size, size)
+    far = np.zeros(n, dtype=complex)
+    _add_square(far, g, j, squares)
+    stop = min(j + size, n)
+    spectrum = np.fft.rfft(kern[:2 * size], 2 * size)
+    src = g[j - size:j].view(float).reshape(size, 2)
+    conv = np.fft.irfft(np.fft.rfft(src, 2 * size, axis=0) * spectrum[:, None], 2 * size,
+                        axis=0)[size:size + stop - j]
+    # sum |g| |K| over each target's sources, K zero past the last lag
+    lag = size + np.arange(stop - j)[:, None] - np.arange(size)
+    scale = np.where(lag < n, np.abs(kern[np.minimum(lag, n - 1)]), 0.0) @ np.abs(g[j - size:j])
+    assert np.all(np.abs(far[j:stop] - (conv[:, 0] + 1j * conv[:, 1])) <= 1e-14 * scale)
+    assert not far[:j].any() and not far[stop:].any()

@@ -264,6 +264,13 @@ class TestDistance:
         with pytest.raises(ValueError, match="R exceeds the grid half extent"):
             distance_to_manifold(cubic_model, zero_state(small_grid), 41.0)
 
+    def test_R_below_spacing_rejected(self, cubic_model, small_grid):
+        # a one-node window has no derivative stencil; h = 40/2048
+        with pytest.raises(ValueError, match=r"R = 0\.01 is below the grid spacing h = 0\.01953"):
+            distance_to_manifold(cubic_model, zero_state(small_grid), 0.01)
+        assert distance_to_manifold(cubic_model, zero_state(small_grid),
+                                    small_grid.spacing).rho == 0.0
+
     def test_negative_alpha_leaves_the_zero_wave(self, small_grid):
         # u = (0, 1, 1): alpha(s) = -2 - 4 s has no zero on s > 0, so no wave
         model = OscillatorModel.polynomial(1.0, (0.0, 1.0, 1.0))
