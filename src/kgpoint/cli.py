@@ -45,7 +45,7 @@ from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
 from .spectral import (Window, dominant_frequency, late_window, window_diagnostics,
                        windowed_spectrum)
-from .volterra import SolveStatus, reconstruct_fields, solve_full, solve_trace
+from .volterra import SolveStatus, check_step, reconstruct_fields, solve_full, solve_trace
 
 
 def _fail(code: int, *messages: str) -> int:
@@ -250,11 +250,13 @@ def cmd_sweep(args) -> int:
             return _fail(2, f"--vary {spec!r} is not section.key=v1,v2,...")
         axes.append((key.strip(), [v.strip() for v in values.split(",")]))
     combos = list(itertools.product(*[vals for _, vals in axes])) or [()]
-    # every combination is validated before the first solve; a ConfigError
-    # exits 2 through main
+    # every combination is validated before the first solve, its step against
+    # its initial state too; a ConfigError or StepTooLargeError exits 2 through main
     cfgs = [parse_config_text(_config_text(
                 args.config, [f"{key}={value}" for (key, _), value in zip(axes, combo)]))
             for combo in combos]
+    for cfg in cfgs:
+        check_step(cfg.model, build_initial_state(cfg), cfg.dt)
     out.write_table(os.path.join(_outdir(args), "sweep.csv"),
                     (*(key for key, _ in axes), *_SWEEP_COLUMNS),
                     [*zip(*combos), *zip(*map(_sweep_one, cfgs))])

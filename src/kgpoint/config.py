@@ -32,7 +32,7 @@ from .fields import FieldState, Grid, grid_index, node_span, zero_state
 from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
                       gaussian_state, seeded_gaussian_spec, solitary_state)
 from .model import OscillatorModel, alpha
-from .solitary import waves_from_amplitude
+from .solitary import wave_on_branch
 
 
 class ConfigError(Exception):
@@ -209,10 +209,11 @@ def parse_config_text(text: str) -> RunConfig:
                 alpha_c = float(alpha(model, C ** 2))
             if not math.isfinite(alpha_c):
                 errors.append(f"initial.C = {C} is too large: alpha(C**2) is not finite")
-            elif not (waves := waves_from_amplitude(model, C)):
-                errors.append(f"no solitary wave exists at C={C} for this model")
-            elif not any((w.omega < 0) == (branch == "minus") for w in waves):
-                errors.append(f"no {branch}-branch solitary wave exists at C={C}")
+            else:
+                try:
+                    wave_on_branch(model, C, branch)
+                except ValueError as exc:
+                    errors.append(str(exc))
     # the width of the packet this kind reads, at least one grid spacing
     width_key = {"gaussian": "width", "solitary_plus_bump": "bump_width"}.get(ikind)
     if width_key and num[width_key] <= 0:

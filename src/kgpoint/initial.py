@@ -12,13 +12,13 @@ RNG state:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import FieldState, Grid
 from .model import OscillatorModel
-from .solitary import SolitaryWave, sample_profile, waves_from_amplitude
+from .solitary import sample_profile, wave_on_branch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -55,15 +55,8 @@ def gaussian_state(grid: Grid, spec: GaussianSpec) -> FieldState:
 
 def solitary_state(model: OscillatorModel, grid: Grid, C: float,
                    theta: float = 0.0, branch: str = "plus") -> FieldState:
-    waves = waves_from_amplitude(model, C)
-    if not waves:
-        raise ValueError(f"no solitary wave exists at amplitude C={C}")
-    want_minus = branch == "minus"
-    for w in waves:
-        if (w.omega < 0) == want_minus:
-            wave = SolitaryWave(w.amplitude, theta, w.kappa, w.omega)
-            return sample_profile(wave, grid, 0.0)
-    raise ValueError(f"no {branch}-branch wave at amplitude C={C}")
+    """The wave of `wave_on_branch` at phase theta, sampled at t = 0."""
+    return sample_profile(replace(wave_on_branch(model, C, branch), theta=theta), grid, 0.0)
 
 
 def seeded_gaussian_spec(seed: int) -> GaussianSpec:

@@ -50,14 +50,20 @@ def _energy_density(state: FieldState, m: float) -> np.ndarray:
 
 
 def _window_half(grid: Grid, R: float) -> int:
-    """Nodes each side of x = 0 in the window |x| <= R, which the grid holds."""
+    """Nodes each side of x = 0 in the window |x| <= R; ValueError unless R
+    lies between the grid spacing (a node each side) and the half extent."""
+    h = grid.spacing
+    if not R >= h:
+        raise ValueError(f"R = {R!r} is below the grid spacing h = {h!r}: the window "
+                         f"|x| <= R needs a node each side of x = 0")
     if R > grid.half_extent + 1e-12:
         raise ValueError("R exceeds the grid half extent")
-    return min(int(round(R / grid.spacing)), grid.center_index)
+    return min(int(round(R / h)), grid.center_index)
 
 
 def norm_e(state: FieldState, m: float, R: float | None = None) -> float:
-    """||Psi||_E, or the local seminorm ||Psi||_{E,R} over |x| <= R."""
+    """||Psi||_E, or the local seminorm ||Psi||_{E,R} over |x| <= R; R below
+    the grid spacing raises ValueError."""
     density = _energy_density(state, m)
     h = state.grid.spacing
     if R is None:

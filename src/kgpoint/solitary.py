@@ -102,6 +102,18 @@ def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]
     return [SolitaryWave(C, 0.0, kappa_c, w), SolitaryWave(C, 0.0, kappa_c, -w)]
 
 
+def wave_on_branch(model: OscillatorModel, C: float, branch: str) -> SolitaryWave:
+    """The wave of amplitude C on `branch`, "minus" for omega < 0 and "plus"
+    otherwise (theta = 0); ValueError when there is none."""
+    waves = waves_from_amplitude(model, C)
+    if not waves:
+        raise ValueError(f"no solitary wave exists at C={C} for this model")
+    for w in waves:
+        if (w.omega < 0) == (branch == "minus"):
+            return w
+    raise ValueError(f"no {branch}-branch solitary wave exists at C={C}")
+
+
 # |omega -/+ omega_a| at which a linear-model frequency counts as resonant
 _FAMILY_TOL = 1e-9
 
@@ -140,7 +152,7 @@ def profile_norm_e_sq(wave: SolitaryWave, m: float) -> float:
 def _window(state: FieldState, m: float, R: float):
     """Arrays (psi, psi', one-sided pair, pi, weights) restricted to |x| <= R,
     with the seminorm's stencils (`_dx_with_center_kink`); an R beyond the
-    grid raises, as in `norm_e`."""
+    grid or below its spacing raises, as in `norm_e` (`_window_half`)."""
     grid = state.grid
     c = grid.center_index
     h = grid.spacing
@@ -198,10 +210,6 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     give the right-hand side and its squared-row sums the 2 x 2 Gram
     matrix; rho is the residual of that fit, summed term by term too.
     """
-    h = state.grid.spacing
-    if not R >= h:
-        raise ValueError(f"R = {R!r} is below the grid spacing h = {h!r}: the window "
-                         f"|x| <= R needs a node each side of x = 0")
     m = model.mass
     psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
 

@@ -13,7 +13,8 @@ makes each step weakly implicit, z = b + (dt/4) F(z) with b known.
 F(z) = alpha(|z|^2) z with alpha real (U(1) invariance), so the solution is
 a real multiple z = b / mu of b, and the node reduces to the real fixed
 point mu = 1 - (dt/4) alpha(|b|^2 / mu^2), warm-started by extrapolating mu
-from the previous steps.  The linear part of F is thereby solved exactly.
+from the previous steps and iterated in one loop inside `solve_trace`'s
+march.  The linear part of F is thereby solved exactly.
 The memory sum of step n, sum_{i<n} g_i J0(m (n - i) dt), is split into a
 near part and a far part.  The sources in the current aligned block of
 _NEAR nodes take one direct dot per step, against a buffer that holds the
@@ -27,8 +28,9 @@ from there up.  The weights are those of the direct sum, the cost
 O(N log^2 N) instead of O(N^2).
 The a priori bound |z| <= cap (`_trace_cap`) makes the mu iteration a
 contraction by 1/2 once dt L / 4 <= 1/2, L the Lipschitz bound of F on
-|z| <= cap (`force_lipschitz`); `solve_trace` checks this up front and
-rejects larger steps.  With q = dt/4, A = q sup|alpha| and
+|z| <= cap (`force_lipschitz`); `check_step` rejects larger steps, in
+`solve_trace` up front and in `kgpoint sweep` for every combination before
+its first solve.  With q = dt/4, A = q sup|alpha| and
 D = q sup|2 s alpha'(s)| over s <= cap^2, A + D <= q L <= 1/2; the map's
 slope 2 q alpha'(s) s / mu is then at most D / (1 - A) <= 1/2 wherever
 mu >= 1 - A.
@@ -81,7 +83,8 @@ from .observables import energy as energy_of
 _RESIDUAL_TOL = 1e-12
 # largest dt L / 4 accepted: the implicit node's map then contracts by 1/2
 _MAX_CONTRACTION = 0.5
-# iterations of the implicit node before the step counts as failed
+# fixed-point updates of the implicit node, from the predictor's guess,
+# before the step counts as failed; `solve_trace` reads it at each call
 _MAX_ITERATIONS = 30
 # sources per near block of the history sum (a power of two).  A T = 600,
 # dt = 0.02 solve (N = 30001, one BLAS thread, 2-core Xeon) took 0.099 /
@@ -137,45 +140,6 @@ class SolveReport:
         return float(np.max(np.abs(self.energy_samples[:, 1] - e0)) / max(abs(e0), 1e-30))
 
 
-def _node(coefs: tuple[float, ...], quarter_dt: float, b: complex, mu: float):
-    """Solve the implicit node z = b + (dt/4) F(z) from the guess mu; `coefs`
-    are the model's alpha coefficients, highest power first.
-
-    F(z) = alpha(|z|^2) z with alpha real, so z = b / mu with mu real, and
-    the node becomes the scalar fixed point mu = 1 - (dt/4) alpha(|b|^2 / mu^2).
-    Each iteration is one real Horner step and one division; the stopping
-    rule is |dz| = |b| |dmu| / |mu mu'| <= _RESIDUAL_TOL max(1, |z|),
-    multiplied through by |mu mu'|.  Returns (z, F(z), mu, iterations);
-    iterations = 0 flags an iteration that did not converge within
-    _MAX_ITERATIONS (a NaN never passes the stopping rule), and z and F(z)
-    then hold no solution.  `solve_trace` runs the first update inline, with
-    the same arithmetic, and calls this only for a step that it leaves
-    unsettled (tests/test_march_oracle.py holds the two to the same bits).
-    """
-    b_sq = b.real * b.real + b.imag * b.imag
-    b_abs = math.sqrt(b_sq)
-    try:
-        for it in range(1, _MAX_ITERATIONS + 1):
-            s = b_sq / (mu * mu)
-            acc = 0.0
-            for c in coefs:
-                acc = acc * s + c
-            mu_new = 1.0 - quarter_dt * acc
-            if b_abs * abs(mu_new - mu) <= _RESIDUAL_TOL * max(abs(mu * mu_new), b_abs * abs(mu)):
-                break
-            mu = mu_new
-        else:
-            return b, b, mu, 0
-        z = b / mu_new
-        s = b_sq / (mu_new * mu_new)
-    except ZeroDivisionError:
-        return b, b, mu, 0
-    acc = 0.0
-    for c in coefs:
-        acc = acc * s + c
-    return z, acc * z, mu_new, it
-
-
 def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
     """Runaway guard on |z| from the a priori bound.
 
@@ -190,6 +154,21 @@ def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
     h0 = energy_of(model, initial)
     lam_sq = max(h0 - A, 0.0) / (model.mass - B)
     return 1.5 * float(np.sqrt(lam_sq)) + 1e-9
+
+
+def check_step(model: OscillatorModel, initial: FieldState, dt: float) -> float:
+    """The cap of `_trace_cap` on |z| from `initial`, once dt has passed the
+    step rule dt L / 4 <= 1/2, L the Lipschitz bound of F on |z| <= cap
+    (`force_lipschitz`); a larger dt raises StepTooLargeError."""
+    cap = _trace_cap(model, initial)
+    lip = force_lipschitz(model, cap)
+    if 0.25 * dt * lip > _MAX_CONTRACTION:
+        raise StepTooLargeError(
+            f"dt = {dt:.6g} too large for the implicit node: dt L/4 = {0.25 * dt * lip:.6g} "
+            f"> {_MAX_CONTRACTION} with L = {lip:.6g} the Lipschitz bound of F on "
+            f"|z| <= cap = {cap:.6g}; the largest admissible dt is "
+            f"{4.0 * _MAX_CONTRACTION / lip:.6g}")
+    return cap
 
 
 def _square_spectra(kern: np.ndarray, n: int) -> dict[int, np.ndarray]:
@@ -246,9 +225,10 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     Preconditions: T/dt integral, initial data finite, and the grid large
     enough that nothing reaches the boundary within T (horizon rule, caller's
     responsibility).  Raises StepTooLargeError when dt L / 4 > 1/2, L the
-    Lipschitz bound of F on |z| <= cap.  Returns a report whose status is
-    COMPLETED, NON_FINITE (iteration diverged), or TRACE_BOUND_EXCEEDED (|z|
-    broke the a priori cap of `_trace_cap`, signalling an ill-posed model).
+    Lipschitz bound of F on |z| <= cap (`check_step`).  Returns a report
+    whose status is COMPLETED, NON_FINITE (iteration diverged), or
+    TRACE_BOUND_EXCEEDED (|z| broke the a priori cap of `_trace_cap`,
+    signalling an ill-posed model).
 
     The march runs in blocks of _NEAR steps.  On entering the block at
     `start`, the far-field square closing there (`_add_square`) completes
@@ -258,36 +238,34 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     reused buffer of _NEAR entries, whose prefixes are built once per solve,
     so no step makes a slice: each step adds the near part, one dot of the
     buffer's first r entries against kernel lags r .. 1, and solves its node
-    for the real multiplier mu of z = b / mu.  The node's first fixed-point
-    update runs inline, with `_node`'s arithmetic; only a step that it does
-    not settle calls `_node`, which starts over from the same guess, so a
-    step takes at most _MAX_ITERATIONS updates in all.  The block's z and
-    sources are stored once, when it ends.  The tests keep the per-step
-    slice, dot and `_node` call as an oracle that agrees bit for bit
-    (tests/march_oracle.py).
+    for the real multiplier mu of z = b / mu.  The node is one inline loop
+    of at most _MAX_ITERATIONS fixed-point updates from the predictor's
+    guess, each one real Horner step and one division, stopped once
+    |dz| = |b| |dmu| / |mu mu'| <= _RESIDUAL_TOL max(1, |z|) (multiplied
+    through by |mu mu'|); a step that it does not settle, or that divides by
+    zero, ends the march as NON_FINITE.  It stays inline: with a call per
+    step the T = 600 long_sweep solve took 106-110 ms against 98 ms (seeds
+    3 and 7, best of 7 in each of 3 processes, one BLAS thread).  The
+    block's z and sources are stored once, when it ends.  The tests keep
+    the per-step slice, dot and node call as an oracle that agrees bit for
+    bit (tests/march_oracle.py).
     The first guess extrapolates mu by the degree-5 polynomial through the
     six previous steps: on the long_sweep setting (T = 600, dt = 0.02) the
     node then takes 1.01-1.14 iterations per step over seeds 1-10, against
     2.8-3.9 for degree 1 and about 5 for the complex iteration it replaced;
     degree 6 took more again (1.29 at seed 1).  The linear model takes one.
-    The report counts the iterations (`node_iterations`, and the most in
-    one step, `node_iterations_max`).  The kink pair's point source src
-    joins F(z) in g_0, in each block's `known` row (the s = t node's
-    (dt/4) src) and in every g_j, so the history sum gives its Duhamel trace.
+    The report counts the updates (`node_iterations`, and the most in one
+    step, `node_iterations_max`) over the steps solved.  The kink pair's
+    point source src joins F(z) in g_0, in each block's `known` row (the
+    s = t node's (dt/4) src) and in every g_j, so the history sum gives its
+    Duhamel trace.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = grid_index(T, dt)
     if n_steps is None:
         raise ValueError("T must be an integer multiple of dt")
-    cap = _trace_cap(model, initial)
-    lip = force_lipschitz(model, cap)
-    if 0.25 * dt * lip > _MAX_CONTRACTION:
-        raise StepTooLargeError(
-            f"dt = {dt:.6g} too large for the implicit node: dt L/4 = {0.25 * dt * lip:.6g} "
-            f"> {_MAX_CONTRACTION} with L = {lip:.6g} the Lipschitz bound of F on "
-            f"|z| <= cap = {cap:.6g}; the largest admissible dt is "
-            f"{4.0 * _MAX_CONTRACTION / lip:.6g}")
+    cap = check_step(model, initial, dt)
     n = n_steps + 1
     m = model.mass
     times = np.arange(n) * dt
@@ -310,6 +288,7 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
     quarter_dt = 0.25 * dt
     half_dt = 0.5 * dt
     tol = _RESIDUAL_TOL
+    updates = range(1, _MAX_ITERATIONS + 1)
 
     z = np.empty(n, dtype=complex)
     # the sources F(z) + src, with the j=0 trapezoid half-weight folded in
@@ -339,38 +318,40 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
             dot, lags_r = near[r]
             b = known[r] + half_dt * complex(dot(lags_r))
             # degree-5 extrapolation of mu over the previous six steps
-            guess = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
-            # `_node`'s first update, inline
+            mu = 6.0 * (mu_1 + mu_5) - 15.0 * (mu_2 + mu_4) + 20.0 * mu_3 - mu_6
             b_sq = b.real * b.real + b.imag * b.imag
             b_abs = math.sqrt(b_sq)
-            it = 0
             try:
-                s = b_sq / (guess * guess)
-                acc = 0.0
-                for c in coefs:
-                    acc = acc * s + c
-                mu = 1.0 - quarter_dt * acc
-                # _node's max(...), without the call
-                lhs, rhs = abs(guess * mu), b_abs * abs(guess)
-                if b_abs * abs(mu - guess) <= tol * (rhs if rhs > lhs else lhs):
-                    zj = b / mu
+                for it in updates:
                     s = b_sq / (mu * mu)
                     acc = 0.0
                     for c in coefs:
                         acc = acc * s + c
-                    fj = acc * zj
-                    it = 1
+                    mu_new = 1.0 - quarter_dt * acc
+                    # |dz| <= tol max(1, |z|), multiplied through by |mu mu_new|
+                    lhs, rhs = abs(mu * mu_new), b_abs * abs(mu)
+                    if b_abs * abs(mu_new - mu) <= tol * (rhs if rhs > lhs else lhs):
+                        mu = mu_new
+                        zj = b / mu
+                        s = b_sq / (mu * mu)
+                        acc = 0.0
+                        for c in coefs:
+                            acc = acc * s + c
+                        fj = acc * zj
+                        break
+                    mu = mu_new
+                else:
+                    it = 0  # unsettled; a NaN never passes the stopping rule
             except ZeroDivisionError:
-                pass
+                it = 0
             if not it:
-                zj, fj, mu, it = _node(coefs, quarter_dt, b, guess)
-                if not it:
-                    status = SolveStatus.NON_FINITE
-                    message = f"implicit node failed to converge at t={(start + r) * dt:.6g}"
-                    last = start + r
-                    break
-                iterations += it - 1  # the first update is counted below, once per step
-                iterations_max = max(iterations_max, it)
+                status = SolveStatus.NON_FINITE
+                message = f"implicit node failed to converge at t={(start + r) * dt:.6g}"
+                last = start + r
+                break
+            iterations += it
+            if it > iterations_max:
+                iterations_max = it
             z_block.append(zj)
             block_g[r] = fj + src_block[r]
             mu_6, mu_5, mu_4, mu_3, mu_2, mu_1 = mu_5, mu_4, mu_3, mu_2, mu_1, mu
@@ -386,9 +367,6 @@ def solve_trace(model: OscillatorModel, initial: FieldState, T: float, dt: float
         if last < n:
             break
 
-    # one update per step solved, inline or `_node`'s first
-    iterations += last - 1
-    iterations_max = max(iterations_max, min(last - 1, 1))
     return SolveReport(trace=TraceSeries(dt=dt, z=z[:last]), status=status, message=message,
                        node_iterations=iterations, node_iterations_max=iterations_max)
 

@@ -5,8 +5,9 @@ reversed kernel, where `solve_trace` splits the sum into a near dot and
 FFT-convolved far-field squares.  The free trace comes from the current
 `free_trace` of the kink-free remainder, the kink pair's point source joins
 F(z) in the sum as in `solve_trace`, and each step solves its implicit node
-with the current `_node` from the same degree-5 predictor of mu, so a
-comparison with `solve_trace` isolates the history loop.  The node must be
+with `march_oracle._node`, which matches `solve_trace`'s node loop bit for
+bit, from the same degree-5 predictor of mu, so a comparison with
+`solve_trace` isolates the history loop.  The node must be
 the same: the trace dynamics amplify node differences of 1e-14 per step
 into gaps of 1e-10 over T = 600, which would swamp the history sum's 1e-12.
 """
@@ -14,11 +15,12 @@ into gaps of 1e-10 over T = 600, which would swamp the history sum's 1e-12.
 from __future__ import annotations
 
 import numpy as np
+from march_oracle import _node
 
 from kgpoint.fields import FieldState
 from kgpoint.kernel import bessel_j0, free_trace, kink_split
 from kgpoint.model import OscillatorModel, alpha, force
-from kgpoint.volterra import SolveReport, SolveStatus, TraceSeries, _node, _trace_cap
+from kgpoint.volterra import SolveReport, SolveStatus, TraceSeries, _trace_cap
 
 
 def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt: float

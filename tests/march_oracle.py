@@ -3,21 +3,63 @@
 Each step slices the block's finished sources out of the history, takes
 their near dot with `np.dot`, calls `_node` for the implicit node and
 stores z and g one entry at a time.  `solve_trace` keeps the block's sources
-in one reused buffer, stores z once per block and runs the node's first
-update inline; it does the same arithmetic in the same order, so the two
-agree bit for bit.  Both read the far field from the library's own
+in one reused buffer, stores z once per block and solves the node in a loop
+of its own; it does the same arithmetic in the same order, so the two agree
+bit for bit.  Both read the far field from the library's own
 `_square_spectra` and `_add_square`, so a comparison isolates the march.
+`_node` reads `volterra._MAX_ITERATIONS` at call time, as `solve_trace`
+does, so that a test that patches it patches both.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from kgpoint import volterra
 from kgpoint.fields import FieldState, TraceSeries, grid_index
 from kgpoint.kernel import bessel_j0, free_trace, kink_split
 from kgpoint.model import OscillatorModel, alpha, force
-from kgpoint.volterra import (_NEAR, SolveReport, SolveStatus, _add_square, _node,
+from kgpoint.volterra import (_NEAR, _RESIDUAL_TOL, SolveReport, SolveStatus, _add_square,
                               _square_spectra, _trace_cap)
+
+
+def _node(coefs: tuple[float, ...], quarter_dt: float, b: complex, mu: float):
+    """Solve the implicit node z = b + (dt/4) F(z) from the guess mu; `coefs`
+    are the model's alpha coefficients, highest power first.
+
+    F(z) = alpha(|z|^2) z with alpha real, so z = b / mu with mu real, and
+    the node becomes the scalar fixed point mu = 1 - (dt/4) alpha(|b|^2 / mu^2).
+    Each iteration is one real Horner step and one division; the stopping
+    rule is |dz| = |b| |dmu| / |mu mu'| <= _RESIDUAL_TOL max(1, |z|),
+    multiplied through by |mu mu'|.  Returns (z, F(z), mu, iterations);
+    iterations = 0 flags an iteration that did not converge within
+    _MAX_ITERATIONS (a NaN never passes the stopping rule) or divided by
+    zero, and z and F(z) then hold no solution.
+    """
+    b_sq = b.real * b.real + b.imag * b.imag
+    b_abs = math.sqrt(b_sq)
+    try:
+        for it in range(1, volterra._MAX_ITERATIONS + 1):
+            s = b_sq / (mu * mu)
+            acc = 0.0
+            for c in coefs:
+                acc = acc * s + c
+            mu_new = 1.0 - quarter_dt * acc
+            if b_abs * abs(mu_new - mu) <= _RESIDUAL_TOL * max(abs(mu * mu_new), b_abs * abs(mu)):
+                break
+            mu = mu_new
+        else:
+            return b, b, mu, 0
+        z = b / mu_new
+        s = b_sq / (mu_new * mu_new)
+    except ZeroDivisionError:
+        return b, b, mu, 0
+    acc = 0.0
+    for c in coefs:
+        acc = acc * s + c
+    return z, acc * z, mu_new, it
 
 
 def solve_trace_oracle(model: OscillatorModel, initial: FieldState, T: float, dt: float

@@ -1,8 +1,10 @@
-"""The complex fixed-point node, kept as the test oracle of `kgpoint.volterra._node`.
+"""The complex fixed-point node, kept as the test oracle of the implicit node of
+`kgpoint.volterra.solve_trace`.
 
 It iterates z <- b + (dt/4) F(z) on the complex trace value with a complex
-scalar force, where `_node` iterates the real multiplier mu of z = b / mu.
-Both stop once |dz| <= _RESIDUAL_TOL max(1, |z|).
+scalar force, where `solve_trace`, and `march_oracle._node` step for step
+with it, iterate the real multiplier mu of z = b / mu.  Both stop once
+|dz| <= _RESIDUAL_TOL max(1, |z|).
 """
 
 from __future__ import annotations

@@ -849,7 +849,8 @@ class TestCommands:
         ("run.seed", "--vary 'run.seed' is not section.key=v1,v2,..."),
         ("time.dt=0.01,0.013", "time.T = 4.0 is not an integer multiple of dt = 0.013"),
         ("run.sead=2,3", "unknown key run.sead"),
-    ], ids=["no_values", "second_combination_invalid", "unknown_key"])
+        ("time.dt=0.01,0.02,0.5", "dt = 0.5 too large for the implicit node"),
+    ], ids=["no_values", "second_combination_invalid", "unknown_key", "step_too_large"])
     def test_sweep_rejects_input_before_solve(self, tmp_path, monkeypatch, capsys, vary, text):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(BASE_CFG)

@@ -67,6 +67,16 @@ def test_non_finite_in_a_later_block(cubic_model, monkeypatch):
     assert len(rep.trace.z) == 501 and 501 % _NEAR == 53 and rep.node_iterations == 500
 
 
+def test_node_divides_by_zero(linear_model, monkeypatch):
+    # (dt/4) a = 1 makes the multiplier of z_0, and so the first guess, zero;
+    # dt = 4 passes the step rule only with the bound raised
+    monkeypatch.setattr(volterra, "_MAX_CONTRACTION", 1.0)
+    state = gaussian_state(Grid(75.0, 2 ** 12 + 1), GaussianSpec(0.6, 1.5, 3.0, 0.4, 0.3))
+    rep = _assert_same_march(linear_model, state, 20.0, 4.0, SolveStatus.NON_FINITE)
+    assert rep.message == "implicit node failed to converge at t=4"
+    assert len(rep.trace.z) == 1 and rep.node_iterations == 0
+
+
 def test_trace_bound_exceeded_mid_block():
     # a > 2m admits exponentially growing modes; the |z| guard trips at
     # t = 36.5, step 33 of its block

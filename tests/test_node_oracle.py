@@ -1,6 +1,9 @@
 """The real-multiplier node of solve_trace against the complex fixed-point node.
 
-Both nodes get the same right-hand side b.  Along solved long_sweep
+The real-multiplier node is `march_oracle._node`, which matches the node
+loop of solve_trace bit for bit (tests/test_march_oracle.py); along a
+trajectory the library's own z_j is checked too.  Both nodes get the same
+right-hand side b.  Along solved long_sweep
 trajectories (warm starts from the previous step) the two agreed to
 1.96e-14 max(1, |z|) over seeds 1-10; from cold starts at random b in the cap
 disc they agreed to 4.0e-13 max(1, |z|) at dt L/4 = 0.4995, where each stops
@@ -9,12 +12,13 @@ within (1/2)/(1 - 1/2) _RESIDUAL_TOL max(1, |z|) of the fixed point.
 
 import numpy as np
 import pytest
+from march_oracle import _node
 from node_oracle import complex_node, scalar_force
 
 from kgpoint import Grid, OscillatorModel, SolveStatus, solve_trace
 from kgpoint.initial import gaussian_state, seeded_gaussian_spec
 from kgpoint.model import alpha, force, force_lipschitz
-from kgpoint.volterra import _RESIDUAL_TOL, _node, _trace_cap
+from kgpoint.volterra import _RESIDUAL_TOL, _trace_cap
 
 CUBIC = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.0))
 QUINTIC = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))
@@ -46,6 +50,8 @@ def test_nodes_agree_along_trajectory(seed):
         want, it_c = complex_node(F, q, complex(b[j]), complex(z[j - 1]))
         got, f, _, it = _node(coefs, q, complex(b[j]), float(mu[j - 1]))
         assert it and it_c
+        # the library's z_j is the complex node's fixed point for its own b_j
+        assert abs(complex(z[j]) - want) <= TRAJECTORY_TOL * max(1.0, abs(want))
         assert abs(got - want) <= TRAJECTORY_TOL * max(1.0, abs(want))
         assert abs(f - F(got)) <= 1e-14 * max(1.0, abs(got))
 

@@ -69,8 +69,8 @@ class TestConstruction:
             SolitaryWave(amplitude, 0.0, kappa, 0.5)
 
     @pytest.mark.parametrize("C,branch,text", [
-        (1.0, "plus", "no solitary wave exists at amplitude C=1.0"),
-        (0.5, "minus", "no minus-branch wave at amplitude C=0.5"),
+        (1.0, "plus", "no solitary wave exists at C=1.0 for this model"),
+        (0.5, "minus", "no minus-branch solitary wave exists at C=0.5"),
     ], ids=["no_wave", "no_branch"])
     def test_state_rejects_missing_wave(self, small_grid, C, branch, text):
         # u = (0, -1.5, 1): alpha(s) = 3 - 4 s is negative at s = 1 and equals
@@ -270,6 +270,11 @@ class TestDistance:
             distance_to_manifold(cubic_model, zero_state(small_grid), 0.01)
         assert distance_to_manifold(cubic_model, zero_state(small_grid),
                                     small_grid.spacing).rho == 0.0
+        # norm_e shares the window: below the spacing it raises instead of reading 0
+        st = gaussian_state(small_grid, GaussianSpec(amplitude=0.5, width=1.5))
+        with pytest.raises(ValueError, match=r"R = 0\.01 is below the grid spacing h = 0\.01953"):
+            norm_e(st, 1.0, R=0.01)
+        assert norm_e(st, 1.0, R=small_grid.spacing) > 0.0
 
     def test_negative_alpha_leaves_the_zero_wave(self, small_grid):
         # u = (0, 1, 1): alpha(s) = -2 - 4 s has no zero on s > 0, so no wave
