@@ -39,7 +39,7 @@ import numpy as np
 from . import output as out
 from .config import ConfigError, RunConfig, build_initial_state, parse_config_text
 from .fd import check_cfl, fd_evolve
-from .fields import TraceSeries
+from .fields import FieldState, TraceSeries
 from .model import OscillatorModel
 from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
@@ -54,9 +54,10 @@ def _fail(code: int, *messages: str) -> int:
     return code
 
 
-def _load_cfg(args) -> RunConfig:
-    """Config from --config with its --set overrides."""
-    return parse_config_text(_config_text(args.config, args.set))
+def _load_cfg(args) -> tuple[RunConfig, FieldState]:
+    """Config from --config with its --set overrides, and its initial state."""
+    cfg = parse_config_text(_config_text(args.config, args.set))
+    return cfg, build_initial_state(cfg)
 
 
 def _config_text(path: str, overrides: list[str]) -> str:
@@ -84,9 +85,8 @@ def _outdir(args) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
+    cfg, initial = _load_cfg(args)
     outdir = _outdir(args)
-    initial = build_initial_state(cfg)
     report, snapshots = solve_full(cfg.model, initial, cfg.T, cfg.dt,
                                    snapshot_times=cfg.snapshots,
                                    energy_tol=cfg.energy_tol)
@@ -103,12 +103,6 @@ def cmd_simulate(args) -> int:
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     return 0
-
-
-def _solve(cfg: RunConfig):
-    """The initial state of cfg and the trace solve from it."""
-    initial = build_initial_state(cfg)
-    return initial, solve_trace(cfg.model, initial, cfg.T, cfg.dt)
 
 
 def _model_from_args(args) -> OscillatorModel:
@@ -170,7 +164,7 @@ def cmd_attract(args) -> int:
         return _fail(2, f"--radius must be positive and finite, got {args.radius!r}")
     if args.windows < 2:
         return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
-    cfg = _load_cfg(args)
+    cfg, initial = _load_cfg(args)
     if args.radius > cfg.half_extent:
         return _fail(2, f"--radius {args.radius!r} exceeds the grid half extent "
                         f"{cfg.half_extent!r}")
@@ -181,7 +175,7 @@ def cmd_attract(args) -> int:
         return _fail(2, f"time.T = {cfg.T} is shorter than {_MIN_WINDOW_STEPS} steps of "
                         f"dt = {cfg.dt}, the narrowest attract window")
     outdir = _outdir(args)
-    initial, report = _solve(cfg)
+    report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     trace = report.trace
@@ -233,7 +227,7 @@ _SWEEP_COLUMNS = ("status", "in_gap_fraction", "omega_plus", "modulus_variation"
 
 def _sweep_one(cfg: RunConfig) -> tuple[str, ...]:
     """Cells of the _SWEEP_COLUMNS of one sweep run."""
-    _, report = _solve(cfg)
+    report = solve_trace(cfg.model, build_initial_state(cfg), cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
         return (report.status.value, "", "", "", "")
     tail = np.abs(report.trace.z[len(report.trace.z) // 2:])
@@ -250,8 +244,9 @@ def cmd_sweep(args) -> int:
             return _fail(2, f"--vary {spec!r} is not section.key=v1,v2,...")
         axes.append((key.strip(), [v.strip() for v in values.split(",")]))
     combos = list(itertools.product(*[vals for _, vals in axes])) or [()]
-    # every combination is validated before the first solve, its step against
-    # its initial state too; a ConfigError or StepTooLargeError exits 2 through main
+    # every combination is validated before the first solve, its horizon and
+    # step against its initial state too; a ConfigError or StepTooLargeError
+    # exits 2 through main
     cfgs = [parse_config_text(_config_text(
                 args.config, [f"{key}={value}" for (key, _), value in zip(axes, combo)]))
             for combo in combos]
@@ -264,11 +259,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
+    cfg, initial = _load_cfg(args)
     h = cfg.grid.spacing
     check_cfl(h, cfg.dt)
     outdir = _outdir(args)
-    initial, report = _solve(cfg)
+    report = solve_trace(cfg.model, initial, cfg.T, cfg.dt)
     if report.status is not SolveStatus.COMPLETED:
         return _fail(1, f"run status {report.status.value}: {report.message}")
     fd_trace = fd_evolve(cfg.model, initial, cfg.T, cfg.dt)

@@ -5,19 +5,19 @@ A config is an INI-style document with sections [model], [grid], [time],
 precision.  A key that the run does not read is an error, except the four
 that earlier versions read; a [DEFAULT] key must be read in some section,
 and a section the run does not know is an error even when it is empty.
-Validation collects every violated invariant before failing, including the
-horizon rule
+Validation collects every violated invariant before failing.
 
-    half_extent >= data_radius + T + 1
+The [initial] section is described once, at load, by its parts, each kind
+reading its own keys only: an optional solitary wave and Gaussian packets,
+or a snapshot path for from_file data.  `build_initial_state` sums the
+parts' states and checks the horizon rule
 
-which sizes the domain so that no signal (group speed < 1) launched from the
-data support can touch the boundary within the run; reflections and periodic
-wrap-around are excluded by construction instead of by absorbing layers.
+    half_extent >= support_radius + T + 1
 
-The [initial] section is described once, at load, by its parts: an optional
-solitary wave and Gaussian packets, or a snapshot path for from_file data.
-The data radius is the largest of the parts' radii, the initial state the sum
-of their states.
+on the sampled data (`fields.support_radius`, which `check_horizon` reads
+too), so that no signal (group speed < 1) launched from the data support
+can touch the boundary within the run; reflections and periodic wrap-around
+are excluded by construction instead of by absorbing layers.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState, Grid, grid_index, node_span, zero_state
-from .initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
-                      gaussian_state, seeded_gaussian_spec, solitary_state)
+from .fields import FieldState, Grid, grid_index, node_span, support_radius, zero_state
+from .initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
 from .model import OscillatorModel, alpha
 from .solitary import wave_on_branch
 
@@ -76,17 +75,10 @@ def _parse_floats(text: str) -> list[float]:
     return [_finite(float(p)) for p in items]
 
 
-def data_radius(cfg: RunConfig) -> float:
-    init = cfg.initial
-    if init.path:
-        return cfg.half_extent * 0.5  # no analytic radius; rely on the margin
-    radii = [data_radius_gaussian(p) for p in init.packets]
-    if init.wave:
-        radii.append(data_radius_exponential(0.5 * float(alpha(cfg.model, init.wave[0] ** 2))))
-    return max(radii, default=0.0)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # non-finite data are refused below
 def build_initial_state(cfg: RunConfig) -> FieldState:
+    """The initial state of cfg on its grid; ConfigError when the data are
+    not finite or break the horizon rule."""
     init = cfg.initial
     grid = cfg.grid
     if init.path:
@@ -95,23 +87,34 @@ def build_initial_state(cfg: RunConfig) -> FieldState:
         if state.grid.n_points != grid.n_points or \
                 abs(state.grid.half_extent - grid.half_extent) > 1e-9:
             raise ConfigError([f"grid of {init.path} does not match the [grid] section"])
-        return FieldState(grid, state.psi, state.pi, 0.0)
-    parts = [solitary_state(cfg.model, grid, *init.wave)] if init.wave else []
-    parts += [gaussian_state(grid, p) for p in init.packets]
-    # summed onto the first part, not onto zeros: 0.0 + -0.0 would lose the sign
-    first, *rest = parts or [zero_state(grid)]
-    return FieldState(grid, sum((p.psi for p in rest), first.psi),
-                      sum((p.pi for p in rest), first.pi), 0.0)
+        state = FieldState(grid, state.psi, state.pi, 0.0)
+    else:
+        parts = [solitary_state(cfg.model, grid, *init.wave)] if init.wave else []
+        parts += [gaussian_state(grid, p) for p in init.packets]
+        # summed onto the first part, not onto zeros: 0.0 + -0.0 would lose the sign
+        first, *rest = parts or [zero_state(grid)]
+        state = FieldState(grid, sum((p.psi for p in rest), first.psi),
+                           sum((p.pi for p in rest), first.pi), 0.0)
+    if not (np.isfinite(state.psi).all() and np.isfinite(state.pi).all()):
+        raise ConfigError(["initial data are not finite"])
+    radius = support_radius(state)
+    if cfg.half_extent < radius + cfg.T + 1.0:
+        raise ConfigError([f"horizon rule violated: half_extent = {cfg.half_extent} < "
+                           f"data radius + T + 1 = {radius + cfg.T + 1.0:.3f}"])
+    return state
 
 
 _KNOWN_INITIAL = ("zero", "solitary", "gaussian", "seeded_gaussian",
                   "solitary_plus_bump", "from_file")
 _WAVE_KINDS = ("solitary", "solitary_plus_bump")
-# the numeric [initial] keys and their defaults
-_INITIAL_NUMBERS = (("C", 0.5), ("theta", 0.0), ("amplitude_re", 0.5), ("amplitude_im", 0.0),
-                    ("width", 2.0), ("center", 0.0), ("momentum", 0.0), ("omega_bar", 0.0),
-                    ("bump_amplitude_re", 0.1), ("bump_amplitude_im", 0.0),
-                    ("bump_width", 1.0), ("bump_center", 3.0))
+# the packet keys of the kinds that read a Gaussian packet, with their
+# defaults, in GaussianSpec's order: amplitude (re, im), width, center, ...
+_PACKET_KEYS = {
+    "gaussian": (("amplitude_re", 0.5), ("amplitude_im", 0.0), ("width", 2.0),
+                 ("center", 0.0), ("momentum", 0.0), ("omega_bar", 0.0)),
+    "solitary_plus_bump": (("bump_amplitude_re", 0.1), ("bump_amplitude_im", 0.0),
+                           ("bump_width", 1.0), ("bump_center", 3.0)),
+}
 
 
 # keys that earlier versions read and this one accepts without reading
@@ -182,7 +185,7 @@ def parse_config_text(text: str) -> RunConfig:
     if dt is not None and dt <= 0:
         errors.append(f"time.dt must be positive, got {dt}")
     if T and dt and dt > 0:
-        if not math.isfinite(T / dt):
+        if not T / dt < 2 ** 63:  # the steps must count as an array index
             errors.append(f"time.T / time.dt = {T} / {dt} overflows")
         elif grid_index(T, dt) is None:
             errors.append(f"time.T = {T} is not an integer multiple of dt = {dt}")
@@ -190,17 +193,15 @@ def parse_config_text(text: str) -> RunConfig:
     ikind = get("initial", "kind", str, "zero")
     if ikind not in _KNOWN_INITIAL:
         errors.append(f"initial.kind must be one of {_KNOWN_INITIAL}, got {ikind!r}")
-        ikind = "zero"
-    num = {key: get("initial", key, float, default) for key, default in _INITIAL_NUMBERS}
-    branch = get("initial", "branch", str, "plus")
-    path = get("initial", "path", str, "")
-    if branch not in ("plus", "minus"):
-        errors.append(f"initial.branch must be plus or minus, got {branch!r}")
-    if ikind == "from_file" and not path:
-        errors.append("initial.path required for from_file data")
-    C = num["C"]
+        read.update(("initial", key) for key in cp.options("initial"))  # no kind, no key check
+    # each kind reads its own keys only
+    wave, packets, path = None, (), ""
     if ikind in _WAVE_KINDS:
-        if C <= 0:
+        C = get("initial", "C", float, 0.5)
+        wave = (C, get("initial", "theta", float, 0.0), get("initial", "branch", str, "plus"))
+        if wave[2] not in ("plus", "minus"):
+            errors.append(f"initial.branch must be plus or minus, got {wave[2]!r}")
+        elif C <= 0:
             errors.append(f"initial.C must be positive, got {C}")
         elif not math.isfinite(C * C):
             errors.append(f"initial.C = {C} is too large: C**2 overflows")
@@ -211,20 +212,31 @@ def parse_config_text(text: str) -> RunConfig:
                 errors.append(f"initial.C = {C} is too large: alpha(C**2) is not finite")
             else:
                 try:
-                    wave_on_branch(model, C, branch)
+                    wave_on_branch(model, C, wave[2])
                 except ValueError as exc:
                     errors.append(str(exc))
-    # the width of the packet this kind reads, at least one grid spacing
-    width_key = {"gaussian": "width", "solitary_plus_bump": "bump_width"}.get(ikind)
-    if width_key and num[width_key] <= 0:
-        errors.append(f"initial.{width_key} must be positive, got {num[width_key]}")
-    elif width_key and num[width_key] < spacing:
-        errors.append(f"initial.{width_key} = {num[width_key]} is below the grid spacing "
-                      f"{spacing!r}")
+    if ikind in _PACKET_KEYS:
+        keys = _PACKET_KEYS[ikind]
+        amp_re, amp_im, width, *place = [get("initial", key, float, default)
+                                         for key, default in keys]
+        # the packet's width, at least one grid spacing
+        if width <= 0:
+            errors.append(f"initial.{keys[2][0]} must be positive, got {width}")
+        elif width < spacing:
+            errors.append(f"initial.{keys[2][0]} = {width} is below the grid spacing "
+                          f"{spacing!r}")
+        packets = (GaussianSpec(complex(amp_re, amp_im), width, *place),)
+    elif ikind == "seeded_gaussian":
+        seed = get("run", "seed", int, 0)
+        if not 0 <= seed < 2 ** 64:  # the seeded stream's counter is a uint64
+            errors.append(f"run.seed must be in [0, 2**64), got {seed}")
+        else:
+            packets = (seeded_gaussian_spec(seed),)
+    elif ikind == "from_file":
+        path = get("initial", "path", str, "")
+        if not path:
+            errors.append("initial.path required for from_file data")
 
-    seed = get("run", "seed", int, 0)
-    if not 0 <= seed < 2 ** 64:  # the seeded stream's counter is a uint64
-        errors.append(f"run.seed must be in [0, 2**64), got {seed}")
     energy_tol = get("run", "energy_tol", float, 1e-4)
     if energy_tol <= 0:
         errors.append(f"run.energy_tol must be positive, got {energy_tol}")
@@ -246,24 +258,6 @@ def parse_config_text(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    wave = (C, num["theta"], branch) if ikind in _WAVE_KINDS else None
-    packets = ()
-    if ikind == "gaussian":
-        packets = (GaussianSpec(complex(num["amplitude_re"], num["amplitude_im"]), num["width"],
-                                num["center"], num["momentum"], num["omega_bar"]),)
-    elif ikind == "seeded_gaussian":
-        packets = (seeded_gaussian_spec(seed),)
-    elif ikind == "solitary_plus_bump":
-        packets = (GaussianSpec(complex(num["bump_amplitude_re"], num["bump_amplitude_im"]),
-                                num["bump_width"], num["bump_center"]),)
-    init = InitialSpec(wave, packets, path if ikind == "from_file" else "")
-    cfg = RunConfig(model=model, half_extent=half_extent, n_points=n_points, T=T, dt=dt,
-                    initial=init, energy_tol=energy_tol, snapshots=snapshots,
-                    spectrum_windows=spectrum_windows)
-    radius = data_radius(cfg)
-    if half_extent < radius + T + 1.0:
-        errors.append(f"horizon rule violated: half_extent = {half_extent} < "
-                      f"data_radius + T + 1 = {radius + T + 1.0:.3f}")
     for t in snapshots:
         if not (0.0 <= t <= T):
             errors.append(f"snapshot time {t} outside [0, T]")
@@ -277,7 +271,9 @@ def parse_config_text(text: str) -> RunConfig:
             errors.append(f"spectrum window {w0}:{w1} holds fewer than two trace samples")
     if errors:
         raise ConfigError(errors)
-    return cfg
+    return RunConfig(model=model, half_extent=half_extent, n_points=n_points, T=T, dt=dt,
+                     initial=InitialSpec(wave, packets, path), energy_tol=energy_tol,
+                     snapshots=snapshots, spectrum_windows=spectrum_windows)
 
 
 def _parse_windows(text: str) -> list[tuple[float, float]]:

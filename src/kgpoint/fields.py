@@ -1,4 +1,5 @@
-"""Uniform spatial grid, sampled field states, and the trace on a uniform time grid."""
+"""Uniform spatial grid, sampled field states and their one data radius
+(`support_radius`), and the trace on a uniform time grid."""
 
 from __future__ import annotations
 
@@ -89,6 +90,17 @@ class FieldState:
     @property
     def center_value(self) -> complex:
         return complex(self.psi[self.grid.center_index])
+
+
+# magnitude, relative to the peak, below which data count as outside the support
+_SUPPORT_REL = 1e-10
+
+
+def support_radius(state: FieldState) -> float:
+    """The largest |x| where |psi| or |pi| exceeds _SUPPORT_REL of its peak,
+    0 for zero data: the one data radius of the no-wrap horizon rule."""
+    mag = np.maximum(np.abs(state.psi), np.abs(state.pi))
+    return float(np.abs(state.grid.x[mag > _SUPPORT_REL * mag.max()]).max(initial=0.0))
 
 
 def zero_state(grid: Grid, time: float = 0.0) -> FieldState:

@@ -1,5 +1,8 @@
 """Initial data builders and the deterministic counter-based generator.
 
+Each builder samples its part on the grid and gives it no radius: the
+horizon rule reads the summed, sampled state (`fields.support_radius`).
+
 Random streams are produced by SplitMix64 evaluated at (seed, counter), so
 any run is reproducible from its config alone and independent of library
 RNG state:
@@ -75,14 +78,3 @@ def seeded_gaussian_spec(seed: int) -> GaussianSpec:
         omega_bar=-0.6 + 1.2 * u[5],
     )
 
-
-# relative magnitude at which the data radius cuts the profile's tail
-_DATA_TAIL = 1e-13
-
-
-def data_radius_gaussian(spec: GaussianSpec) -> float:
-    return abs(spec.center) + spec.width * float(np.sqrt(-2.0 * np.log(_DATA_TAIL)))
-
-
-def data_radius_exponential(kappa: float) -> float:
-    return float(-np.log(_DATA_TAIL) / kappa)

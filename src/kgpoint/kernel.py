@@ -12,8 +12,9 @@ omega(k) = sqrt(k^2 + m^2): each mode undergoes the rotation
 
 `free_evolve` applies this on the periodic grid (spectrally accurate for
 data supported away from the boundary; callers enforce the no-wrap horizon
-rule).  `free_trace` evaluates the center-node trace psi1(0, t) of the same
-discrete propagator for many times at once; `kink_split` takes off, as a
+rule, which `check_horizon` checks from `fields.support_radius`).
+`free_trace` evaluates the center-node trace psi1(0, t) of the same discrete
+propagator for many times at once; `kink_split` takes off, as a
 point source, the x = 0 kink that a finite Fourier grid aliases.  Because
 omega is even, the modes +-k fold into one cosine and one sine amplitude
 per wavenumber k >= 0.  At N uniform times t = j dt the trace of K folded
@@ -42,27 +43,13 @@ import warnings
 
 import numpy as np
 
-from .fields import FieldState
-
-
-# magnitude, relative to the peak, below which data count as outside the support
-_SUPPORT_REL = 1e-10
-
-
-def support_radius(state: FieldState) -> float:
-    """Radius of the data support at the relative threshold _SUPPORT_REL."""
-    mag = np.maximum(np.abs(state.psi), np.abs(state.pi))
-    peak = float(mag.max())
-    if peak == 0.0:
-        return 0.0
-    idx = np.nonzero(mag > _SUPPORT_REL * peak)[0]
-    x = state.grid.x
-    return float(max(abs(x[idx[0]]), abs(x[idx[-1]])))
+from .fields import FieldState, support_radius
 
 
 def check_horizon(initial: FieldState, t_max: float, what: str) -> None:
-    """Report a no-wrap horizon violation: signals travel at speed < 1, so
-    times beyond half_extent - support_radius can be boundary-contaminated."""
+    """Warn of a no-wrap horizon violation: signals travel at speed < 1, so
+    times beyond half_extent - support_radius (`fields.support_radius`, the
+    one data radius) can be boundary-contaminated."""
     reach = initial.grid.half_extent - support_radius(initial)
     if t_max > reach + 1e-9:
         # attributed to the innermost caller outside this package

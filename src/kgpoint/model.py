@@ -140,7 +140,9 @@ def alpha_roots(model: OscillatorModel, level: float) -> np.ndarray:
         step_res = npoly.polyval(step, c)
         better = np.abs(step_res) < np.abs(res)
         s, res = np.where(better, step, s), np.where(better, step_res, res)
-    return np.unique(s[s > 0])
+    # each value once, ascending, as np.unique would; its first call imports numpy.ma
+    s = np.sort(s[s > 0])
+    return s[np.diff(s, prepend=0.0) != 0]
 
 
 def check_bound_below(model: OscillatorModel) -> tuple[float, float] | None:

@@ -93,9 +93,10 @@ def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]
         raise ValueError("amplitude must be positive")
     m = model.mass
     kappa_c = 0.5 * float(alpha(model, C * C))
-    if not (0.0 < kappa_c <= m):
-        return []
     omega_sq = m * m - kappa_c * kappa_c
+    # a kappa too small to move omega off the gap edge m is no wave
+    if not (0.0 < kappa_c <= m and omega_sq < m * m):
+        return []
     if omega_sq <= 0.0:
         return [SolitaryWave(C, 0.0, kappa_c, 0.0)]
     w = float(np.sqrt(omega_sq))

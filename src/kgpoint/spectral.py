@@ -145,7 +145,7 @@ class TitchmarshResult:
 
 
 def _support(seq: np.ndarray, offset: int) -> tuple[int, int] | None:
-    idx = np.nonzero(np.abs(seq) > 1e-12)[0]
+    idx = np.flatnonzero(seq)
     if len(idx) == 0:
         return None
     return int(idx[0]) + offset, int(idx[-1]) + offset
@@ -156,8 +156,10 @@ def titchmarsh_check(a_seq, g_seq, a_offset: int = 0, g_offset: int = 0) -> Titc
 
     Convolves by the direct O(n^2) sum (exact for integer input), extracts
     the convolution's support endpoints, and reports whether they equal the
-    sums of the factors' endpoints.  Empty supports raise: the theorem
-    concerns nonzero factors.
+    sums of the factors' endpoints.  Any nonzero entry is support: the
+    convolution's end entries are single products, exact unless they
+    underflow (an all-zero convolution reports ((0, 0), False)).  Empty
+    supports raise: the theorem concerns nonzero factors.
     """
     a = np.asarray(a_seq)
     g = np.asarray(g_seq)

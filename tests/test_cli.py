@@ -7,15 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fd_oracle
 from kgpoint import cli, volterra
 from kgpoint.cli import main
-from kgpoint.config import ConfigError, build_initial_state, data_radius, parse_config_text
+from kgpoint.config import ConfigError, build_initial_state, parse_config_text
 from kgpoint.fields import FieldState, Grid, zero_state
-from kgpoint.initial import (GaussianSpec, data_radius_exponential, data_radius_gaussian,
-                             gaussian_state, seeded_gaussian_spec, solitary_state)
-from kgpoint.model import alpha
+from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
 from kgpoint.output import (format_table, read_report, read_snapshot_csv, read_spectrum_csv,
                             read_trace_csv, write_report, write_snapshot_csv,
                             write_spectrum_csv, write_trace_csv)
@@ -42,7 +42,6 @@ amplitude_re = 0.5
 width = 1.5
 
 [run]
-seed = 7
 energy_tol = 0.01
 
 [outputs]
@@ -55,13 +54,12 @@ SOLITARY_CFG = BASE_CFG.replace("kind = gaussian", "kind = solitary").replace(
     "half_extent = 40.0", "half_extent = 66.0").replace(
     "n_points = 2049", "n_points = 4097")
 
-ZERO_CFG = BASE_CFG.replace("kind = gaussian", "kind = zero")
-
 GAUSSIAN_INITIAL = "kind = gaussian\namplitude_re = 0.5\nwidth = 1.5"
+ZERO_CFG = BASE_CFG.replace(GAUSSIAN_INITIAL, "kind = zero")
 POLYNOMIAL_MODEL = "kind = polynomial\nmass = 1.0\ncoefficients = 0, -1, 1"
 
-# (edits of BASE_CFG, the violation parse_config_text must list): one case
-# per validation rule
+# (edits of BASE_CFG, the violation parse_config_text, or else
+# build_initial_state, must list): one case per validation rule
 CONFIG_VIOLATIONS = [
     ([("mass = 1.0\n", "")], "missing model.mass"),
     ([("n_points = 2049", "n_points = many")], "cannot parse grid.n_points = 'many'"),
@@ -82,7 +80,8 @@ CONFIG_VIOLATIONS = [
     ([("dt = 0.01", "dt = -0.01")], "time.dt must be positive"),
     ([("dt = 0.01", "dt = 0.013")], "is not an integer multiple of dt"),
     ([("kind = gaussian", "kind = sine")], "initial.kind must be one of"),
-    ([("width = 1.5", "width = 1.5\nbranch = up")], "initial.branch must be plus or minus"),
+    ([(GAUSSIAN_INITIAL, "kind = solitary\nbranch = up")],
+     "initial.branch must be plus or minus"),
     ([(GAUSSIAN_INITIAL, "kind = solitary\nC = -0.5")], "initial.C must be positive"),
     ([(GAUSSIAN_INITIAL, "kind = from_file")], "initial.path required for from_file data"),
     ([(GAUSSIAN_INITIAL, "kind = solitary\nC = 0.5"),
@@ -100,7 +99,7 @@ CONFIG_VIOLATIONS = [
     ([(GAUSSIAN_INITIAL, "kind = solitary\nC = 0.5\nbranch = minus"),
       ("coefficients = 0, -1, 1", "coefficients = 0, -1.5, 1")],
      "no minus-branch solitary wave exists at C=0.5"),
-    ([(GAUSSIAN_INITIAL, "kind = seeded_gaussian"), ("seed = 7", "seed = -1")],
+    ([(GAUSSIAN_INITIAL, "kind = seeded_gaussian"), ("[run]", "[run]\nseed = -1")],
      "run.seed must be in [0, 2**64), got -1"),
     ([("T = 4.0", "T = 60.0")], "horizon rule violated"),
     ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.0, 5.0")], "snapshot time 5.0 outside [0, T]"),
@@ -126,6 +125,11 @@ CONFIG_VIOLATIONS = [
      "initial.C = 1e+200 is too large: C**2 overflows"),
     ([("T = 4.0", "T = 1e300"), ("dt = 0.01", "dt = 1e-300")],
      "time.T / time.dt = 1e+300 / 1e-300 overflows"),
+    # 4e300 steps: no trace of them can be indexed
+    ([("dt = 0.01", "dt = 1e-300")], "time.T / time.dt = 4.0 / 1e-300 overflows"),
+    # psi is finite, pi = -i omega_bar psi is not
+    ([("width = 1.5", "width = 1.5\nomega_bar = 1e300"),
+      ("amplitude_re = 0.5", "amplitude_re = 1e300")], "initial data are not finite"),
     ([("energy_tol = 0.01", "energy_tol = -1")], "run.energy_tol must be positive, got -1.0"),
     ([("width = 1.5", "width = 1e-200")],
      "initial.width = 1e-200 is below the grid spacing 0.0390625"),
@@ -138,7 +142,10 @@ CONFIG_VIOLATIONS = [
     # the polynomial kind reads no coupling a
     ([("coefficients = 0, -1, 1", "coefficients = 0, -1, 1\na = 1.0")], "unknown key model.a"),
     # a key that earlier versions read is accepted only in its own section
-    ([("seed = 7", "seed = 7\ntrace = true")], "unknown key run.trace"),
+    ([("energy_tol = 0.01", "energy_tol = 0.01\ntrace = true")], "unknown key run.trace"),
+    # each [initial] kind reads its own keys only, and only seeded_gaussian run.seed
+    ([("width = 1.5", "width = 1.5\nC = 0.5")], "unknown key initial.c"),
+    ([("energy_tol = 0.01", "seed = 7\nenergy_tol = 0.01")], "unknown key run.seed"),
     # a [DEFAULT] key reaches every section, and must be read in one of them
     ([("[model]", "[DEFAULT]\nsead = 3\n\n[model]")], "unknown key DEFAULT.sead"),
     ([("[outputs]", "[extra]\n\n[outputs]")], "unknown section extra"),
@@ -147,7 +154,8 @@ CONFIG_VIOLATIONS = [
      "unknown key model.seed"),
 ]
 
-SEEDED_CFG = BASE_CFG.replace(GAUSSIAN_INITIAL, "kind = seeded_gaussian")
+SEEDED_CFG = BASE_CFG.replace(GAUSSIAN_INITIAL, "kind = seeded_gaussian").replace(
+    "[run]", "[run]\nseed = 7")
 
 # (edits of SEEDED_CFG, edits that give the same config): spellings the
 # parser accepts
@@ -160,8 +168,7 @@ CONFIG_ACCEPTED = [
      [("[outputs]\nsnapshots = 0.0, 2.0, 4.0\nspectrum_windows = 1.0:4.0\n", "")]),
 ]
 
-# [initial] sections with a non-default value for every key each kind reads;
-# the wave keys and the bump keys ride along where the kind ignores them
+# [initial] sections with a non-default value for every key each kind reads
 WAVE_KEYS = "C = 0.4\ntheta = 0.3\nbranch = minus"
 BUMP_KEYS = ("bump_amplitude_re = 0.05\nbump_amplitude_im = 0.02\nbump_width = 1.2\n"
              "bump_center = -4.0")
@@ -169,11 +176,22 @@ INITIAL_KINDS = {
     "zero": "kind = zero",
     "solitary": "kind = solitary\n" + WAVE_KEYS,
     "gaussian": "kind = gaussian\namplitude_re = 0.3\namplitude_im = -0.2\nwidth = 1.2\n"
-                "center = 0.5\nmomentum = 0.4\nomega_bar = 0.3\n" + WAVE_KEYS + "\n" + BUMP_KEYS,
+                "center = 0.5\nmomentum = 0.4\nomega_bar = 0.3",
     "seeded_gaussian": "kind = seeded_gaussian",
     "solitary_plus_bump": "kind = solitary_plus_bump\n" + WAVE_KEYS + "\n" + BUMP_KEYS,
     "from_file": "kind = from_file\npath = {path}",
 }
+
+
+def run_python(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter on this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 class TestConfig:
@@ -186,13 +204,18 @@ class TestConfig:
                 "'kgpoint.spectral') if m in sys.modules))\n"
                 "from kgpoint import cli, solve_trace, volterra\n"
                 "print(solve_trace is volterra.solve_trace, cli.__name__)\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "True kgpoint.cli"]
+        assert run_python(code) == ["[]", "True kgpoint.cli"]
+
+    def test_step_check_imports_no_masked_arrays(self):
+        # numpy.ma takes about 15 ms to import, which a sweep would pay in its
+        # up-front step check (np.unique imports it on its first call)
+        code = ("import sys\n"
+                "from kgpoint.config import build_initial_state, parse_config_text\n"
+                "from kgpoint.volterra import check_step\n"
+                f"cfg = parse_config_text({SEEDED_CFG!r})\n"
+                "check_step(cfg.model, build_initial_state(cfg), cfg.dt)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        assert run_python(code) == ["False"]
 
     def test_validation_collects_all_violations(self):
         bad = BASE_CFG.replace("mass = 1.0", "mass = -1.0").replace(
@@ -213,7 +236,7 @@ class TestConfig:
             assert old in text
             text = text.replace(old, new, 1)
         with pytest.raises(ConfigError) as err:
-            parse_config_text(text)
+            build_initial_state(parse_config_text(text))
         assert any(violation in m for m in err.value.errors), err.value.errors
 
     @pytest.mark.parametrize("edits,same", CONFIG_ACCEPTED, ids=["default_seed", "empty_section"])
@@ -228,10 +251,12 @@ class TestConfig:
         assert edited(edits) == edited(same)
 
     def test_horizon_rule_enforced(self):
-        bad = BASE_CFG.replace("T = 4.0", "T = 60.0").replace("dt = 0.01", "dt = 0.01")
+        # the packet's sampled support reaches |x| = 10.15625 at 1e-10 of its peak
+        bad = parse_config_text(BASE_CFG.replace("T = 4.0", "T = 30.0"))
         with pytest.raises(ConfigError) as err:
-            parse_config_text(bad)
-        assert any("horizon" in m for m in err.value.errors)
+            build_initial_state(bad)
+        assert err.value.errors == ["horizon rule violated: half_extent = 40.0 < "
+                                    "data radius + T + 1 = 41.156"]
 
     def test_linear_outside_window_rejected(self):
         bad = BASE_CFG.replace(
@@ -242,7 +267,8 @@ class TestConfig:
         assert any("well-posedness" in m for m in err.value.errors)
 
     def test_removed_run_keys_still_load(self, tmp_path):
-        old = BASE_CFG.replace("seed = 7", "seed = 7\nfd_delta_width = 3\nworkers = 2").replace(
+        old = BASE_CFG.replace("energy_tol = 0.01",
+                               "energy_tol = 0.01\nfd_delta_width = 3\nworkers = 2").replace(
             "[outputs]", "[outputs]\ntrace = false\nreport = false")
         assert parse_config_text(old) == parse_config_text(BASE_CFG)
         cfg = tmp_path / "old.cfg"
@@ -262,19 +288,18 @@ class TestConfig:
         assert err.value.errors == ["initial.C = 1e+100 is too large: alpha(C**2) is not finite"]
 
     def test_seeded_gaussian_initial_data(self):
-        text = BASE_CFG.replace("kind = gaussian\namplitude_re = 0.5\nwidth = 1.5",
-                                "kind = seeded_gaussian").replace("seed = 7", "seed = 3")
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(SEEDED_CFG.replace("seed = 7", "seed = 3"))
         spec = seeded_gaussian_spec(3)
-        assert data_radius(cfg) == data_radius_gaussian(spec)
         state = build_initial_state(cfg)
         want = gaussian_state(cfg.grid, spec)
         assert np.array_equal(state.psi, want.psi) and np.array_equal(state.pi, want.pi)
 
     def test_bad_initial_kind(self):
+        # one error: the keys of a kind that does not exist are not checked
         bad = BASE_CFG.replace("kind = gaussian", "kind = sine")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             parse_config_text(bad)
+        assert len(err.value.errors) == 1 and "got 'sine'" in err.value.errors[0]
 
     def test_solitary_plus_bump(self):
         text = SOLITARY_CFG.replace("kind = solitary", "kind = solitary_plus_bump").replace(
@@ -288,25 +313,40 @@ class TestConfig:
         assert np.array_equal(state.pi, wave.pi + bump.pi)
 
     @pytest.mark.parametrize("kind", INITIAL_KINDS)
+    def test_each_kind_reads_only_its_own_keys(self, kind):
+        # the keys of the other kinds, and run.seed outside seeded_gaussian,
+        # are unknown keys: none of them would change the data
+        lines = {line.split(" = ")[0]: line for text in INITIAL_KINDS.values()
+                 for line in text.format(path="snap.csv").splitlines()}
+        own = INITIAL_KINDS[kind].format(path="snap.csv").splitlines()
+        foreign = [key for key, line in lines.items() if key != "kind" and line not in own]
+        text = SEEDED_CFG.replace("kind = seeded_gaussian",
+                                  "\n".join(own + [lines[key] for key in foreign]))
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        want = [f"unknown key initial.{key.lower()}" for key in foreign]
+        if kind != "seeded_gaussian":
+            want.append("unknown key run.seed")
+        assert sorted(err.value.errors) == sorted(want)
+
+    @pytest.mark.parametrize("kind", INITIAL_KINDS)
     def test_initial_data_are_the_sum_of_their_parts(self, tmp_path, kind):
         path = tmp_path / "snap.csv"
         grid = Grid(66.0, 4097)
         write_snapshot_csv(str(path), gaussian_state(grid, GaussianSpec(0.2j, 3.0, 1.0, 0.7)))
-        cfg = parse_config_text(SOLITARY_CFG.replace(
-            "kind = solitary\nC = 0.5\ntheta = 0.0\nbranch = plus",
-            INITIAL_KINDS[kind].format(path=path)))
+        text = SOLITARY_CFG.replace("kind = solitary\nC = 0.5\ntheta = 0.0\nbranch = plus",
+                                    INITIAL_KINDS[kind].format(path=path))
+        if kind == "seeded_gaussian":
+            text = text.replace("[run]", "[run]\nseed = 7")
+        cfg = parse_config_text(text)
         assert cfg.grid == grid
         waves = [solitary_state(cfg.model, grid, 0.4, 0.3, "minus")] if "solitary" in kind else []
         packets = {"gaussian": [GaussianSpec(0.3 - 0.2j, 1.2, 0.5, 0.4, 0.3)],
                    "seeded_gaussian": [seeded_gaussian_spec(7)],
                    "solitary_plus_bump": [GaussianSpec(0.05 + 0.02j, 1.2, -4.0)]}.get(kind, [])
-        radii = [data_radius_gaussian(p) for p in packets]
-        if waves:
-            radii.append(data_radius_exponential(0.5 * alpha(cfg.model, 0.4 ** 2)))
         parts = waves + [gaussian_state(grid, p) for p in packets] or [zero_state(grid)]
         if kind == "from_file":
-            radii, parts = [33.0], [read_snapshot_csv(str(path))]
-        assert data_radius(cfg) == max(radii, default=0.0)
+            parts = [read_snapshot_csv(str(path))]
         state = build_initial_state(cfg)
         want = parts[0] if len(parts) == 1 else FieldState(
             grid, parts[0].psi + parts[1].psi, parts[0].pi + parts[1].pi)
@@ -590,7 +630,7 @@ class TestCommands:
     def test_sweep_keeps_failed_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(volterra, "_MAX_ITERATIONS", 1)
         path = tmp_path / "g.cfg"
-        path.write_text(BASE_CFG)
+        path.write_text(SEEDED_CFG)
         assert run_cli(tmp_path, "sweep", "--config", str(path), "--vary", "run.seed=1,2") == 0
         assert (tmp_path / "out" / "sweep.csv").read_text() == (
             "run.seed,status,in_gap_fraction,omega_plus,modulus_variation,late_max_abs_z\n"
@@ -828,7 +868,7 @@ class TestCommands:
         assert code == 2
 
     def test_sweep(self, tmp_path, monkeypatch):
-        text = BASE_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
+        text = SEEDED_CFG.replace("snapshots = 0.0, 2.0, 4.0", "snapshots =").replace(
             "spectrum_windows = 1.0:4.0", "spectrum_windows =")
         cfg = tmp_path / "t.cfg"
         cfg.write_text(text)
@@ -850,13 +890,47 @@ class TestCommands:
         ("time.dt=0.01,0.013", "time.T = 4.0 is not an integer multiple of dt = 0.013"),
         ("run.sead=2,3", "unknown key run.sead"),
         ("time.dt=0.01,0.02,0.5", "dt = 0.5 too large for the implicit node"),
-    ], ids=["no_values", "second_combination_invalid", "unknown_key", "step_too_large"])
+        # Gaussian data read no seed, so the rows would all be alike
+        ("run.seed=1,2,3", "unknown key run.seed"),
+        ("time.T=4.0,30.0", "horizon rule violated: half_extent = 40.0 < "
+                            "data radius + T + 1 = 41.156"),
+    ], ids=["no_values", "second_combination_invalid", "unknown_key", "step_too_large",
+            "seed_of_gaussian_data", "second_combination_past_horizon"])
     def test_sweep_rejects_input_before_solve(self, tmp_path, monkeypatch, capsys, vary, text):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(BASE_CFG)
         monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
         code = run_cli(tmp_path, "sweep", "--config", str(cfg), "--vary", vary)
         assert_input_error(code, capsys, text)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "attract", "compare"])
+    def test_horizon_violation_writes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(BASE_CFG)
+        for name in ("solve_trace", "solve_full"):
+            monkeypatch.setattr(cli, name, None)  # any solve would fail
+        code = run_cli(tmp_path, command, "--config", str(cfg), "--set", "time.T=30.0")
+        assert_input_error(code, capsys, "horizon rule violated")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec,T,code,text", [
+        # a wide packet off centre: its tail reaches the boundary, radius 40
+        (GaussianSpec(0.5, 3.0, 25.0), "10.0", 2,
+         "error: horizon rule violated: half_extent = 40.0 < data radius + T + 1 = 51.000\n"),
+        # a compact packet: radius 6.76, so T = 25 keeps 7.2 of margin
+        (GaussianSpec(0.5, 1.0, 0.0), "25.0", 0, ""),
+    ], ids=["wide", "compact"])
+    def test_from_file_horizon_reads_the_sampled_data(self, tmp_path, capsys, spec, T, code,
+                                                      text):
+        snap = tmp_path / "snap.csv"
+        write_snapshot_csv(str(snap), gaussian_state(Grid(40.0, 2049), spec))
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(BASE_CFG.replace(GAUSSIAN_INITIAL, f"kind = from_file\npath = {snap}"))
+        argv = ["simulate", "--config", str(cfg), "--set", f"time.T={T}"]
+        assert run_cli(tmp_path, *argv) == code
+        assert capsys.readouterr().err == text
+        assert (tmp_path / "out").exists() == (code == 0)
 
     def test_attract(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -952,3 +1026,41 @@ class TestCommands:
                      "--set", "outputs.snapshots=2.0"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["report.txt", "snapshot_t2.000000.csv",
                                                          "trace.csv"]
+
+
+# values at the edges of what a config number can be, and no number at all
+EXTREME_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", str(10 ** 30), "", "text")
+
+
+@st.composite
+def edited_configs(draw):
+    """BASE_CFG, SOLITARY_CFG or SEEDED_CFG with one or two of its lines
+    changed: the value replaced by an extreme one, or the key by a known key
+    with one character changed."""
+    lines = draw(st.sampled_from([BASE_CFG, SOLITARY_CFG, SEEDED_CFG])).splitlines()
+    slots = [i for i, line in enumerate(lines) if " = " in line]
+    for i in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=2, unique=True)):
+        key, value = lines[i].split(" = ")
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(EXTREME_VALUES))
+        else:
+            at = draw(st.integers(0, len(key) - 1))
+            key = key[:at] + draw(st.sampled_from("abcdeinorstx_")) + key[at + 1:]
+        lines[i] = f"{key} = {value}"
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(edited_configs())
+def test_parse_build_solve_boundary(text):
+    # each layer either refuses its input with its own error or hands the
+    # next one something it can use: a config, finite data, a solve
+    try:
+        state = build_initial_state(cfg := parse_config_text(text))
+    except ConfigError:
+        return
+    assert np.all(np.isfinite(state.psi)) and np.all(np.isfinite(state.pi))
+    try:
+        volterra.solve_trace(cfg.model, state, cfg.T, cfg.dt)
+    except volterra.StepTooLargeError:
+        pass

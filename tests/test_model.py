@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,35 @@ class TestAlphaRoots:
                 for level in (np.nextafter(peak, -np.inf), peak, np.nextafter(peak, np.inf)):
                     roots = alpha_roots(model, float(level))
                     assert np.all(np.abs(roots - vertex) <= 1e-5 * vertex), (u1, u2, level)
+
+    def test_same_values_and_order_as_unique(self):
+        # the polished roots deduplicated by np.unique, the way the library
+        # did before it sorted and compared neighbours (np.unique imports
+        # numpy.ma on its first call), bit for bit on the grid above and on
+        # levels with two, one and no roots
+        def by_unique(model, level):
+            c = np.array(model.alpha_coefficients)
+            c[0] -= level
+            roots = npoly.polyroots(c)
+            s = roots.real[(np.abs(roots.imag) < 1e-10) & (roots.real > 0)]
+            dc, res = npoly.polyder(c), npoly.polyval(s, c)
+            for _ in range(3):
+                slope = npoly.polyval(s, dc)
+                step = s - np.divide(res, slope, out=np.zeros_like(s), where=slope != 0)
+                step_res = npoly.polyval(step, c)
+                better = np.abs(step_res) < np.abs(res)
+                s, res = np.where(better, step, s), np.where(better, step_res, res)
+            return np.unique(s[s > 0])
+
+        for u1 in np.linspace(-3, 3, 13):
+            for u2 in np.linspace(-3, 3, 13):
+                model = OscillatorModel.polynomial(1.0, (0.0, u1, u2, 1.0))
+                c0, c1, c2 = model.alpha_coefficients
+                peak = c0 - c1 * c1 / (4 * c2)
+                for level in (np.nextafter(peak, -np.inf), peak, np.nextafter(peak, np.inf),
+                              peak - 1.0, 0.0, c0):
+                    got, want = alpha_roots(model, float(level)), by_unique(model, float(level))
+                    assert got.tobytes() == want.tobytes(), (u1, u2, level)
 
     def test_linear_kind_has_none(self, linear_model):
         assert alpha_roots(linear_model, 1.0).size == 0

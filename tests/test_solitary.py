@@ -51,6 +51,13 @@ class TestWavesFromAmplitude:
         for C in (0.1, 0.7, 2.0):
             assert waves_from_amplitude(lin, C) == []
 
+    def test_kappa_below_the_resolution_of_omega_empty(self):
+        # alpha(1/4) = 2.2e-16 is the rounding of an exact zero at u_2 = 2, so
+        # kappa = 1.1e-16 and omega = sqrt(1 - kappa^2) rounds to m: not a wave
+        # inside the gap (found by TestRoundTrip.test_property)
+        model = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1.9999999999999998))
+        assert waves_from_amplitude(model, 0.5) == []
+
     def test_omega_zero_single_wave(self):
         # kappa_C = m exactly at alpha(C^2) = 2m: u = [0, -1.5, 1], m = 1,
         # alpha(s) = 3 - 4 s = 2 at s = 1/4

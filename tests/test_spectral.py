@@ -181,6 +181,22 @@ class TestTitchmarsh:
         res = titchmarsh_check(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
         assert res.endpoint_identity_holds
 
+    @pytest.mark.parametrize("a,g,support", [
+        ([1e-7, 1.0], [1e-7, 1.0], (0, 2)),
+        (3e-7 * np.array([1.0, 2.0, 1.0]), 3e-7 * np.array([1.0, -1.0]), (0, 3)),
+    ], ids=["small_end_entries", "small_factors"])
+    def test_any_scale(self, a, g, support):
+        # the end entries 1e-14 and 9e-14 are support like any nonzero entry
+        res = titchmarsh_check(np.array(a), np.array(g))
+        assert res.conv_support == support
+        assert res.endpoint_identity_holds
+
+    def test_underflowing_convolution(self):
+        # 1e-200 squared underflows to zero: no support to compare
+        res = titchmarsh_check(np.array([1e-200, 0.0]), np.array([1e-200]))
+        assert res.conv_support == (0, 0)
+        assert not res.endpoint_identity_holds
+
     def test_rejects_zero_sequence(self):
         with pytest.raises(ValueError):
             titchmarsh_check(np.zeros(3), np.array([1.0]))
