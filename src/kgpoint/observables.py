@@ -1,20 +1,24 @@
-"""Conserved functionals and energy norms.
+"""Conserved functionals and the energy seminorm.
 
-Energy, charge and the energy (semi)norms are trapezoid quadratures of the
-sampled densities.  The spatial derivative is centered except across x = 0,
-where the field generically has a kink (the point coupling forces a jump in
-psi'): the trapezoid cells left and right of the kink each use their own
-second-order one-sided difference, so the node contributes the average of
-the two one-sided densities.  Averaging the derivative itself instead would
-zero the kink-node density for a symmetric profile and cost an order of
-accuracy.
+`seminorm_terms` is the one discretization of the local energy seminorm
+||Psi||_{E,R}^2 = int_{|x| <= R} (|pi|^2 + |psi'|^2 + m^2 |psi|^2) dx, whose
+terms `norm_e`, `energy` and `solitary.distance_to_manifold` all sum; the
+charge is a trapezoid quadrature of its density.  The spatial derivative
+is centered except across x = 0, where the field generically has a kink
+(the point coupling forces a jump in psi'): the trapezoid cells left and
+right of the kink each use their own second-order one-sided difference, so
+the node contributes the average of the two one-sided densities.
+Averaging the derivative itself instead would zero the kink-node density
+for a symmetric profile and cost an order of accuracy.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .fields import FieldState, Grid
+from .fields import FieldState
 from .model import OscillatorModel, potential
 
 
@@ -40,44 +44,62 @@ def _dx_with_center_kink(psi: np.ndarray, h: float, c: int):
     return d, d_plus, d_minus
 
 
-def _energy_density(state: FieldState, m: float) -> np.ndarray:
-    c = state.grid.center_index
-    dpsi, d_plus, d_minus = _dx_with_center_kink(state.psi, state.grid.spacing, c)
-    density = (np.abs(state.pi) ** 2 + np.abs(dpsi) ** 2
-               + m * m * np.abs(state.psi) ** 2)
-    density[c] += 0.5 * (abs(d_plus) ** 2 + abs(d_minus) ** 2) - abs(dpsi[c]) ** 2
-    return density
+class SeminormTerms(NamedTuple):
+    """||Psi||_{E,R}^2 = weights . |rows|^2 + w . |pi|^2 on the window's
+    nodes x, with w the trapezoid weights, rows [psi | psi' | psi'(0+),
+    psi'(0-)] and weights [m^2 w | w, 0 at x = 0 | w_0/2, w_0/2]: the kink
+    node x[half] = 0 reads the one-sided pair, not the average in psi'."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+    pi: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    half: int
+
+    def residual_sq(self, rows=0.0, pi=0.0) -> float:
+        """||Psi - Phi||_{E,R}^2 of the candidate rows and pi laid out like
+        the state's, summed term by term; the state's own by default."""
+        r, r_pi = self.rows - rows, self.pi - pi
+        return float(self.weights @ (r.real ** 2 + r.imag ** 2)
+                     + self.w @ (r_pi.real ** 2 + r_pi.imag ** 2))
 
 
-def _window_half(grid: Grid, R: float) -> int:
-    """Nodes each side of x = 0 in the window |x| <= R; ValueError unless R
-    lies between the grid spacing (a node each side) and the half extent."""
+def seminorm_terms(state: FieldState, m: float, R: float | None = None) -> SeminormTerms:
+    """The terms of ||Psi||_{E,R} over |x| <= R, or of ||Psi||_E over the
+    whole grid when R is None; R beyond the grid or below its spacing
+    raises ValueError."""
+    grid = state.grid
+    c = grid.center_index
     h = grid.spacing
-    if not R >= h:
+    if R is None:
+        half = c
+    elif not R >= h:
         raise ValueError(f"R = {R!r} is below the grid spacing h = {h!r}: the window "
                          f"|x| <= R needs a node each side of x = 0")
-    if R > grid.half_extent + 1e-12:
+    elif R > grid.half_extent + 1e-12:
         raise ValueError("R exceeds the grid half extent")
-    return min(int(round(R / h)), grid.center_index)
+    else:
+        half = min(int(round(R / h)), c)
+    lo, hi = c - half, c + half + 1
+    d, d_plus, d_minus = _dx_with_center_kink(state.psi, h, c)
+    w = np.full(hi - lo, h)
+    w[0] = w[-1] = 0.5 * h
+    rows = np.concatenate((state.psi[lo:hi], d[lo:hi], (d_plus, d_minus)))
+    weights = np.concatenate((m * m * w, w, 0.5 * w[[half, half]]))
+    weights[len(w) + half] = 0.0
+    return SeminormTerms(rows, weights, state.pi[lo:hi], w, grid.x[lo:hi], half)
 
 
 def norm_e(state: FieldState, m: float, R: float | None = None) -> float:
     """||Psi||_E, or the local seminorm ||Psi||_{E,R} over |x| <= R; R below
     the grid spacing raises ValueError."""
-    density = _energy_density(state, m)
-    h = state.grid.spacing
-    if R is None:
-        return float(np.sqrt(np.trapezoid(density, dx=h)))
-    c = state.grid.center_index
-    half = _window_half(state.grid, R)
-    sel = density[c - half:c + half + 1]
-    return float(np.sqrt(np.trapezoid(sel, dx=h)))
+    return float(np.sqrt(seminorm_terms(state, m, R).residual_sq()))
 
 
 def energy(model: OscillatorModel, state: FieldState) -> float:
     """Hamiltonian (1/2) int (|pi|^2 + |psi'|^2 + m^2 |psi|^2) dx + U(psi(0))."""
-    h = state.grid.spacing
-    quad = np.trapezoid(_energy_density(state, model.mass), dx=h)
+    quad = seminorm_terms(state, model.mass).residual_sq()
     return float(0.5 * quad + potential(model, state.center_value))
 
 

@@ -19,8 +19,9 @@ s > 0 with alpha(s)/2 in (0, m], a union of intervals in general, and
 which alpha < 0 (u_N > 0).  That zero and the amplitudes of
 `waves_at_omega`, the roots of alpha(s) = 2 kappa, come from
 `model.alpha_roots`.  Both model kinds measure the distance through the
-same profile rows, inner products and term-by-term residual; the linear
-model needs them at the single decay kappa = a/2.
+same profile rows, inner products and term-by-term residual, the linear
+model at the single decay kappa = a/2.  The state's side of all three is
+`observables.seminorm_terms`, the terms that `norm_e` and `energy` sum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .fields import FieldState, Grid
 from .model import OscillatorModel, alpha, alpha_roots
-from .observables import _dx_with_center_kink, _window_half
+from .observables import _dx_with_center_kink, seminorm_terms
 
 
 @dataclass(frozen=True)
@@ -150,22 +151,6 @@ def profile_norm_e_sq(wave: SolitaryWave, m: float) -> float:
     return wave.amplitude ** 2 * (wave.kappa ** 2 + m * m + wave.omega ** 2) / wave.kappa
 
 
-def _window(state: FieldState, m: float, R: float):
-    """Arrays (psi, psi', one-sided pair, pi, weights) restricted to |x| <= R,
-    with the seminorm's stencils (`_dx_with_center_kink`); an R beyond the
-    grid or below its spacing raises, as in `norm_e` (`_window_half`)."""
-    grid = state.grid
-    c = grid.center_index
-    h = grid.spacing
-    half = _window_half(grid, R)
-    lo, hi = c - half, c + half + 1
-    d_all, d_plus, d_minus = _dx_with_center_kink(state.psi, h, c)
-    w = np.full(hi - lo, h)
-    w[0] = w[-1] = 0.5 * h
-    return (state.psi[lo:hi], d_all[lo:hi], (d_plus, d_minus),
-            state.pi[lo:hi], w, grid.x[lo:hi], half)
-
-
 def _profile_rows(kappa: np.ndarray, x_w: np.ndarray, half: int) -> np.ndarray:
     """Rows [phi | phi' | phi'(0+), phi'(0-)] of phi = e^{-kappa |x|} on the
     window nodes, one row per kappa.
@@ -204,46 +189,34 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     best node's two neighbours, on the residual ||Psi - Phi||_{E,R} summed
     term by term (the scan's inner-product form cancels to ~1e-15
     ||Psi||^2, which near the manifold leaves only a few digits of rho);
-    the reported rho is that residual of the reported wave.  The zero wave is always a candidate.
-    R below the grid spacing h raises ValueError.
+    the reported rho is that residual of the reported wave.  The zero wave
+    is always a candidate, at rho = norm_e(state, m, R).  R beyond the grid
+    or below its spacing h raises ValueError, as in `norm_e`.
     Linear models: least squares onto the span of the two resonant modes.
     They share the profile row of kappa = a/2, so the scan's inner products
     give the right-hand side and its squared-row sums the 2 x 2 Gram
     matrix; rho is the residual of that fit, summed term by term too.
     """
     m = model.mass
-    psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
-
-    # ||Psi - Phi||_{E,R}^2 summed term by term, which does not cancel: against
-    # candidate rows [psi | psi' | psi'(0+), psi'(0-)] laid out like those of
-    # `_profile_rows`, with the kink node weighing the one-sided pair
+    # ||Psi - Phi||_{E,R}^2 summed term by term (`residual_sq`) does not
+    # cancel; the rows of `_profile_rows` are laid out like the state's
+    terms = seminorm_terms(state, m, R)
+    x_w, half = terms.x, terms.half
     n = len(x_w)
-    w_d = w.copy()
-    w_d[half] = 0.0
-    kink = 0.5 * w[half]
-    state_rows = np.concatenate((psi_w, dpsi_w, pair_w))
-    res_w = np.concatenate((m * m * w, w_d, [kink, kink]))
-
-    def residual_sq(row, pi_row) -> float:
-        r = state_rows - row
-        r_pi = pi_w - pi_row
-        return float(res_w @ (r.real ** 2 + r.imag ** 2) + w @ (r_pi.real ** 2 + r_pi.imag ** 2))
-
-    norm_sq = residual_sq(0.0, 0.0)
+    norm_sq = terms.residual_sq()
     rho_zero = float(np.sqrt(norm_sq))
 
     # Against the rows of `_profile_rows`, the candidate C phi with
     # pi = -i omega C phi has <Psi, Phi> = C (A + i omega B) and
     # ||Phi||^2 = C^2 ((omega^2 + m^2) G + D): A and B are the products of
     # the rows with the columns of `proj`, G and D those of the squared rows
-    # with the columns of `norm_w`.  The kink node weighs the one-sided pair.
-    vec_a = np.concatenate((m * m * w * psi_w, w_d * dpsi_w, kink * np.array(pair_w)))
-    vec_b = np.concatenate((w * pi_w, np.zeros(n + 2)))
+    # with the columns of `norm_w`, all with the seminorm's weights.
+    vec_a = terms.weights * terms.rows
+    vec_b = np.concatenate((terms.w * terms.pi, np.zeros(n + 2)))
     proj = np.stack((vec_a.real, vec_a.imag, vec_b.real, vec_b.imag), axis=1)
     norm_w = np.zeros((2 * n + 2, 2))
-    norm_w[:n, 0] = w
-    norm_w[n:2 * n, 1] = w_d
-    norm_w[2 * n:, 1] = kink
+    norm_w[:n, 0] = terms.w
+    norm_w[n:, 1] = terms.weights[n:]
 
     def inner(s: np.ndarray, kappa: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """<Psi, Phi> of the waves with C^2 = s and these kappa (rows) for
@@ -268,8 +241,8 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
         p = (m * m + omega_a * omega_a) * g_sq + d_sq
         q = (m * m - omega_a * omega_a) * g_sq + d_sq
         coef = np.linalg.solve(np.array([[p, q], [q, p]]), v)
-        rho = float(np.sqrt(residual_sq((coef[0] + coef[1]) * g_row,
-                                        (1j * omega_a * (coef[0] - coef[1])) * g_row[:n])))
+        rho = float(np.sqrt(terms.residual_sq((coef[0] + coef[1]) * g_row,
+                                              (1j * omega_a * (coef[0] - coef[1])) * g_row[:n])))
         fit = LinearSpanFit(complex(coef[0]), complex(coef[1]), omega_a, 0.5 * a)
         if rho_zero <= rho + 1e-15:
             return ManifoldDistance(rho_zero, ZeroWave())
@@ -308,7 +281,7 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
         wave = SolitaryWave(np.sqrt(s), float(np.angle(ip[col])) % (2.0 * np.pi),
                             kappa, omega)
         cand = (wave.amplitude * np.exp(1j * wave.theta)) * row
-        return residual_sq(cand, -1j * omega * cand[:n]), wave
+        return terms.residual_sq(cand, -1j * omega * cand[:n]), wave
 
     zeros = alpha_roots(model, 0.0)
     if not len(zeros):

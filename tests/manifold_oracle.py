@@ -6,9 +6,10 @@ amplitude root alpha(C^2) = 2 kappa at each of them and refines omega by
 golden section, where `distance_to_manifold` scans s = C^2 and obtains kappa
 and omega in closed form.  Both branches form their inner products with
 `win_inner` on per-candidate window arrays, where `distance_to_manifold`
-reads profile rows against precomputed projections.  The window arrays and
-the profile stencils come from the current module, the amplitude roots from
-`model.alpha_roots`.
+reads profile rows against precomputed projections.  The window arrays
+(`observables.seminorm_terms`, split back into psi, psi', the one-sided
+pair and pi) and the profile stencils come from the current modules, the
+amplitude roots from `model.alpha_roots`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 
 from kgpoint.fields import FieldState
 from kgpoint.model import OscillatorModel, alpha_roots
+from kgpoint.observables import seminorm_terms
 from kgpoint.solitary import (LinearSpanFit, ManifoldDistance, SolitaryWave, ZeroWave,
-                              _profile_rows, _window)
+                              _profile_rows)
 
 
 def _candidate_window_arrays(wave_params, x_w, half):
@@ -44,8 +46,9 @@ def distance_to_manifold_oracle(model: OscillatorModel, state: FieldState, R: fl
     resonant modes.
     """
     m = model.mass
-    psi_w, dpsi_w, pair_w, pi_w, w, x_w, half = _window(state, m, R)
-    state_bundle = (psi_w, dpsi_w, pair_w, pi_w)
+    terms = seminorm_terms(state, m, R)
+    w, x_w, half, n = terms.w, terms.x, terms.half, len(terms.x)
+    state_bundle = (terms.rows[:n], terms.rows[n:2 * n], terms.rows[2 * n:], terms.pi)
 
     def win_inner(a, b) -> complex:
         apsi, adp, (app, apm), api = a

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fd_oracle
+import kgpoint
 from kgpoint import cli, volterra
 from kgpoint.cli import main
 from kgpoint.config import ConfigError, build_initial_state, parse_config_text
@@ -205,6 +206,15 @@ class TestConfig:
                 "from kgpoint import cli, solve_trace, volterra\n"
                 "print(solve_trace is volterra.solve_trace, cli.__name__)\n")
         assert run_python(code) == ["[]", "True kgpoint.cli"]
+
+    def test_dir_lists_the_public_names_unresolved(self):
+        # dir() lists every public name, here and in a fresh interpreter,
+        # without resolving one, so the solver stays unloaded
+        assert set(kgpoint.__all__) <= set(dir(kgpoint))
+        code = ("import sys, kgpoint\n"
+                "print(set(kgpoint.__all__) <= set(dir(kgpoint)), "
+                "'kgpoint.volterra' in sys.modules)\n")
+        assert run_python(code) == ["True False"]
 
     def test_step_check_imports_no_masked_arrays(self):
         # numpy.ma takes about 15 ms to import, which a sweep would pay in its

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kgpoint import (FieldState, Grid, OscillatorModel, distance_to_manifold,
                      force, sample_profile, waves_at_omega, waves_from_amplitude)
 from kgpoint.fields import zero_state
-from kgpoint.initial import GaussianSpec, gaussian_state, solitary_state
+from kgpoint.initial import GaussianSpec, gaussian_state, seeded_gaussian_spec, solitary_state
 from kgpoint.observables import norm_e
 from kgpoint.solitary import (LinearWaveFamily, SolitaryWave, ZeroWave,
                               profile_norm_e_sq)
@@ -291,13 +291,21 @@ class TestDistance:
         assert isinstance(res.best, ZeroWave)
         assert res.rho == pytest.approx(norm_e(st, 1.0, R=5.0), rel=1e-12)
 
-    @pytest.mark.parametrize("a", [0.0, -1.0])
-    def test_linear_without_bound_state_is_zero_wave(self, a, small_grid):
+    @pytest.mark.parametrize("a, n_points, seed, R", [
+        *(pytest.param(a, None, None, 5.0, id=str(a)) for a in (0.0, -1.0)),
+        *(pytest.param(-0.5, n, seed, R, id=f"{n}-seed{seed}-R{R}")
+          for n in (2049, 16385) for seed in range(1, 6) for R in (5.0, 2.0))])
+    def test_linear_without_bound_state_is_zero_wave(self, a, n_points, seed, R, small_grid):
+        # the zero wave's rho is norm_e to the last bit: both sum the terms
+        # of observables.seminorm_terms
         lin = OscillatorModel.linear(1.0, a)
-        st = gaussian_state(small_grid, GaussianSpec(amplitude=0.3, width=1.0, center=0.5))
-        res = distance_to_manifold(lin, st, 5.0)
+        if n_points is None:
+            st = gaussian_state(small_grid, GaussianSpec(amplitude=0.3, width=1.0, center=0.5))
+        else:
+            st = gaussian_state(Grid(430.0, n_points), seeded_gaussian_spec(seed))
+        res = distance_to_manifold(lin, st, R)
         assert isinstance(res.best, ZeroWave)
-        assert res.rho == pytest.approx(norm_e(st, 1.0, R=5.0), rel=1e-12)
+        assert res.rho == norm_e(st, 1.0, R=R)
 
     def test_linear_state_orthogonal_to_the_modes_is_zero_wave(self, linear_model,
                                                                 small_grid):
