@@ -30,7 +30,6 @@ import argparse
 import configparser
 import io
 import itertools
-import math
 import os
 import sys
 
@@ -40,7 +39,8 @@ from . import output as out
 from .config import ConfigError, RunConfig, build_initial_state, parse_config_text
 from .fd import check_cfl, fd_evolve
 from .fields import FieldState, TraceSeries
-from .model import OscillatorModel
+from .model import OscillatorModel, well_posed_linear
+from .observables import seminorm_terms
 from .solitary import (LinearSpanFit, LinearWaveFamily, SolitaryWave,
                        distance_to_manifold, waves_at_omega, waves_from_amplitude)
 from .spectral import (Window, dominant_frequency, late_window, window_diagnostics,
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
 def _model_from_args(args) -> OscillatorModel:
     mass = args.mass if args.mass is not None else 1.0
     if args.a is not None:
-        return OscillatorModel.linear(mass, args.a)
+        return well_posed_linear(mass, args.a)
     try:
         coeffs = [float(c) for c in (args.u or "0,-1,1").split(",")]
     except ValueError as exc:
@@ -117,20 +117,13 @@ def _model_from_args(args) -> OscillatorModel:
 
 
 def cmd_solitary(args) -> int:
-    for flag, value in (("--C", args.C), ("--omega", args.omega)):
-        if value is not None and not math.isfinite(value):
-            return _fail(2, f"{flag} must be finite, got {value!r}")
     model = _model_from_args(args)
-    rows = []
-    if args.C is not None:
-        waves = waves_from_amplitude(model, args.C)
-        rows = [(w.amplitude, w.kappa, w.omega) for w in waves]
-    else:
-        res = waves_at_omega(model, args.omega)
-        if isinstance(res, LinearWaveFamily):
-            print(f"continuous family: kappa = {res.kappa!r}, omega = {res.omega!r}, any C")
-            return 0
-        rows = [(w.amplitude, w.kappa, w.omega) for w in res]
+    waves = (waves_from_amplitude(model, args.C) if args.C is not None
+             else waves_at_omega(model, args.omega))
+    if isinstance(waves, LinearWaveFamily):
+        print(f"continuous family: kappa = {waves.kappa!r}, omega = {waves.omega!r}, any C")
+        return 0
+    rows = [(w.amplitude, w.kappa, w.omega) for w in waves]
     table = out.format_table(("C", "kappa", "omega"),
                              np.array(rows, dtype=float).reshape(-1, 3).T)
     print(table, end="")
@@ -140,10 +133,6 @@ def cmd_solitary(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not math.isfinite(args.t_center):
-        return _fail(2, f"--t-center must be finite, got {args.t_center!r}")
-    if not 0 < args.t_width < math.inf:
-        return _fail(2, f"--t-width must be positive and finite, got {args.t_width!r}")
     times, z, _, _ = out.read_trace_csv(args.trace)
     if len(times) < 2:
         return _fail(2, "trace file too short")
@@ -160,17 +149,10 @@ _MIN_WINDOW_STEPS = 64
 
 
 def cmd_attract(args) -> int:
-    if not 0 < args.radius < math.inf:
-        return _fail(2, f"--radius must be positive and finite, got {args.radius!r}")
     if args.windows < 2:
         return _fail(2, f"--windows must be at least 2, got {args.windows!r}")
     cfg, initial = _load_cfg(args)
-    if args.radius > cfg.half_extent:
-        return _fail(2, f"--radius {args.radius!r} exceeds the grid half extent "
-                        f"{cfg.half_extent!r}")
-    if args.radius < cfg.grid.spacing:
-        return _fail(2, f"--radius {args.radius!r} is below the grid spacing "
-                        f"{cfg.grid.spacing!r}")
+    seminorm_terms(initial, cfg.model.mass, args.radius)  # the radius rule, before the solve
     if round(cfg.T / cfg.dt) < _MIN_WINDOW_STEPS:
         return _fail(2, f"time.T = {cfg.T} is shorter than {_MIN_WINDOW_STEPS} steps of "
                         f"dt = {cfg.dt}, the narrowest attract window")

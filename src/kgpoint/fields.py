@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,9 +42,21 @@ def grid_index(t: float, dt: float) -> int | None:
     return k if abs(t - k * dt) <= 1e-9 * max(1.0, abs(t)) else None
 
 
-def node_span(t0: float, t1: float, dt: float) -> tuple[int, int]:
-    """(lo, hi): the first and last k with k dt in [t0, t1] widened by 1e-9 dt each side."""
-    return int(np.ceil(t0 / dt - 1e-9)), int(np.floor(t1 / dt + 1e-9))
+def node_span(t0: float, t1: float, dt: float, n: int) -> tuple[int, int]:
+    """(lo, hi): the first and last of n trace nodes k with k dt in [t0, t1]
+    widened by 1e-9 dt each side, the one window rule; ValueError naming the
+    window when its ends are not finite in steps, it holds fewer than two
+    nodes or it leaves 0 .. n - 1."""
+    a, b, window = t0 / dt - 1e-9, t1 / dt + 1e-9, f"{t0}:{t1}"
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"window ends are not finite in steps: {window} at dt = {dt}")
+    lo, hi = math.ceil(a), math.floor(b)
+    if hi <= lo:
+        raise ValueError(f"window holds fewer than two trace samples: {window} at dt = {dt}")
+    if lo < 0 or hi >= n:
+        raise ValueError(f"window extends outside the trace: {window} is not within "
+                         f"0:{(n - 1) * dt}")
+    return lo, hi
 
 
 @dataclass

@@ -51,7 +51,7 @@ class GaussianSpec:
 def gaussian_state(grid: Grid, spec: GaussianSpec) -> FieldState:
     """psi0 = A exp(-(x-c)^2/(2 w^2)) e^{i p x}, pi0 = -i omega_bar psi0."""
     x = grid.x
-    env = np.exp(-((x - spec.center) ** 2) / (2.0 * spec.width ** 2))
+    env = np.exp(-((x - spec.center) ** 2) / (2.0 * np.float64(spec.width) ** 2))
     psi = spec.amplitude * env * np.exp(1j * spec.momentum * x)
     return FieldState(grid, psi, -1j * spec.omega_bar * psi, 0.0)
 

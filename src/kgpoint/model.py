@@ -11,7 +11,8 @@ Two kinds are supported:
 
 The linear kind is well posed only for a < 2m; larger couplings admit
 secularly growing modes, so `OscillatorModel.linear` merely warns and
-downstream checks (`check_bound_below`) report the failure.
+downstream checks (`check_bound_below`) report the failure; the config and
+the CLI build the kind through `well_posed_linear`, which refuses them.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ class OscillatorModel:
         return model
 
 
+def well_posed_linear(mass: float, a: float) -> OscillatorModel:
+    """`OscillatorModel.linear`, ValueError outside the well-posedness window a < 2m."""
+    if mass > 0 and not a < 2 * mass:
+        raise ValueError(f"linear coupling a={a} outside the well-posedness window a < 2m")
+    return OscillatorModel.linear(mass, a)
+
+
 def potential(model: OscillatorModel, psi: complex) -> float:
     """U(psi) = u(|psi|^2); inf, without a warning, where that overflows."""
     s = float(np.real(psi * np.conj(psi)))
@@ -110,11 +118,12 @@ def force_lipschitz(model: OscillatorModel, r: float) -> float:
     (s = |psi|^2), with eigenvalues alpha(s) and alpha(s) + 2 s alpha'(s).  For
     alpha(s) = sum_k c_k s^k both are bounded by sum_k |c_k| (2k+1) r^(2k),
     which grows with r, so no maximisation over the disc is needed.  |a| for
-    the linear kind.
+    the linear kind; inf or nan, with no warning, past the float range.
     """
-    s = r * r
-    return float(sum(abs(c) * (2 * k + 1) * s ** k
-                     for k, c in enumerate(model.alpha_coefficients)))
+    s = np.float64(r) * r
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(sum(abs(c) * (2 * k + 1) * s ** k
+                         for k, c in enumerate(model.alpha_coefficients)))
 
 
 def alpha_roots(model: OscillatorModel, level: float) -> np.ndarray:
@@ -126,20 +135,22 @@ def alpha_roots(model: OscillatorModel, level: float) -> np.ndarray:
     alpha with the level taken off its constant term, which keeps the digits
     alpha(s) - level would cancel.  A step is kept only where it shrinks the
     residual: at a double root the slope is as small as the residual's
-    rounding, and a plain step lands anywhere.
+    rounding, and a plain step lands anywhere.  Roots past the float range
+    are dropped without a warning.
     """
     c = np.array(model.alpha_coefficients)
     c[0] -= level
-    roots = npoly.polyroots(c)
-    s = roots.real[(np.abs(roots.imag) < 1e-10) & (roots.real > 0)]
-    dc = npoly.polyder(c)
-    res = npoly.polyval(s, c)
-    for _ in range(3):
-        slope = npoly.polyval(s, dc)
-        step = s - np.divide(res, slope, out=np.zeros_like(s), where=slope != 0)
-        step_res = npoly.polyval(step, c)
-        better = np.abs(step_res) < np.abs(res)
-        s, res = np.where(better, step, s), np.where(better, step_res, res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = npoly.polyroots(c)
+        s = roots.real[(np.abs(roots.imag) < 1e-10) & (roots.real > 0) & np.isfinite(roots)]
+        dc = npoly.polyder(c)
+        res = npoly.polyval(s, c)
+        for _ in range(3):
+            slope = npoly.polyval(s, dc)
+            step = s - np.divide(res, slope, out=np.zeros_like(s), where=slope != 0)
+            step_res = npoly.polyval(step, c)
+            better = np.abs(step_res) < np.abs(res)
+            s, res = np.where(better, step, s), np.where(better, step_res, res)
     # each value once, ascending, as np.unique would; its first call imports numpy.ma
     s = np.sort(s[s > 0])
     return s[np.diff(s, prepend=0.0) != 0]

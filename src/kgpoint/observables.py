@@ -67,20 +67,15 @@ class SeminormTerms(NamedTuple):
 
 def seminorm_terms(state: FieldState, m: float, R: float | None = None) -> SeminormTerms:
     """The terms of ||Psi||_{E,R} over |x| <= R, or of ||Psi||_E over the
-    whole grid when R is None; R beyond the grid or below its spacing
-    raises ValueError."""
+    whole grid when R is None.  The one radius rule: h <= R <= half_extent,
+    a node each side of x = 0 and all on the grid, else ValueError."""
     grid = state.grid
     c = grid.center_index
     h = grid.spacing
-    if R is None:
-        half = c
-    elif not R >= h:
-        raise ValueError(f"R = {R!r} is below the grid spacing h = {h!r}: the window "
-                         f"|x| <= R needs a node each side of x = 0")
-    elif R > grid.half_extent + 1e-12:
-        raise ValueError("R exceeds the grid half extent")
-    else:
-        half = min(int(round(R / h)), c)
+    if R is not None and not h <= R <= grid.half_extent:
+        raise ValueError(f"R = {R} is outside [h, half_extent] = [{h}, {grid.half_extent}]: "
+                         f"|x| <= R must hold a node each side of x = 0 and lie on the grid")
+    half = c if R is None else min(int(round(R / h)), c)
     lo, hi = c - half, c + half + 1
     d, d_plus, d_minus = _dx_with_center_kink(state.psi, h, c)
     w = np.full(hi - lo, h)
@@ -92,8 +87,8 @@ def seminorm_terms(state: FieldState, m: float, R: float | None = None) -> Semin
 
 
 def norm_e(state: FieldState, m: float, R: float | None = None) -> float:
-    """||Psi||_E, or the local seminorm ||Psi||_{E,R} over |x| <= R; R below
-    the grid spacing raises ValueError."""
+    """||Psi||_E, or the local seminorm ||Psi||_{E,R} over |x| <= R; R outside
+    [h, half_extent] raises `seminorm_terms`'s ValueError."""
     return float(np.sqrt(seminorm_terms(state, m, R).residual_sq()))
 
 

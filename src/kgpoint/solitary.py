@@ -89,11 +89,17 @@ def _bracket_nodes(s_max: float) -> np.ndarray:
 
 
 def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]:
-    """The zero, one, or two waves with amplitude C (Remark: omega = +/- sqrt(m^2 - kappa_C^2))."""
-    if C <= 0:
-        raise ValueError("amplitude must be positive")
+    """The zero, one, or two waves with amplitude C (Remark: omega = +/- sqrt(m^2 - kappa_C^2));
+    the one amplitude rule, C > 0 with C^2 and alpha(C^2) finite, raises no numpy warning."""
+    if not C > 0:
+        raise ValueError(f"C must be positive, got {C}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_c = 0.5 * float(alpha(model, s := C * C))
+    if not np.isfinite(s):
+        raise ValueError(f"C = {C} is too large: C**2 overflows")
+    if not np.isfinite(kappa_c):
+        raise ValueError(f"C = {C} is too large: alpha(C**2) is not finite")
     m = model.mass
-    kappa_c = 0.5 * float(alpha(model, C * C))
     omega_sq = m * m - kappa_c * kappa_c
     # a kappa too small to move omega off the gap edge m is no wave
     if not (0.0 < kappa_c <= m and omega_sq < m * m):
@@ -106,14 +112,14 @@ def waves_from_amplitude(model: OscillatorModel, C: float) -> list[SolitaryWave]
 
 def wave_on_branch(model: OscillatorModel, C: float, branch: str) -> SolitaryWave:
     """The wave of amplitude C on `branch`, "minus" for omega < 0 and "plus"
-    otherwise (theta = 0); ValueError when there is none."""
+    otherwise (theta = 0); ValueError, its message starting with C, if none."""
     waves = waves_from_amplitude(model, C)
     if not waves:
-        raise ValueError(f"no solitary wave exists at C={C} for this model")
+        raise ValueError(f"C: no solitary wave exists at C={C} for this model")
     for w in waves:
         if (w.omega < 0) == (branch == "minus"):
             return w
-    raise ValueError(f"no {branch}-branch solitary wave exists at C={C}")
+    raise ValueError(f"C: no {branch}-branch solitary wave exists at C={C}")
 
 
 # |omega -/+ omega_a| at which a linear-model frequency counts as resonant
@@ -123,6 +129,8 @@ _FAMILY_TOL = 1e-9
 def waves_at_omega(model: OscillatorModel, omega: float
                    ) -> list[SolitaryWave] | LinearWaveFamily:
     """All waves at frequency omega; a LinearWaveFamily flag for the linear continuum."""
+    if not np.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     m = model.mass
     if model.is_linear:
         a = model.linear_a
@@ -190,8 +198,8 @@ def distance_to_manifold(model: OscillatorModel, state: FieldState, R: float
     term by term (the scan's inner-product form cancels to ~1e-15
     ||Psi||^2, which near the manifold leaves only a few digits of rho);
     the reported rho is that residual of the reported wave.  The zero wave
-    is always a candidate, at rho = norm_e(state, m, R).  R beyond the grid
-    or below its spacing h raises ValueError, as in `norm_e`.
+    is always a candidate, at rho = norm_e(state, m, R).  R outside
+    [h, half_extent] raises `observables.seminorm_terms`'s ValueError.
     Linear models: least squares onto the span of the two resonant modes.
     They share the profile row of kappa = a/2, so the scan's inner products
     give the right-hand side and its squared-row sums the 2 x 2 Gram

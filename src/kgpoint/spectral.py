@@ -52,13 +52,10 @@ class SpectrumEstimate:
 
 def windowed_spectrum(trace: TraceSeries, t_center: float, t_width: float,
                       window: Window = Window.HANN) -> SpectrumEstimate:
-    """Windowed transform of the trace segment centered at t_center."""
+    """Windowed transform of the trace over the nodes of [t_center -/+
+    t_width/2]; a window that `fields.node_span` refuses raises its ValueError."""
     dt = trace.dt
-    lo, hi = node_span(t_center - 0.5 * t_width, t_center + 0.5 * t_width, dt)
-    if hi <= lo:
-        raise ValueError("window holds fewer than two trace samples")
-    if lo < 0 or hi >= len(trace.z):
-        raise ValueError("window extends outside the trace")
+    lo, hi = node_span(t_center - 0.5 * t_width, t_center + 0.5 * t_width, dt, len(trace.z))
     seg = trace.z[lo:hi + 1]
     nseg = len(seg)
     if window is Window.HANN:
@@ -105,11 +102,9 @@ def dominant_frequency(spec: SpectrumEstimate) -> float:
 
 
 def modulus_variation(trace: TraceSeries, t0: float, t1: float) -> float:
-    """(max - min)/max of |z| over [t0, t1]; zero for an identically zero window."""
-    lo, hi = node_span(t0, t1, trace.dt)
-    lo, hi = max(lo, 0), min(hi, len(trace.z) - 1)
-    if hi < lo:
-        raise ValueError("empty modulus window")
+    """(max - min)/max of |z| over the nodes of [t0, t1], by the spectrum's
+    window rule (`fields.node_span`); zero for an identically zero window."""
+    lo, hi = node_span(t0, t1, trace.dt, len(trace.z))
     mags = np.abs(trace.z[lo:hi + 1])
     top = mags.max()
     if top == 0.0:

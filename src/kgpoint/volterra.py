@@ -151,7 +151,8 @@ def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
     if ab is None:
         return 1e12
     A, B = ab
-    h0 = energy_of(model, initial)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: check_step refuses it
+        h0 = energy_of(model, initial)
     lam_sq = max(h0 - A, 0.0) / (model.mass - B)
     return 1.5 * float(np.sqrt(lam_sq)) + 1e-9
 
@@ -159,9 +160,11 @@ def _trace_cap(model: OscillatorModel, initial: FieldState) -> float:
 def check_step(model: OscillatorModel, initial: FieldState, dt: float) -> float:
     """The cap of `_trace_cap` on |z| from `initial`, once dt has passed the
     step rule dt L / 4 <= 1/2, L the Lipschitz bound of F on |z| <= cap
-    (`force_lipschitz`); a larger dt raises StepTooLargeError."""
+    (`force_lipschitz`); a larger dt or an infinite L raises StepTooLargeError."""
     cap = _trace_cap(model, initial)
     lip = force_lipschitz(model, cap)
+    if not np.isfinite(lip):
+        raise StepTooLargeError(f"initial data too large for the implicit node: cap = {cap}")
     if 0.25 * dt * lip > _MAX_CONTRACTION:
         raise StepTooLargeError(
             f"dt = {dt:.6g} too large for the implicit node: dt L/4 = {0.25 * dt * lip:.6g} "

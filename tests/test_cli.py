@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -112,11 +115,24 @@ CONFIG_VIOLATIONS = [
       ("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.50000001")],
      "snapshot time 0.50000001 not on the dt grid"),
     ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 3.0:5.0")],
-     "spectrum window 3.0:5.0 not inside [0, T]"),
+     "window extends outside the trace: 3.0:5.0"),
     ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 1.0:1.005")],
-     "spectrum window 1.0:1.005 holds fewer than two trace samples"),
+     "holds fewer than two trace samples: 1.0:1.005"),
     ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 1.0-4.0")],
      "cannot parse outputs.spectrum_windows"),
+    # the window rule of the spectrum (`fields.node_span`): its ends in steps
+    # of dt must be finite, and every number of a window finite
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 0:1e300")],
+     "window extends outside the trace: 0.0:1e+300"),
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 0:1e308")],
+     "window ends are not finite in steps: 0.0:1e+308"),
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 0:inf")],
+     "cannot parse outputs.spectrum_windows = '0:inf'"),
+    ([("spectrum_windows = 1.0:4.0", "spectrum_windows = 0:nan")],
+     "cannot parse outputs.spectrum_windows = '0:nan'"),
+    # a list is comma-separated only
+    ([("snapshots = 0.0, 2.0, 4.0", "snapshots = 0.0; 2.0")],
+     "cannot parse outputs.snapshots = '0.0; 2.0'"),
     ([("width = 1.5", "width = 0")], "initial.width must be positive, got 0.0"),
     ([("width = 1.5", "width = -1")], "initial.width must be positive, got -1.0"),
     ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.5\nbump_width = 0"),
@@ -134,6 +150,8 @@ CONFIG_VIOLATIONS = [
     ([("energy_tol = 0.01", "energy_tol = -1")], "run.energy_tol must be positive, got -1.0"),
     ([("width = 1.5", "width = 1e-200")],
      "initial.width = 1e-200 is below the grid spacing 0.0390625"),
+    # the width's square overflows to inf: the packet fills the grid
+    ([("width = 1.5", "width = 1e300")], "data radius + T + 1 = 45.000"),
     ([(GAUSSIAN_INITIAL, "kind = solitary_plus_bump\nC = 0.5\nbump_width = 0.06"),
       ("half_extent = 40.0", "half_extent = 66.0")],
      "initial.bump_width = 0.06 is below the grid spacing 0.064453125"),
@@ -606,6 +624,18 @@ class TestCommands:
         code = run_cli(tmp_path, "simulate", "--config", str(cfg))
         assert_input_error(code, capsys, "too large for the implicit node")
 
+    @pytest.mark.parametrize("coefficients,amplitude", [
+        ("0, -1, 1", "1e300"), ("0.1, -2, 0.5, 1", "1e30")], ids=["squares", "lipschitz"])
+    def test_data_past_the_float_range_give_one_error_line(self, tmp_path, capsys,
+                                                           coefficients, amplitude):
+        # |psi|^2 overflows in the seminorm, so H0 and the cap are not a
+        # number; or the cap is finite and the Lipschitz bound's cap^4 is not
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(BASE_CFG.replace("amplitude_re = 0.5", f"amplitude_re = {amplitude}")
+                       .replace("coefficients = 0, -1, 1", f"coefficients = {coefficients}"))
+        code = run_cli(tmp_path, "simulate", "--config", str(cfg))
+        assert_input_error(code, capsys, "initial data too large for the implicit node")
+
     def test_non_finite_node(self, tmp_path, monkeypatch, capsys):
         # one fixed-point iteration never meets the node's stopping rule
         monkeypatch.setattr(volterra, "_MAX_ITERATIONS", 1)
@@ -648,20 +678,29 @@ class TestCommands:
             "2,non_finite,,,,\n")
 
     @pytest.mark.parametrize("argv,text", [
-        (["solitary", "--C", "nan"], "--C must be finite, got nan"),
-        (["solitary", "--C", "inf"], "--C must be finite, got inf"),
-        (["solitary", "--omega", "nan"], "--omega must be finite, got nan"),
-        (["spectrum", "--t-center", "nan", "--t-width", "1.0"], "--t-center must be finite"),
+        (["solitary", "--C", "nan"], "C must be positive, got nan"),
+        (["solitary", "--C", "inf"], "C = inf is too large: C**2 overflows"),
+        (["solitary", "--omega", "nan"], "omega must be finite, got nan"),
+        (["spectrum", "--t-center", "nan", "--t-width", "1.0"],
+         "window ends are not finite in steps: nan:nan at dt = 0.1"),
         (["spectrum", "--t-center", "0.5", "--t-width", "-2"],
-         "--t-width must be positive and finite, got -2.0"),
+         "window holds fewer than two trace samples: 1.5:-0.5 at dt = 0.1"),
         (["spectrum", "--t-center", "0.5", "--t-width", "0"],
-         "--t-width must be positive and finite, got 0.0"),
-        (["attract", "--radius", "nan"], "--radius must be positive and finite, got nan"),
-        (["attract", "--radius", "40.5"], "--radius 40.5 exceeds the grid half extent 40.0"),
+         "window holds fewer than two trace samples: 0.5:0.5 at dt = 0.1"),
+        (["attract", "--radius", "nan"],
+         "R = nan is outside [h, half_extent] = [0.0390625, 40.0]"),
+        (["attract", "--radius", "40.5"],
+         "R = 40.5 is outside [h, half_extent] = [0.0390625, 40.0]"),
         # a one-node window: the spacing is 80/2048
-        (["attract", "--radius", "0.01"], "--radius 0.01 is below the grid spacing 0.0390625"),
+        (["attract", "--radius", "0.01"],
+         "R = 0.01 is outside [h, half_extent] = [0.0390625, 40.0]"),
+        # finite flags whose square, or whose window in steps of dt, overflows
+        (["solitary", "--C", "1e200"], "C = 1e+200 is too large: C**2 overflows"),
+        (["spectrum", "--t-center", "0.5", "--t-width", "1.7e308"],
+         "window ends are not finite in steps: -8.5e+307:8.5e+307 at dt = 0.1"),
     ], ids=["C_nan", "C_inf", "omega_nan", "t_center_nan", "t_width_negative", "t_width_zero",
-            "radius_nan", "radius_past_grid", "radius_below_spacing"])
+            "radius_nan", "radius_past_grid", "radius_below_spacing", "C_squared_overflows",
+            "t_width_overflows"])
     def test_flags_checked_up_front(self, tmp_path, monkeypatch, capsys, argv, text):
         # a 1 s trace and a valid config, so only the flag is wrong
         trace = tmp_path / "trace.csv"
@@ -676,7 +715,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv,text", [
         (["--u", "0,1", "--C", "0.5"], "degree N >= 2"),
         (["--u", "0,-1,abc", "--C", "0.5"], "--u 0,-1,abc: could not convert string to float: 'abc'"),
-        (["--C", "-1"], "amplitude must be positive"),
+        (["--C", "-1"], "C must be positive, got -1.0"),
         (["--omega", "2"], "|omega| < m"),
     ], ids=["degree", "coefficient", "amplitude", "omega"])
     def test_solitary_input_errors(self, tmp_path, capsys, argv, text):
@@ -735,7 +774,7 @@ class TestCommands:
         cfg.write_text(BASE_CFG)
         monkeypatch.setattr(cli, "solve_trace", None)  # any solve would fail
         code = run_cli(tmp_path, "attract", "--config", str(cfg), "--radius", "-1")
-        assert_input_error(code, capsys, "--radius must be positive")
+        assert_input_error(code, capsys, "R = -1.0 is outside [h, half_extent]")
 
     @pytest.mark.parametrize("windows", ["1", "0", "-3"])
     def test_attract_rejects_windows_before_solve(self, tmp_path, monkeypatch, capsys,
@@ -788,6 +827,12 @@ class TestCommands:
                      "--C", "0.5", "--write"])
         assert code == 0
         assert (out / "solitary.csv").read_text() == capsys.readouterr().out
+
+    def test_solitary_at_omega_without_a_finite_root(self, capsys):
+        # alpha(s) = 2 - 4e-320 s reaches 2 kappa only past the float range:
+        # no wave, as at any omega with none
+        assert main(["solitary", "--omega", "0.5", "--u", "0,-1,1e-320"]) == 0
+        assert capsys.readouterr().out == "C,kappa,omega\n"
 
     def test_solitary_linear_family(self, capsys):
         code = main(["solitary", "--a", "1.0", "--mass", "1",
@@ -1074,3 +1119,91 @@ def test_parse_build_solve_boundary(text):
         volterra.solve_trace(cfg.model, state, cfg.T, cfg.dt)
     except volterra.StepTooLargeError:
         pass
+
+
+# flag values at the edges of what a float can be, and a few ordinary ones
+FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1.7e308", "0.5", "2",
+               "40")
+# config keys a --set or --vary draws; a spectrum window gets two values
+SET_KEYS = ("model.mass", "model.coefficients", "grid.half_extent", "grid.n_points", "time.T",
+            "time.dt", "initial.amplitude_re", "initial.width", "run.energy_tol",
+            "outputs.snapshots", "outputs.spectrum_windows")
+
+
+@st.composite
+def cli_argvs(draw, cfg, trace):
+    """argv of one subcommand, each of its flags present or not and given a
+    value of FLAG_VALUES (as --flag=value, so a leading '-' stays a value)."""
+    value = st.sampled_from(FLAG_VALUES)
+    command = draw(st.sampled_from(["simulate", "solitary", "spectrum", "attract", "sweep",
+                                    "compare"]))
+    flags = {
+        "solitary": [draw(st.sampled_from(["C", "omega"])), "mass", "a"],
+        "spectrum": ["t-center", "t-width"],
+        "attract": ["radius", "windows"],
+    }.get(command, [])
+    argv = [command] + [f"--{flag}={draw(value)}" for flag in flags
+                        if flag in ("C", "omega", "t-center", "t-width") or draw(st.booleans())]
+    if command == "solitary":
+        if not argv[-1].startswith("--a=") and draw(st.booleans()):  # --u excludes --a
+            argv.append(f"--u=0,-1,{draw(value)}")
+    elif command == "spectrum":
+        argv += [f"--trace={trace}", f"--window={draw(st.sampled_from(['hann', 'rect']))}"]
+    else:
+        argv.append(f"--config={cfg}")
+        for key in draw(st.lists(st.sampled_from(SET_KEYS), max_size=2, unique=True)):
+            text = draw(value) + (f":{draw(value)}" if key.endswith("windows") else "")
+            argv.append(f"--{'vary' if command == 'sweep' else 'set'}={key}={text}")
+    return argv
+
+
+class Solved(Exception):
+    pass
+
+
+def _solved(*args, **kwargs):
+    raise Solved
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory with a valid config and a 1 s trace, which also takes the outputs."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "g.cfg").write_text(BASE_CFG)
+    write_trace_csv(str(root / "trace.csv"), TraceSeries(dt=0.1, z=np.ones(11, dtype=complex)))
+    return root
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_main_never_raises(cli_inputs, data):
+    # every flag value is checked before the solve (stubbed to raise Solved):
+    # main returns an exit code, argparse exits 2, or the solve is reached;
+    # nothing else raises, and a warning fails the test
+    argv = data.draw(cli_argvs(cli_inputs / "g.cfg", cli_inputs / "trace.csv"))
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        mp.setattr(cli, "solve_trace", _solved)
+        mp.setattr(cli, "solve_full", _solved)
+        try:
+            code = main(["--out", str(cli_inputs / "out"), *argv])
+        except SystemExit as exc:  # argparse
+            code = exc.code
+            assert code == 2
+        except Solved:
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert all(line.startswith(("error: ", "usage: ", "  ", "kgpoint"))
+                   for line in stderr.getvalue().splitlines()), stderr.getvalue()
+
+
+def test_module_entry_point(monkeypatch, capsys):
+    # python -m kgpoint.cli runs main and exits with its code
+    monkeypatch.setattr(sys, "argv", ["kgpoint", "solitary", "--C", "0.5"])
+    monkeypatch.delitem(sys.modules, "kgpoint.cli")  # run_module executes a fresh copy
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("kgpoint.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("C,kappa,omega\n")

@@ -151,6 +151,12 @@ class TestAlphaRoots:
         assert alpha_roots(model, -7.0).tolist() == [2.0]
         assert alpha_roots(model, 2.0).size == 0
 
+    def test_roots_past_the_float_range_are_dropped(self):
+        # alpha(s) = 2 - 4e-320 s: the one root, (2 - level) / 4e-320, is past
+        # the float range; no root, and no overflow warning
+        model = OscillatorModel.polynomial(1.0, (0.0, -1.0, 1e-320))
+        assert alpha_roots(model, 2.0 * np.sqrt(0.75)).size == 0
+
     def test_ascending_and_on_alpha(self):
         # alpha(s) = 1 + 12 s - 6 s^2 = 3 at s = 1 -/+ sqrt(2/3)
         model = OscillatorModel.polynomial(1.0, (0.0, -0.5, -3.0, 1.0))

@@ -268,18 +268,20 @@ class TestDistance:
 
     def test_R_beyond_grid_rejected(self, cubic_model, small_grid):
         # as norm_e does, rather than measuring over the whole grid
-        with pytest.raises(ValueError, match="R exceeds the grid half extent"):
+        with pytest.raises(ValueError, match=r"R = 41\.0 is outside \[h, half_extent\] = "
+                                             r"\[0\.01953125, 40\.0\]"):
             distance_to_manifold(cubic_model, zero_state(small_grid), 41.0)
 
     def test_R_below_spacing_rejected(self, cubic_model, small_grid):
         # a one-node window has no derivative stencil; h = 40/2048
-        with pytest.raises(ValueError, match=r"R = 0\.01 is below the grid spacing h = 0\.01953"):
+        below = r"R = 0\.01 is outside \[h, half_extent\] = \[0\.01953"
+        with pytest.raises(ValueError, match=below):
             distance_to_manifold(cubic_model, zero_state(small_grid), 0.01)
         assert distance_to_manifold(cubic_model, zero_state(small_grid),
                                     small_grid.spacing).rho == 0.0
         # norm_e shares the window: below the spacing it raises instead of reading 0
         st = gaussian_state(small_grid, GaussianSpec(amplitude=0.5, width=1.5))
-        with pytest.raises(ValueError, match=r"R = 0\.01 is below the grid spacing h = 0\.01953"):
+        with pytest.raises(ValueError, match=below):
             norm_e(st, 1.0, R=0.01)
         assert norm_e(st, 1.0, R=small_grid.spacing) > 0.0
 

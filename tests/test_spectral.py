@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,11 +159,16 @@ class TestModulusVariation:
         tr = make_trace(np.zeros(1000), 0.01)
         assert modulus_variation(tr, 0.0, 9.0) == 0.0
 
-    @pytest.mark.parametrize("t0,t1", [(20.0, 30.0), (-5.0, -1.0), (1.0001, 1.0099)])
-    def test_empty_window_rejected(self, t0, t1):
-        # past either end of the trace, or between two adjacent nodes
+    @pytest.mark.parametrize("t0,t1,text", [
+        (20.0, 30.0, "window extends outside the trace: 20.0:30.0 is not within 0:9.99"),
+        (-5.0, -1.0, "window extends outside the trace: -5.0:-1.0"),
+        (1.0001, 1.0099, "window holds fewer than two trace samples: 1.0001:1.0099"),
+    ], ids=["20.0-30.0", "-5.0--1.0", "1.0001-1.0099"])
+    def test_empty_window_rejected(self, t0, t1, text):
+        # past either end of the trace, or between two adjacent nodes: the
+        # spectrum's rule (`fields.node_span`)
         tr = make_trace(np.ones(1000), 0.01)
-        with pytest.raises(ValueError, match="empty modulus window"):
+        with pytest.raises(ValueError, match=re.escape(text)):
             modulus_variation(tr, t0, t1)
 
 
